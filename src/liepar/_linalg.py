@@ -2,6 +2,11 @@
 
 Everything here works on plain lists/tuples of Python ints or Fractions;
 no floating point is ever involved.
+
+Over Q there is one elimination, the Gauss-Jordan `rref_q`; inverse,
+solve, rank and kernel are read off its result.  Fraction-free Bareiss,
+the Smith normal form and elimination mod p are separate on purpose: they
+are the independent rank checks.
 """
 
 from __future__ import annotations
@@ -150,11 +155,6 @@ def smith_normal_form(matrix) -> list[int]:
     return divisors
 
 
-def snf_rank_modp(matrix, p: int) -> int:
-    """Rank over F_p read off the Smith normal form (independent oracle)."""
-    return sum(1 for d in smith_normal_form(matrix) if d % p != 0)
-
-
 def elementary_divisors(matrix) -> list[int]:
     """Smith divisors greater than 1 (the torsion of the cokernel)."""
     return [d for d in smith_normal_form(matrix) if d > 1]
@@ -215,23 +215,61 @@ def in_row_lattice(hnf: list[list[int]], vector) -> bool:
     return not any(v)
 
 
-def frac_matrix_inverse(matrix) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix, by Gauss-Jordan over Q."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
+def rref_q(matrix, cols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q by Gauss-Jordan; returns (rref, pivot columns).
+
+    Only the first `cols` columns (default: all) are eliminated; any columns
+    after them, such as a right-hand side, are carried along.
+    """
+    m = [[Fraction(x) for x in row] for row in matrix]
+    if cols is None:
+        cols = len(m[0]) if m else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def nullspace_q(matrix, cols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel over Q of a matrix with `cols` columns.
+
+    One vector per non-pivot column of the rref, so an empty matrix gives
+    the standard basis.
+    """
+    rref, pivots = rref_q(matrix, cols)
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for row, pc in zip(rref, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def frac_matrix_inverse(matrix) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix, from the rref of [matrix | I]."""
+    n = len(matrix)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    rref, pivots = rref_q(augmented, n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rref]
 
 
 def frac_solve(matrix, rhs) -> list[Fraction] | None:
@@ -239,54 +277,16 @@ def frac_solve(matrix, rhs) -> list[Fraction] | None:
 
     For underdetermined systems returns one solution (free variables 0).
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [[Fraction(matrix[i][j]) for j in range(cols)] + [Fraction(rhs[i])] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None
+    cols = len(matrix[0]) if matrix else 0
+    rref, pivots = rref_q([list(row) + [b] for row, b in zip(matrix, rhs)], cols)
+    if any(row[cols] != 0 for row in rref[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for i, c in pivots:
-        x[c] = aug[i][cols]
+    for row, c in zip(rref, pivots):
+        x[c] = row[cols]
     return x
 
 
 def frac_rank(matrix) -> int:
     """Rank of a matrix with Fraction (or int) entries."""
-    rows = [list(map(Fraction, row)) for row in matrix]
-    if not rows or not rows[0]:
-        return 0
-    nrows, ncols = len(rows), len(rows[0])
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(r + 1, nrows):
-            if rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+    return len(rref_q(matrix)[1])

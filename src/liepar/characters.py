@@ -45,7 +45,8 @@ def weyl_dimension(rs: RootSystem, weight) -> int:
         co = rs.coroot(root)
         num *= sum((lam[i] + 1) * co[i] for i in range(rs.rank))
         den *= sum(co)
-    assert num % den == 0
+    if num % den != 0:
+        raise AssertionError("Weyl dimension formula must give an integer")
     return num // den
 
 
@@ -138,7 +139,8 @@ def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
         mu_rho = tuple(mu[i] + 1 for i in range(rs.rank))
         denom = c_lam - rs.inner(mu_rho, mu_rho)
         value = 2 * acc / denom
-        assert value.denominator == 1 and value >= 0
+        if value.denominator != 1 or value < 0:
+            raise AssertionError(f"Freudenthal multiplicity {value} at {mu} is not natural")
         mults[mu] = int(value)
     return mults
 
@@ -153,11 +155,12 @@ def _full_weight_multiset(rs: RootSystem, weight, budget: int | None = None) -> 
     for mu, m in dominant_weight_multiplicities(rs, lam).items():
         for w in weyl_orbit(rs, mu):
             out[w] = m
-    assert sum(out.values()) == dim
+    if sum(out.values()) != dim:
+        raise AssertionError("weight multiset does not have the Weyl dimension")
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Character:
     """A character: decomposition into irreducibles and/or a weight multiset."""
 
@@ -169,26 +172,12 @@ class Character:
     def from_dominant(cls, rs: RootSystem, mults: dict[Weight, int]) -> "Character":
         return cls(rs, dominant_mults=dict(mults))
 
-    @classmethod
-    def from_weights(cls, rs: RootSystem, mults: dict[Weight, int]) -> "Character":
-        return cls(rs, weight_mults=dict(mults))
-
     def dimension(self) -> int:
         if self.dominant_mults is not None:
             return sum(m * weyl_dimension(self.system, w) for w, m in self.dominant_mults.items())
-        assert self.weight_mults is not None
-        return sum(self.weight_mults.values())
-
-    def expand(self) -> dict[Weight, int]:
-        """Weight multiset; computed from the irreducible decomposition if needed."""
         if self.weight_mults is None:
-            assert self.dominant_mults is not None
-            total: dict[Weight, int] = {}
-            for lam, m in self.dominant_mults.items():
-                for w, c in _full_weight_multiset(self.system, lam).items():
-                    total[w] = total.get(w, 0) + m * c
-            self.weight_mults = total
-        return self.weight_mults
+            raise AssertionError("character carries neither representation")
+        return sum(self.weight_mults.values())
 
     def is_consistent(self) -> bool:
         """When both representations are carried, do they describe one character?"""
@@ -201,7 +190,8 @@ class Character:
         return expanded == {w: m for w, m in self.weight_mults.items() if m}
 
     def sorted_dominant(self) -> list[tuple[Weight, int]]:
-        assert self.dominant_mults is not None
+        if self.dominant_mults is None:
+            raise AssertionError("character has no irreducible decomposition")
         return sorted(self.dominant_mults.items(), key=lambda kv: (_height(self.system, kv[0]), kv[0]), reverse=True)
 
 
@@ -310,13 +300,15 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int,
             sign = -sign
         ek = {}
         for w, m in acc.items():
-            assert m % k == 0
+            if m % k != 0:
+                raise AssertionError("Newton identity must give integral multiplicities")
             if m // k:
                 ek[w] = m // k
         elementary.append(ek)
     mults = decompose_weight_multiset(rs, elementary[power])
     character = Character.from_dominant(rs, mults)
-    assert character.dimension() == comb(dim, power)
+    if character.dimension() != comb(dim, power):
+        raise AssertionError("exterior power does not have dimension binomial(dim, power)")
     return character
 
 
@@ -386,7 +378,6 @@ def word_multiplicity(rs: RootSystem, word, target) -> int:
         nxt: dict[Weight, int] = {}
         for lam, mult in current.items():
             piece = tensor_decompose(rs, lam, gen)
-            assert piece.dominant_mults is not None
             for nu, c in piece.dominant_mults.items():
                 nxt[nu] = nxt.get(nu, 0) + mult * c
         current = nxt
@@ -423,7 +414,6 @@ def generation_certificate(rs: RootSystem, max_word_length: int = 8,
                 heap = []
                 break
             piece = tensor_decompose(rs, lam, g)
-            assert piece.dominant_mults is not None
             for nu in sorted(piece.dominant_mults, key=lambda w: (weyl_dimension(rs, w), w)):
                 if nu not in discovered:
                     discovered[nu] = word + (g,)
@@ -438,6 +428,7 @@ def generation_certificate(rs: RootSystem, max_word_length: int = 8,
     for t, idx in sorted(targets.items(), key=lambda kv: kv[1]):
         word = discovered[t]
         mult = word_multiplicity(rs, word, t)
-        assert mult > 0
+        if mult <= 0:
+            raise AssertionError(f"certificate word for w{idx} has multiplicity {mult}")
         entries.append(CertificateEntry(idx, word, mult))
     return GenerationCertificate(rs.type_name(), tuple(gens), tuple(entries))

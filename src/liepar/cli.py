@@ -157,6 +157,8 @@ def _cmd_char(args) -> str:
     doc = _document("char", type=rs.type_name())
     if args.certify_generation:
         cert = characters.generation_certificate(rs)
+        if not cert.verify(rs):
+            raise LieparError("generation certificate failed verification")
         doc["generators"] = [_weight_label(g) for g in cert.generators]
         doc["certificates"] = [
             {
@@ -167,7 +169,6 @@ def _cmd_char(args) -> str:
             }
             for e in cert.entries
         ]
-        assert cert.verify(rs)
         return _emit(doc, args.format,
                      [(c["fundamental"], "*".join(c["word"]), c["multiplicity"]) for c in doc["certificates"]])
     if args.tensor:

@@ -34,6 +34,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import _linalg
 from .errors import InvalidTypeError, ReducibleError
@@ -231,9 +232,26 @@ class RootSystem:
     def rho(self) -> Weight:
         return (1,) * self.rank
 
-    def simple_root_weight(self, i: int) -> Weight:
-        """alpha_i in fundamental-weight coordinates (row i of the Cartan matrix)."""
-        return self.cartan[i]
+    @cached_property
+    def simple_root_indices(self) -> tuple[int, ...]:
+        """Index of each simple root in `positive_roots`."""
+        lookup = {r: k for k, r in enumerate(self.positive_roots)}
+        return tuple(lookup[tuple(int(j == i) for j in range(self.rank))] for i in range(self.rank))
+
+    @cached_property
+    def simple_reflection_perms(self) -> tuple[tuple[int, ...], ...]:
+        """The permutation of `roots` induced by each simple reflection."""
+        index = {r: k for k, r in enumerate(self.roots)}
+        perms = []
+        for i in range(self.rank):
+            perm = []
+            for root in self.roots:
+                pairing = sum(root[k] * self.cartan[k][i] for k in range(self.rank))
+                new = list(root)
+                new[i] -= pairing
+                perm.append(index[tuple(new)])
+            perms.append(tuple(perm))
+        return tuple(perms)
 
     def reflect(self, weight, i: int) -> Weight:
         """Simple reflection s_i acting on fundamental-weight coordinates."""
@@ -257,7 +275,8 @@ class RootSystem:
         """The highest root, in fundamental-weight coordinates."""
         self._require_irreducible()
         theta = max(self.positive_roots, key=lambda r: (sum(r), r))
-        assert all(all(a >= b for a, b in zip(theta, r)) for r in self.positive_roots)
+        if not all(all(a >= b for a, b in zip(theta, r)) for r in self.positive_roots):
+            raise AssertionError("highest root must dominate every positive root")
         return self.root_weight_coords(theta)
 
     def highest_short_root(self) -> Weight:
@@ -267,7 +286,8 @@ class RootSystem:
         short = [r for r in self.positive_roots if self.root_norm(r) == min_norm]
         top = max(short, key=lambda r: (sum(r), r))
         w = self.root_weight_coords(top)
-        assert all(c >= 0 for c in w)
+        if any(c < 0 for c in w):
+            raise AssertionError("highest short root must be dominant")
         return w
 
     def coroot_coefficients(self) -> tuple[tuple[int, ...], int]:

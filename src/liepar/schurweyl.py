@@ -64,7 +64,8 @@ def hook_length_count(lam: Partition) -> int:
     for i, row in enumerate(lam):
         for j in range(row):
             prod *= (row - j) + (conj[j] - i) - 1
-    assert math.factorial(d) % prod == 0
+    if math.factorial(d) % prod != 0:
+        raise AssertionError("hook length product must divide d!")
     return math.factorial(d) // prod
 
 
@@ -263,7 +264,8 @@ def specht_radical_bruteforce(lam: Partition, p: int, limit: int = 10**6) -> int
     rad_dim = 0
     while p**rad_dim < radical:
         rad_dim += 1
-    assert p**rad_dim == radical
+    if p**rad_dim != radical:
+        raise AssertionError(f"radical has {radical} elements, not a power of {p}")
     return f - rad_dim
 
 

@@ -41,44 +41,13 @@ def _primitive(vector) -> Ray:
 
 
 def _span_dim(vectors) -> int:
-    return _linalg.frac_rank([list(v) for v in vectors]) if vectors else 0
+    return _linalg.frac_rank(vectors)
 
 
 def _kernel_vector(vectors, dim: int) -> list[Fraction] | None:
     """A nonzero covector vanishing on all `vectors`, or None."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        rows = [[0] * dim]
-    basis = _nullspace([list(map(Fraction, r)) for r in rows], dim)
+    basis = _linalg.nullspace_q(vectors, dim)
     return basis[0] if basis else None
-
-
-def _nullspace(rows: list[list[Fraction]], dim: int) -> list[list[Fraction]]:
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(dim):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * dim
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
 
 
 def _dot(u, v) -> Fraction:
@@ -104,7 +73,7 @@ class Cone:
         if self._facet_normals is not None:
             return self._span_equations, self._facet_normals
         n = self.ambient_dim
-        equations = _nullspace([list(map(Fraction, r)) for r in self.rays] or [[Fraction(0)] * n], n)
+        equations = _linalg.nullspace_q(self.rays, n)
         normals: list[list[Fraction]] = []
         if self.dim >= 1:
             if self.dim == 1:
@@ -119,7 +88,7 @@ class Cone:
                 for subset in itertools.combinations(self.rays, self.dim - 1):
                     if _span_dim(subset) != self.dim - 1:
                         continue
-                    u = _kernel_vector(list(subset) + equations_basis(equations), n)
+                    u = _kernel_vector(list(subset) + equations, n)
                     if u is None:
                         continue
                     values = [_dot(u, r) for r in self.rays]
@@ -157,10 +126,6 @@ class Cone:
             if _span_dim(face) == self.dim - 1:
                 out.append(face)
         return out
-
-
-def equations_basis(equations: list[list[Fraction]]) -> list[list[Fraction]]:
-    return [list(eq) for eq in equations]
 
 
 def _normal_key(u) -> tuple:

@@ -166,56 +166,16 @@ def minimal_orbit_parity_primes(rs: RootSystem) -> PrimeSet:
 def long_simple_fundamental_group(rs: RootSystem) -> AbelianInvariants:
     """Weight/root lattice quotient of the subsystem generated by long simple roots.
 
-    The subsystem is computed by closing the long simple roots under their
-    own reflections, never read from a table.
+    Simple roots J generate the parabolic subsystem Phi_J, whose base is J
+    itself (Bourbaki, Lie groups VI §1.7), so the Cartan matrix of the
+    subsystem is the submatrix of `rs.cartan` on the long simple indices.
     """
     if not rs.is_irreducible():
         raise LieparError("requires an irreducible type")
-    max_norm = max(rs.root_norm(r) for r in rs.positive_roots)
-    simple = [tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank)]
-    generators = [r for r in simple if rs.root_norm(r) == max_norm]
-    closure: set[tuple[int, ...]] = set()
-    pending: list[tuple[int, ...]] = []
-    for g in generators:
-        for signed in (g, tuple(-c for c in g)):
-            if signed not in closure:
-                closure.add(signed)
-                pending.append(signed)
-
-    def reflect(alpha, beta):
-        co = rs.coroot(alpha)
-        w = rs.root_weight_coords(beta)
-        pairing = sum(w[k] * co[k] for k in range(rs.rank))
-        return tuple(beta[k] - pairing * alpha[k] for k in range(rs.rank))
-
-    while pending:
-        alpha = pending.pop()
-        for beta in list(closure):
-            for new in (reflect(alpha, beta), reflect(beta, alpha)):
-                if new not in closure:
-                    closure.add(new)
-                    pending.append(new)
-    positive = sorted(r for r in closure if all(c >= 0 for c in r))
-    # base of the subsystem: indecomposable positive elements
-    pos_set = set(positive)
-    base = [
-        b
-        for b in positive
-        if not any(
-            tuple(x - y for x, y in zip(b, g)) in pos_set for g in positive if g != b
-        )
-    ]
-    cartan = [[_sub_pairing(rs, bi, bj) for bj in base] for bi in base]
+    norms = [rs.root_norm(tuple(int(j == i) for j in range(rs.rank))) for i in range(rs.rank)]
+    long = [i for i, n in enumerate(norms) if n == max(norms)]
+    cartan = [[rs.cartan[i][j] for j in long] for i in long]
     return AbelianInvariants(tuple(_linalg.elementary_divisors(cartan)))
-
-
-def _sub_pairing(rs: RootSystem, beta_i, beta_j) -> int:
-    """<beta_i, beta_j-check> from the invariant form."""
-    value = 2 * rs.inner(rs.root_weight_coords(beta_i), rs.root_weight_coords(beta_j))
-    value /= rs.root_norm(beta_j)
-    if value.denominator != 1:
-        raise AssertionError("Cartan pairing of subsystem must be integral")
-    return int(value)
 
 
 @dataclass(frozen=True)

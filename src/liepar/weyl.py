@@ -34,20 +34,17 @@ class WeylElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, WeylElement) and self.perm == other.perm
 
-    def apply_to_root_index(self, idx: int) -> int:
-        return self.perm[idx]
-
     def right_descents(self) -> frozenset[int]:
         """Simple indices i (0-based) with l(w s_i) < l(w)."""
         n = len(self.system.positive_roots)
-        return frozenset(i for i in range(self.system.rank)
-                         if self.perm[_simple_index(self.system, i)] >= n)
+        return frozenset(i for i, k in enumerate(self.system.simple_root_indices)
+                         if self.perm[k] >= n)
 
     def left_descents(self) -> frozenset[int]:
         inv = _invert(self.perm)
         n = len(self.system.positive_roots)
-        return frozenset(i for i in range(self.system.rank)
-                         if inv[_simple_index(self.system, i)] >= n)
+        return frozenset(i for i, k in enumerate(self.system.simple_root_indices)
+                         if inv[k] >= n)
 
     def inverse(self) -> "WeylElement":
         return WeylElement(tuple(reversed(self.word)), _invert(self.perm), self.system)
@@ -60,46 +57,13 @@ def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _simple_index(rs: RootSystem, i: int) -> int:
-    """Index of the i-th simple root in rs.positive_roots (cached on rs)."""
-    cached = getattr(rs, "_weyl_simple_idx", None)
-    if cached is None:
-        lookup = {r: k for k, r in enumerate(rs.positive_roots)}
-        cached = [lookup[tuple(1 if j == i else 0 for j in range(rs.rank))] for i in range(rs.rank)]
-        rs._weyl_simple_idx = cached
-    return cached[i]
-
-
-def _simple_perms(rs: RootSystem) -> list[tuple[int, ...]]:
-    """Permutations of the root list induced by the simple reflections (cached on rs)."""
-    cached = getattr(rs, "_weyl_simple_perms", None)
-    if cached is not None:
-        return cached
-    index = {r: k for k, r in enumerate(rs.roots)}
-    perms = []
-    for i in range(rs.rank):
-        perm = []
-        for root in rs.roots:
-            pairing = sum(root[k] * rs.cartan[k][i] for k in range(rs.rank))
-            new = list(root)
-            new[i] -= pairing
-            perm.append(index[tuple(new)])
-        perms.append(tuple(perm))
-    rs._weyl_simple_perms = perms
-    return perms
-
-
 def identity(rs: RootSystem) -> WeylElement:
     return WeylElement((), tuple(range(len(rs.roots))), rs)
 
 
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return WeylElement((i,), _simple_perms(rs)[i], rs)
-
-
 def multiply_simple(w: WeylElement, i: int) -> WeylElement:
     """w * s_i, with the word extended (not necessarily reduced)."""
-    s = _simple_perms(w.system)[i]
+    s = w.system.simple_reflection_perms[i]
     perm = tuple(w.perm[s[k]] for k in range(len(s)))
     return WeylElement(w.word + (i,), perm, w.system)
 
@@ -118,12 +82,12 @@ def reduced_word(rs: RootSystem, perm: tuple[int, ...]) -> tuple[int, ...]:
     current = perm
     while True:
         descent = next(
-            (i for i in range(rs.rank) if current[_simple_index(rs, i)] >= n), None
+            (i for i, k in enumerate(rs.simple_root_indices) if current[k] >= n), None
         )
         if descent is None:
             break
         word.append(descent)
-        s = _simple_perms(rs)[descent]
+        s = rs.simple_reflection_perms[descent]
         current = tuple(current[s[k]] for k in range(len(s)))
     return tuple(reversed(word))
 
@@ -311,7 +275,7 @@ def stratum_poincare(rs: RootSystem, I, J, w: WeylElement) -> CellPolynomial:
     n = len(rs.positive_roots)
     exponents = []
     for perm, length in seen.items():
-        descents_in_J = any(perm[_simple_index(rs, j)] >= n for j in J)
+        descents_in_J = any(perm[rs.simple_root_indices[j]] >= n for j in J)
         if not descents_in_J:
             exponents.append(length)
     return CellPolynomial.from_exponents(exponents)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from liepar import cli
+from liepar.characters import GenerationCertificate
 from liepar.golden import TABLE_NAMES, load_table, run_golden
 
 
@@ -35,6 +36,14 @@ def test_char_tensor_e7(capsys):
     doc = json.loads(out)
     got = {s["weight"]: s["multiplicity"] for s in doc["decomposition"]}
     assert got == {"2w1": 1, "w1": 1, "w3": 1, "w6": 1, "0": 1}
+
+
+def test_certificate_failing_verification_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(GenerationCertificate, "verify", lambda self, rs: False)
+    code, out, err = run(capsys, "char", "--type", "G2", "--certify-generation")
+    assert code == 1
+    assert out == ""
+    assert err == "error: generation certificate failed verification\n"
 
 
 def test_intform_empty_report(capsys, tmp_path):

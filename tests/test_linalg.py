@@ -1,0 +1,106 @@
+"""Gauss-Jordan over Q (`rref_q` and the functions read off it) on seeded
+random integer matrices, with fraction-free Bareiss as the rank oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from liepar import _linalg
+
+
+def _product(left, right):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+def _random(rng, rows, cols, lo=-4, hi=4):
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def _matrices(seed):
+    """Empty, zero, rectangular and rank-deficient integer matrices."""
+    rng = random.Random(seed)
+    out = [[], [[0, 0, 0]], [[0, 0], [0, 0], [0, 0]], [[3]], [[1, 2], [2, 4]]]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        out.append(_random(rng, rows, cols))
+        inner = rng.randint(1, min(rows, cols))
+        out.append(_product(_random(rng, rows, inner, -2, 2), _random(rng, inner, cols, -2, 2)))
+    return out
+
+
+def _cols(matrix):
+    return len(matrix[0]) if matrix else 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rref_shape(seed):
+    for matrix in _matrices(seed):
+        rref, pivots = _linalg.rref_q(matrix)
+        assert pivots == sorted(set(pivots))
+        for r, c in enumerate(pivots):
+            assert [row[c] for row in rref] == [int(i == r) for i in range(len(rref))]
+            assert not any(rref[r][:c])
+        assert not any(any(row) for row in rref[len(pivots):])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rank_matches_bareiss(seed):
+    for matrix in _matrices(seed):
+        assert _linalg.frac_rank(matrix) == _linalg.bareiss_rank(matrix)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_inverse(seed):
+    rng = random.Random(seed)
+    assert _linalg.frac_matrix_inverse([]) == []
+    checked = 0
+    for matrix in _matrices(seed):
+        if len(matrix) != _cols(matrix):
+            continue
+        n = len(matrix)
+        if _linalg.bareiss_rank(matrix) < n:
+            with pytest.raises(ValueError):
+                _linalg.frac_matrix_inverse(matrix)
+            continue
+        inverse = _linalg.frac_matrix_inverse(matrix)
+        assert _product(inverse, matrix) == [[int(i == j) for j in range(n)] for i in range(n)]
+        checked += 1
+    assert checked
+    with pytest.raises(ValueError):
+        _linalg.frac_matrix_inverse(_product(_random(rng, 4, 2), _random(rng, 2, 4)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve(seed):
+    rng = random.Random(seed)
+    inconsistent = 0
+    for matrix in _matrices(seed):
+        cols = _cols(matrix)
+        x0 = [rng.randint(-3, 3) for _ in range(cols)]
+        rhs = [sum(a * b for a, b in zip(row, x0)) for row in matrix]
+        x = _linalg.frac_solve(matrix, rhs)
+        assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == rhs
+        # a nonzero y with y.A = 0 makes A x = y inconsistent, since y.y > 0
+        left_kernel = _linalg.nullspace_q([list(col) for col in zip(*matrix)], len(matrix))
+        if left_kernel:
+            assert _linalg.frac_solve(matrix, left_kernel[0]) is None
+            inconsistent += 1
+    assert inconsistent
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nullspace(seed):
+    for matrix in _matrices(seed):
+        cols = _cols(matrix)
+        basis = _linalg.nullspace_q(matrix, cols)
+        assert len(basis) == cols - _linalg.bareiss_rank(matrix)
+        for v in basis:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in matrix)
+        assert _linalg.frac_rank(basis) == len(basis)
+
+
+def test_nullspace_of_no_equations_is_the_standard_basis():
+    assert _linalg.nullspace_q([], 3) == [
+        [Fraction(int(i == j)) for j in range(3)] for i in range(3)
+    ]
