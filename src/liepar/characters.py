@@ -15,13 +15,16 @@ Weights are tuples of integers in fundamental-weight coordinates.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from types import MappingProxyType
 
 from .config import WEIGHT_BUDGET, effective_budget
 from .errors import BudgetError, LieparError
 from .rootsys import RootSystem, Weight, WeightVector
+from .weyl import orbit
 
 
 def _coords(weight) -> Weight:
@@ -84,19 +87,7 @@ def straighten_signed(rs: RootSystem, weight: Weight) -> tuple[Weight, int]:
 
 def weyl_orbit(rs: RootSystem, weight) -> list[Weight]:
     """The full Weyl orbit of a weight, as a sorted list."""
-    start = _coords(weight)
-    seen = {start}
-    queue = [start]
-    while queue:
-        w = queue.pop()
-        for i in range(rs.rank):
-            if w[i] == 0:
-                continue
-            u = rs.reflect(w, i)
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return sorted(seen)
+    return sorted(orbit(rs, dominant_rep(rs, _coords(weight)), range(rs.rank)))
 
 
 def _height(rs: RootSystem, weight: Weight) -> Fraction:
@@ -165,12 +156,19 @@ class Character:
     """A character: decomposition into irreducibles and/or a weight multiset."""
 
     system: RootSystem
-    dominant_mults: dict[Weight, int] | None = None
-    weight_mults: dict[Weight, int] | None = None
+    dominant_mults: Mapping[Weight, int] | None = None
+    weight_mults: Mapping[Weight, int] | None = None
+
+    def __post_init__(self):
+        # read-only views of private copies, so a character never changes
+        for name in ("dominant_mults", "weight_mults"):
+            mults = getattr(self, name)
+            if mults is not None:
+                object.__setattr__(self, name, MappingProxyType(dict(mults)))
 
     @classmethod
-    def from_dominant(cls, rs: RootSystem, mults: dict[Weight, int]) -> "Character":
-        return cls(rs, dominant_mults=dict(mults))
+    def from_dominant(cls, rs: RootSystem, mults: Mapping[Weight, int]) -> "Character":
+        return cls(rs, dominant_mults=mults)
 
     def dimension(self) -> int:
         if self.dominant_mults is not None:

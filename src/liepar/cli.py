@@ -50,11 +50,20 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _parse_indices(text: str | None) -> frozenset[int]:
+def _parse_indices(text: str | None, rank: int) -> frozenset[int]:
     """1-based comma list -> 0-based index set."""
-    if not text:
-        return frozenset()
-    return frozenset(int(t) - 1 for t in text.split(",") if t)
+    out = set()
+    for term in (text or "").split(","):
+        if not term:
+            continue
+        try:
+            i = int(term)
+        except ValueError:
+            raise LieparError(f"cannot parse simple index {term!r}") from None
+        if not 1 <= i <= rank:
+            raise LieparError(f"simple index {i} out of range 1..{rank}")
+        out.add(i - 1)
+    return frozenset(out)
 
 
 def _emit(document: dict, fmt: str, tsv_rows=None, text_lines=None) -> str:
@@ -98,7 +107,7 @@ def _cmd_rootsys(args) -> str:
 
 def _cmd_weyl(args) -> str:
     rs = build_root_system(args.type)
-    I, J = _parse_indices(args.I), _parse_indices(args.J)
+    I, J = _parse_indices(args.I, rs.rank), _parse_indices(args.J, rs.rank)
     reps = weyl.double_quotient_reps(rs, I, J)
     doc = _document("weyl", type=rs.type_name(),
                     I=sorted(i + 1 for i in I), J=sorted(j + 1 for j in J))

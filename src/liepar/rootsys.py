@@ -34,7 +34,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import _linalg
 from .errors import InvalidTypeError, ReducibleError
@@ -231,27 +230,6 @@ class RootSystem:
     @property
     def rho(self) -> Weight:
         return (1,) * self.rank
-
-    @cached_property
-    def simple_root_indices(self) -> tuple[int, ...]:
-        """Index of each simple root in `positive_roots`."""
-        lookup = {r: k for k, r in enumerate(self.positive_roots)}
-        return tuple(lookup[tuple(int(j == i) for j in range(self.rank))] for i in range(self.rank))
-
-    @cached_property
-    def simple_reflection_perms(self) -> tuple[tuple[int, ...], ...]:
-        """The permutation of `roots` induced by each simple reflection."""
-        index = {r: k for k, r in enumerate(self.roots)}
-        perms = []
-        for i in range(self.rank):
-            perm = []
-            for root in self.roots:
-                pairing = sum(root[k] * self.cartan[k][i] for k in range(self.rank))
-                new = list(root)
-                new[i] -= pairing
-                perm.append(index[tuple(new)])
-            perms.append(tuple(perm))
-        return tuple(perms)
 
     def reflect(self, weight, i: int) -> Weight:
         """Simple reflection s_i acting on fundamental-weight coordinates."""

@@ -1,9 +1,25 @@
-"""Weyl-group engine: enumeration, Bruhat order, parabolic double quotients.
+"""Weyl-group engine: orbit walks, Bruhat order, parabolic double quotients.
 
-Elements are stored as permutations of the ambient root list (canonical and
-hashable) together with one reduced word.  Generation is a breadth-first
-closure under right multiplication by simple reflections, so the table is
-exhaustive, duplicate-free and deterministic.
+An element w is stored as the regular weight w(rho) in fundamental-weight
+coordinates (its `key`: canonical and hashable), its length and one word.
+The left descents of w are the negative coordinates of w(rho), and
+l(s_i w) = l(w) + 1 exactly when w(rho)_i > 0.
+
+Everything is enumerated by one walk down a Weyl orbit (`orbit`): from a
+weight dominant for the generators, apply s_i wherever coordinate i is
+positive.  A point nu is kept only when reached from s_i0 nu, i0 its least
+negative coordinate, so each point is found once and its word is the
+lexicographically first reduced word.
+
+* W is the orbit of rho, and W_I its orbit under the s_i with i in I.
+* Let rho_J be 1 off J and 0 on J.  Then x -> x(rho_J) maps the minimal
+  left coset representatives W^J of W/W_J one to one onto the orbit of
+  rho_J; for x in W^J the left descents of x are the negative coordinates
+  of x(rho_J), and l(x) is its depth in the walk.  So the minimal
+  representatives of W_I\\W/W_J are the points with no negative coordinate
+  in I.
+* The elements of W^J in the double coset W_I w W_J make up the W_I-orbit
+  of w(rho_J), of lengths l(w) + depth.
 """
 
 from __future__ import annotations
@@ -12,84 +28,126 @@ from dataclasses import dataclass, field
 
 from .config import WEYL_BUDGET, effective_budget
 from .errors import BudgetError, LieparError, NotMinimalError
-from .rootsys import RootSystem
+from .rootsys import RootSystem, Weight
 
 
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element: one reduced word plus its root permutation."""
+    """A Weyl group element w: the weight w(rho), its length and one word."""
 
-    word: tuple[int, ...]
-    perm: tuple[int, ...]
+    word: tuple[int, ...] = field(compare=False)
+    key: Weight
+    length: int = field(compare=False)
     system: RootSystem = field(compare=False, repr=False)
 
-    @property
-    def length(self) -> int:
-        n = len(self.system.positive_roots)
-        return sum(1 for i in range(n) if self.perm[i] >= n)
-
-    def __hash__(self) -> int:
-        return hash(self.perm)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.perm == other.perm
+    def left_descents(self) -> frozenset[int]:
+        """Simple indices i (0-based) with l(s_i w) < l(w)."""
+        return frozenset(i for i, c in enumerate(self.key) if c < 0)
 
     def right_descents(self) -> frozenset[int]:
         """Simple indices i (0-based) with l(w s_i) < l(w)."""
-        n = len(self.system.positive_roots)
-        return frozenset(i for i, k in enumerate(self.system.simple_root_indices)
-                         if self.perm[k] >= n)
-
-    def left_descents(self) -> frozenset[int]:
-        inv = _invert(self.perm)
-        n = len(self.system.positive_roots)
-        return frozenset(i for i, k in enumerate(self.system.simple_root_indices)
-                         if inv[k] >= n)
+        return self.inverse().left_descents()
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(tuple(reversed(self.word)), _invert(self.perm), self.system)
+        word = tuple(reversed(self.word))
+        return WeylElement(word, _act(self.system, word, self.system.rho), self.length, self.system)
 
 
-def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
+def _act(rs: RootSystem, word, weight) -> Weight:
+    """The product of the simple reflections in `word` applied to `weight`."""
+    for i in reversed(word):
+        weight = rs.reflect(weight, i)
+    return weight
+
+
+def _simple_indices(rs: RootSystem, indices) -> frozenset[int]:
+    out = frozenset(indices)
+    for i in out:
+        if i not in range(rs.rank):
+            raise LieparError(f"simple index {i!r} out of range 0..{rs.rank - 1}")
+    return out
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement((), tuple(range(len(rs.roots))), rs)
+    return WeylElement((), rs.rho, 0, rs)
 
 
 def multiply_simple(w: WeylElement, i: int) -> WeylElement:
     """w * s_i, with the word extended (not necessarily reduced)."""
-    s = w.system.simple_reflection_perms[i]
-    perm = tuple(w.perm[s[k]] for k in range(len(s)))
-    return WeylElement(w.word + (i,), perm, w.system)
+    rs = w.system
+    return multiply(w, WeylElement((i,), rs.reflect(rs.rho, i), 1, rs))
 
 
 def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
+    """u * v: u's word replayed on v(rho), the length moving by one per letter."""
     if u.system is not v.system:
         raise LieparError("elements belong to different root systems")
-    perm = tuple(u.perm[v.perm[k]] for k in range(len(u.perm)))
-    return WeylElement(u.word + v.word, perm, u.system)
+    rs, key, length = u.system, v.key, v.length
+    for i in reversed(u.word):
+        length += 1 if key[i] > 0 else -1
+        key = rs.reflect(key, i)
+    return WeylElement(u.word + v.word, key, length, rs)
 
 
-def reduced_word(rs: RootSystem, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical reduced word recovered by greedy descent-following."""
-    n = len(rs.positive_roots)
+def reduced_word(rs: RootSystem, key: Weight) -> tuple[int, ...]:
+    """The first reduced word of the element w with w(rho) = key, read off by
+    following least left descents."""
     word: list[int] = []
-    current = perm
     while True:
-        descent = next(
-            (i for i, k in enumerate(rs.simple_root_indices) if current[k] >= n), None
-        )
-        if descent is None:
-            break
-        word.append(descent)
-        s = rs.simple_reflection_perms[descent]
-        current = tuple(current[s[k]] for k in range(len(s)))
-    return tuple(reversed(word))
+        i = next((k for k, c in enumerate(key) if c < 0), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        key = rs.reflect(key, i)
+
+
+def orbit(rs: RootSystem, weight, gens, length_bound: int | None = None,
+          limit: int | None = None) -> dict[Weight, tuple[int, ...]]:
+    """The orbit of `weight` under the s_i, i in `gens`, each point with its word.
+
+    `weight` must be dominant for `gens`.  Points come in order of depth, the
+    length of their word, up to `length_bound`; BudgetError is raised when
+    there are more than `limit` of them.
+    """
+    gens = sorted(gens)
+    start = tuple(weight)
+    if any(start[i] < 0 for i in gens):
+        raise LieparError(f"weight {start} is not dominant for the generators")
+    before = {i: [k for k in gens if k < i] for i in gens}
+    words = {start: ()}
+    frontier = [start]
+    depth = 0
+    while frontier and (length_bound is None or depth < length_bound):
+        next_frontier = []
+        for mu in frontier:
+            word = words[mu]
+            for i in gens:
+                if mu[i] > 0:
+                    nu = rs.reflect(mu, i)
+                    if not any(nu[k] < 0 for k in before[i]):
+                        words[nu] = (i,) + word
+                        next_frontier.append(nu)
+            if limit is not None and len(words) > limit:
+                raise BudgetError(f"enumeration exceeded budget {limit}")
+        frontier = next_frontier
+        depth += 1
+    return words
+
+
+def _elements(rs: RootSystem, points: dict, keep=None) -> list[WeylElement]:
+    """The elements x of an orbit walk's words, sorted by (length, word).
+
+    Each word minus its first letter belongs to an earlier point, so x(rho)
+    is one reflection away from a key already known.  `keep` filters points.
+    """
+    keys = {(): rs.rho}
+    out = []
+    for nu, word in points.items():
+        if word:
+            keys[word] = rs.reflect(keys[word[1:]], word[0])
+        if keep is None or keep(nu):
+            out.append(WeylElement(word, keys[word], len(word), rs))
+    return sorted(out, key=lambda w: (w.length, w.word))
 
 
 def generate_weyl(rs: RootSystem, length_bound: int | None = None,
@@ -104,114 +162,73 @@ def generate_weyl(rs: RootSystem, length_bound: int | None = None,
         raise BudgetError(
             f"|W| = {rs.weyl_order()} exceeds budget {limit}; pass a length bound"
         )
-    e = identity(rs)
-    table = {e.perm: e}
-    frontier = [e]
-    length = 0
-    while frontier:
-        if length_bound is not None and length >= length_bound:
-            break
-        next_frontier = []
-        for w in frontier:
-            for i in range(rs.rank):
-                nw = multiply_simple(w, i)
-                if nw.perm not in table and nw.length == length + 1:
-                    table[nw.perm] = nw
-                    next_frontier.append(nw)
-                    if len(table) > limit:
-                        raise BudgetError(f"enumeration exceeded budget {limit}")
-        frontier = next_frontier
-        length += 1
-    return sorted(table.values(), key=lambda w: (w.length, w.word))
+    return _elements(rs, orbit(rs, rs.rho, range(rs.rank), length_bound, limit))
 
 
 def generate_parabolic(rs: RootSystem, indices) -> list[WeylElement]:
     """The standard parabolic subgroup W_I, I a set of 0-based simple indices."""
-    e = identity(rs)
-    table = {e.perm: e}
-    frontier = [e]
-    while frontier:
-        next_frontier = []
-        for w in frontier:
-            for i in sorted(indices):
-                nw = multiply_simple(w, i)
-                if nw.perm not in table and nw.length == w.length + 1:
-                    table[nw.perm] = nw
-                    next_frontier.append(nw)
-        frontier = next_frontier
-    return sorted(table.values(), key=lambda w: (w.length, w.word))
+    return _elements(rs, orbit(rs, rs.rho, _simple_indices(rs, indices)))
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order, by the standard subword recursion on right descents."""
+    """Bruhat order, by the standard subword recursion on left descents."""
     if u.system is not w.system:
         raise LieparError("elements belong to different root systems")
-    lu, lw = u.length, w.length
+    rs = u.system
+    ku, lu, kw, lw = u.key, u.length, w.key, w.length
     while True:
         if lu > lw:
             return False
-        if lu == 0:
+        if lu == 0 or ku == kw:
             return True
-        if u.perm == w.perm:
-            return True
-        i = min(w.right_descents())
-        w = multiply_simple(w, i)
-        lw -= 1
-        if i in u.right_descents():
-            u = multiply_simple(u, i)
-            lu -= 1
+        i = next(k for k, c in enumerate(kw) if c < 0)
+        kw, lw = rs.reflect(kw, i), lw - 1
+        if ku[i] < 0:
+            ku, lu = rs.reflect(ku, i), lu - 1
 
 
-def bruhat_leq_chain_oracle(elements: list[WeylElement]) -> dict[tuple, set[tuple]]:
+def bruhat_leq_chain_oracle(elements: list[WeylElement]) -> dict[Weight, set[Weight]]:
     """Independent Bruhat oracle: transitive closure of the covering relation.
 
-    Covers are w -> w*t for reflections t with l(w*t) = l(w) + 1.  Returns,
-    for each element, the set of perms of all elements below or equal to it.
+    Covers are w -> t*w for reflections t with l(t*w) = l(w) + 1, t acting on
+    w(rho) as a reflection.  Returns, for each element, the set of keys of
+    all elements below or equal to it.
     """
     if not elements:
         return {}
     rs = elements[0].system
-    by_perm = {w.perm: w for w in elements}
-    reflections = _reflection_perms(rs)
-    below: dict[tuple, set[tuple]] = {w.perm: {w.perm} for w in elements}
+    by_key = {w.key: w for w in elements}
+    reflections = [(rs.root_weight_coords(a), rs.coroot(a)) for a in rs.positive_roots]
+    below: dict[Weight, set[Weight]] = {w.key: {w.key} for w in elements}
     for w in sorted(elements, key=lambda x: x.length):
-        for t in reflections:
-            perm = tuple(w.perm[t[k]] for k in range(len(t)))
-            higher = by_perm.get(perm)
+        for alpha, co in reflections:
+            c = sum(w.key[k] * co[k] for k in range(rs.rank))
+            higher = by_key.get(tuple(w.key[k] - c * alpha[k] for k in range(rs.rank)))
             if higher is not None and higher.length == w.length + 1:
-                below[higher.perm] |= below[w.perm]
+                below[higher.key] |= below[w.key]
     return below
 
 
-def _reflection_perms(rs: RootSystem) -> list[tuple[int, ...]]:
-    """Permutations of all reflections s_alpha, alpha positive."""
-    index = {r: k for k, r in enumerate(rs.roots)}
-    out = []
-    for alpha in rs.positive_roots:
-        co = rs.coroot(alpha)
-        perm = []
-        for root in rs.roots:
-            w = rs.root_weight_coords(root)
-            pairing = sum(w[k] * co[k] for k in range(rs.rank))
-            new = tuple(root[k] - pairing * alpha[k] for k in range(rs.rank))
-            perm.append(index[new])
-        out.append(tuple(perm))
-    return out
+def _rho_off(rs: RootSystem, J: frozenset[int]) -> Weight:
+    """rho_J: 1 off J, 0 on J."""
+    return tuple(0 if k in J else 1 for k in range(rs.rank))
 
 
 def double_quotient_reps(rs: RootSystem, I, J,
                          budget: int | None = None) -> list[WeylElement]:
     """Minimal-length double coset representatives, sorted by (length, word).
 
-    I and J are iterables of 0-based simple indices.
+    I and J are iterables of 0-based simple indices.  The representatives
+    are the points of the orbit of rho_J with no negative coordinate in I.
     """
-    I, J = frozenset(I), frozenset(J)
-    reps = [
-        w
-        for w in generate_weyl(rs, budget=budget)
-        if not (w.left_descents() & I) and not (w.right_descents() & J)
-    ]
-    return reps
+    I, J = _simple_indices(rs, I), _simple_indices(rs, J)
+    limit = budget if budget is not None else effective_budget(WEYL_BUDGET)
+    if rs.weyl_order() > limit:
+        raise BudgetError(
+            f"|W| = {rs.weyl_order()} exceeds budget {limit}; set LIEPAR_BUDGET to raise it"
+        )
+    points = orbit(rs, _rho_off(rs, J), range(rs.rank))
+    return _elements(rs, points, keep=lambda nu: not any(nu[i] < 0 for i in I))
 
 
 @dataclass(frozen=True)
@@ -257,25 +274,12 @@ class CellPolynomial:
 def stratum_poincare(rs: RootSystem, I, J, w: WeylElement) -> CellPolynomial:
     """Cell-dimension generating function of the stratum indexed by w.
 
-    Sums q^l(x) over x in W_I w W_J that have no right descent in J; w must
-    be the minimal-length representative of its double coset.
+    Sums q^l(x) over x in W_I w W_J that have no right descent in J, read off
+    the W_I-orbit of w(rho_J); w must be the minimal-length representative
+    of its double coset.
     """
-    I, J = frozenset(I), frozenset(J)
+    I, J = _simple_indices(rs, I), _simple_indices(rs, J)
     if (w.left_descents() & I) or (w.right_descents() & J):
         raise NotMinimalError("w is not a minimal double-coset representative")
-    left = generate_parabolic(rs, I)
-    right = generate_parabolic(rs, J)
-    seen: dict[tuple, int] = {}
-    for u in left:
-        uw = multiply(u, w)
-        for v in right:
-            x = multiply(uw, v)
-            if x.perm not in seen:
-                seen[x.perm] = x.length
-    n = len(rs.positive_roots)
-    exponents = []
-    for perm, length in seen.items():
-        descents_in_J = any(perm[rs.simple_root_indices[j]] >= n for j in J)
-        if not descents_in_J:
-            exponents.append(length)
-    return CellPolynomial.from_exponents(exponents)
+    points = orbit(rs, _act(rs, w.word, _rho_off(rs, J)), I)
+    return CellPolynomial.from_exponents(w.length + len(word) for word in points.values())

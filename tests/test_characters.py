@@ -59,6 +59,24 @@ def test_weight_multiplicities_g2_seven():
     assert sum(1 for k, v in res.weight_mults.items() if k != (0, 0)) == 6
 
 
+def test_weyl_orbit_from_any_point():
+    a2 = build_root_system("A2")
+    assert ch.weyl_orbit(a2, (-1, 1)) == ch.weyl_orbit(a2, (1, 0)) == [(-1, 1), (0, -1), (1, 0)]
+    assert len(ch.weyl_orbit(a2, (1, 1))) == 6
+
+
+def test_character_values_are_read_only():
+    a2 = build_root_system("A2")
+    mults = {(1, 1): 1}
+    res = ch.weight_multiplicities(a2, (1, 1))
+    dec = ch.Character.from_dominant(a2, mults)
+    mults[(0, 0)] = 1  # the character keeps its own copy
+    assert dec.dominant_mults == {(1, 1): 1}
+    for table in (res.dominant_mults, res.weight_mults, dec.dominant_mults):
+        with pytest.raises(TypeError):
+            table[(0, 0)] = 5
+
+
 @pytest.mark.parametrize("label,weight", [
     ("A2", (1, 1)), ("B2", (1, 1)), ("G2", (0, 1)), ("C3", (0, 0, 1)),
 ])

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -70,6 +71,22 @@ def test_weyl_reps_tsv(capsys):
     assert code == 0
     rows = [line for line in out.splitlines() if line and not line.startswith("#")]
     assert len(rows) == 2  # two double cosets
+
+
+@pytest.mark.parametrize("flag,value", [("--I", "7"), ("--I", "0"), ("--J", "a")])
+def test_weyl_bad_simple_index_is_one_line_domain_error(capsys, flag, value):
+    code, out, err = run(capsys, "weyl", "--type", "A3", flag, value)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_weyl_over_budget_fails_before_enumerating(capsys, monkeypatch):
+    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "weyl", "--type", "E8")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "LIEPAR_BUDGET" in err
 
 
 def test_rootsys_emits(capsys):

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from liepar.errors import BudgetError, NotMinimalError
+from liepar.errors import BudgetError, LieparError, NotMinimalError
 from liepar.rootsys import build_root_system
 from liepar.weyl import (
     CellPolynomial,
@@ -10,6 +12,7 @@ from liepar.weyl import (
     generate_parabolic,
     generate_weyl,
     identity,
+    multiply,
     stratum_poincare,
 )
 
@@ -37,7 +40,7 @@ def test_generate_matches_order_formula(label):
     rs = build_root_system(label)
     W = generate_weyl(rs)
     assert len(W) == rs.weyl_order()
-    assert len({w.perm for w in W}) == len(W)
+    assert len({w.key for w in W}) == len(W)
     # every word is reduced: its length equals the inversion count
     for w in W:
         assert len(w.word) == w.length
@@ -50,7 +53,7 @@ def test_budget():
     sliced = generate_weyl(e7, length_bound=3, budget=1000)
     # 1 + 7 + lengths 2 and 3
     assert max(w.length for w in sliced) == 3
-    assert len({w.perm for w in sliced}) == len(sliced)
+    assert len({w.key for w in sliced}) == len(sliced)
 
 
 def test_bruhat_identity_is_minimum():
@@ -74,7 +77,7 @@ def test_bruhat_two_oracle_agreement(label):
     below = bruhat_leq_chain_oracle(els)
     for u in els:
         for w in els:
-            assert bruhat_leq(u, w) == (u.perm in below[w.perm])
+            assert bruhat_leq(u, w) == (u.key in below[w.key])
 
 
 def test_bruhat_length_monotone():
@@ -101,43 +104,84 @@ def test_double_quotient_a2():
 
 
 def brute_force_double_cosets(rs, I, J):
-    from liepar.weyl import multiply
-
     W = generate_weyl(rs)
     WI = generate_parabolic(rs, I)
     WJ = generate_parabolic(rs, J)
     seen = set()
     cosets = []
     for w in W:
-        if w.perm in seen:
+        if w.key in seen:
             continue
         coset = set()
         for u in WI:
             uw = multiply(u, w)
             for v in WJ:
-                coset.add(multiply(uw, v).perm)
+                coset.add(multiply(uw, v).key)
         seen |= coset
         cosets.append(coset)
     return cosets
 
 
-@pytest.mark.parametrize("label,I,J", [
+def brute_force_stratum(rs, I, J, w):
+    """q^l(x) summed over x in W_I w W_J with no right descent in J, by products."""
+    lengths = {}
+    for u in generate_parabolic(rs, I):
+        uw = multiply(u, w)
+        for v in generate_parabolic(rs, J):
+            x = multiply(uw, v)
+            if not (x.right_descents() & set(J)):
+                lengths[x.key] = x.length
+    return CellPolynomial.from_exponents(lengths.values())
+
+
+def _subsets(rank):
+    return [set(c) for k in range(rank + 1) for c in itertools.combinations(range(rank), k)]
+
+
+def _label(indices):
+    return "{" + ",".join(str(i + 1) for i in sorted(indices)) + "}"
+
+
+FIRST_PAIRS = [
     ("A3", {0, 1}, {1, 2}),
     ("A3", {0}, {2}),
     ("B3", {0, 1}, {1, 2}),
-])
+]
+# then every other pair of parabolics on A3, B3 and G2
+ALL_PARABOLIC_PAIRS = FIRST_PAIRS + [
+    pytest.param(label, I, J, id=f"{label}-I{_label(I)}-J{_label(J)}")
+    for label, rank in (("A3", 3), ("B3", 3), ("G2", 2))
+    for I in _subsets(rank)
+    for J in _subsets(rank)
+    if (label, I, J) not in FIRST_PAIRS
+]
+
+
+@pytest.mark.parametrize("label,I,J", ALL_PARABOLIC_PAIRS)
 def test_double_quotient_against_brute_force(label, I, J):
     rs = build_root_system(label)
     cosets = brute_force_double_cosets(rs, I, J)
     reps = double_quotient_reps(rs, I, J)
     assert len(reps) == len(cosets)
     # each representative is the unique minimal-length element of its coset
-    by_perm = {w.perm: w for w in generate_weyl(rs)}
+    by_key = {w.key: w for w in generate_weyl(rs)}
     for rep in reps:
-        coset = next(c for c in cosets if rep.perm in c)
-        lengths = sorted(by_perm[p].length for p in coset)
+        coset = next(c for c in cosets if rep.key in c)
+        lengths = sorted(by_key[p].length for p in coset)
         assert rep.length == lengths[0]
         assert lengths.count(rep.length) == 1
+        assert stratum_poincare(rs, I, J, rep) == brute_force_stratum(rs, I, J, rep)
+
+
+@pytest.mark.parametrize("bad", [{3}, {-1}, {"a"}])
+def test_simple_indices_are_validated(bad):
+    a3 = build_root_system("A3")
+    with pytest.raises(LieparError):
+        double_quotient_reps(a3, bad, ())
+    with pytest.raises(LieparError):
+        double_quotient_reps(a3, (), bad)
+    with pytest.raises(LieparError):
+        stratum_poincare(a3, bad, (), identity(a3))
 
 
 def test_coset_partition_identity():
@@ -145,8 +189,6 @@ def test_coset_partition_identity():
     for label in ("A3", "B3", "C3", "D4", "F4", "B4"):
         rs = build_root_system(label)
         for k in range(rs.rank + 1):
-            import itertools
-
             for I in itertools.combinations(range(rs.rank), k):
                 reps = double_quotient_reps(rs, set(I), ())
                 assert len(reps) * len(generate_parabolic(rs, I)) == rs.weyl_order()
@@ -204,12 +246,12 @@ def test_reduced_word_recovery_by_descent_following(label):
 
     rs = build_root_system(label)
     for w in generate_weyl(rs):
-        word = reduced_word(rs, w.perm)
+        word = reduced_word(rs, w.key)
         assert len(word) == w.length
         rebuilt = identity(rs)
         for i in word:
             rebuilt = multiply_simple(rebuilt, i)
-        assert rebuilt.perm == w.perm
+        assert rebuilt.key == w.key
 
 
 def test_cell_polynomial_invariants():
