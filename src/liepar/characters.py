@@ -10,10 +10,14 @@ combinatorics for affine Grassmannian orbits.
 
 All arithmetic is exact: Python big integers and fractions throughout.
 Weights are tuples of integers in fundamental-weight coordinates.
+
+Weight systems and Weyl dimensions are computed once per process, keyed by
+root system and highest weight, and handed out read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -41,7 +45,11 @@ def _check_dominant(weight: Weight) -> Weight:
 
 def weyl_dimension(rs: RootSystem, weight) -> int:
     """dim V(lambda) by the Weyl dimension formula, exact."""
-    lam = _check_dominant(_coords(weight))
+    return _weyl_dimension(rs, _check_dominant(_coords(weight)))
+
+
+@functools.cache
+def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     num = 1
     den = 1
     for root in rs.positive_roots:
@@ -95,60 +103,76 @@ def _height(rs: RootSystem, weight: Weight) -> Fraction:
 
 
 def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
-    """Multiplicities of the dominant weights of V(lambda), by Freudenthal."""
+    """Multiplicities of the dominant weights of V(lambda), by Freudenthal:
+
+        ((lambda+rho)^2 - (mu+rho)^2) m(mu)
+            = 2 sum_{alpha>0, k>=1} m(mu + k alpha) (mu + k alpha, alpha).
+
+    Both sides are scaled by 6 so that every term is an integer.  The left
+    factor is (lambda-mu, lambda+mu+2rho), and lambda-mu has integral root
+    coordinates.
+    """
     lam = _check_dominant(_coords(weight))
-    pos = [(r, rs.root_weight_coords(r)) for r in rs.positive_roots]
-    dominants = {lam}
+    rank = rs.rank
+    # (root coords, weight coords, 6 (alpha, alpha)) of each positive root
+    pos = []
+    for r in rs.positive_roots:
+        aw = rs.root_weight_coords(r)
+        pos.append((r, aw, rs.form6(r, aw)))
+    depth = {lam: (0,) * rank}  # dominant mu -> root coordinates of lambda - mu
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
-            for _, aw in pos:
-                cand = tuple(w[i] - aw[i] for i in range(rs.rank))
-                if all(c >= 0 for c in cand) and cand not in dominants:
-                    dominants.add(cand)
+            for ar, aw, _ in pos:
+                cand = tuple(w[i] - aw[i] for i in range(rank))
+                if all(c >= 0 for c in cand) and cand not in depth:
+                    depth[cand] = tuple(d + a for d, a in zip(depth[w], ar))
                     nxt.append(cand)
         frontier = nxt
-    ordered = sorted(dominants, key=lambda w: (_height(rs, w), w), reverse=True)
+    # decreasing height of mu = increasing height of lambda - mu
+    ordered = sorted(depth, key=lambda w: (-sum(depth[w]), w), reverse=True)
 
-    rho = rs.rho
-    lam_rho = tuple(lam[i] + 1 for i in range(rs.rank))
-    c_lam = rs.inner(lam_rho, lam_rho)
     mults: dict[Weight, int] = {lam: 1}
     for mu in ordered[1:]:
-        acc = Fraction(0)
-        for ar, aw in pos:
-            d_part = [Fraction(ar[j]) * rs._d[j] for j in range(rs.rank)]
+        acc6 = 0
+        for ar, aw, norm6 in pos:
+            mu6 = rs.form6(ar, mu)
             k = 1
             while True:
-                xi = tuple(mu[i] + k * aw[i] for i in range(rs.rank))
+                xi = tuple(mu[i] + k * aw[i] for i in range(rank))
                 m = mults.get(dominant_rep(rs, xi), 0)
                 if m == 0:
                     break
-                acc += m * sum(d_part[j] * xi[j] for j in range(rs.rank))
+                acc6 += m * (mu6 + k * norm6)
                 k += 1
-        mu_rho = tuple(mu[i] + 1 for i in range(rs.rank))
-        denom = c_lam - rs.inner(mu_rho, mu_rho)
-        value = 2 * acc / denom
-        if value.denominator != 1 or value < 0:
-            raise AssertionError(f"Freudenthal multiplicity {value} at {mu} is not natural")
-        mults[mu] = int(value)
+        denom6 = rs.form6(depth[mu], tuple(lam[i] + mu[i] + 2 for i in range(rank)))
+        value, rem = divmod(2 * acc6, denom6)
+        if rem or value < 0:
+            raise AssertionError(
+                f"Freudenthal multiplicity {Fraction(2 * acc6, denom6)} at {mu} is not natural")
+        mults[mu] = value
     return mults
 
 
-def _full_weight_multiset(rs: RootSystem, weight, budget: int | None = None) -> dict[Weight, int]:
+def _full_weight_multiset(rs: RootSystem, weight, budget: int | None = None) -> Mapping[Weight, int]:
     lam = _coords(weight)
     limit = budget if budget is not None else effective_budget(WEIGHT_BUDGET)
     dim = weyl_dimension(rs, lam)
     if dim > limit:
         raise BudgetError(f"weight system of dimension {dim} exceeds budget {limit}")
+    return _weight_system(rs, lam)
+
+
+@functools.cache
+def _weight_system(rs: RootSystem, lam: Weight) -> Mapping[Weight, int]:
     out: dict[Weight, int] = {}
     for mu, m in dominant_weight_multiplicities(rs, lam).items():
         for w in weyl_orbit(rs, mu):
             out[w] = m
-    if sum(out.values()) != dim:
+    if sum(out.values()) != weyl_dimension(rs, lam):
         raise AssertionError("weight multiset does not have the Weyl dimension")
-    return out
+    return MappingProxyType(out)
 
 
 @dataclass(frozen=True)

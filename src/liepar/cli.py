@@ -43,10 +43,13 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
         if "w" not in term:
             raise LieparError(f"cannot parse weight term {term!r}")
         coeff, _, idx = term.partition("w")
-        i = int(idx)
+        try:
+            i, c = int(idx), int(coeff) if coeff else 1
+        except ValueError:
+            raise LieparError(f"cannot parse weight term {term!r}") from None
         if not 1 <= i <= rank:
             raise LieparError(f"fundamental index {i} out of range 1..{rank}")
-        coords[i - 1] += int(coeff) if coeff else 1
+        coords[i - 1] += c
     return tuple(coords)
 
 
@@ -190,7 +193,10 @@ def _cmd_char(args) -> str:
     elif args.exterior:
         weight_text, _, power_text = args.exterior.partition("^")
         weight = _parse_weight(weight_text, rs.rank)
-        power = int(power_text) if power_text else 1
+        try:
+            power = int(power_text) if power_text else 1
+        except ValueError:
+            raise LieparError(f"cannot parse exterior power {power_text!r}") from None
         ch = characters.exterior_power_decompose(rs, weight, power)
         doc["operation"] = f"Lambda^{power} {_weight_label(weight)}"
     else:

@@ -13,7 +13,9 @@ Coordinate conventions
   simple coroot, so a root with simple-root coordinates ``c`` has
   fundamental-weight coordinates ``c @ cartan``.
 * The invariant form normalizes long roots to squared length 2 in every
-  irreducible factor; only integrality data derived from it is consumed.
+  irreducible factor.  It is kept as the integers 6 d_i, where
+  d_i = (alpha_i, alpha_i)/2 is 1, 1/2 or 1/3, so six times any pairing of
+  integral vectors is an integer.
 
 Bourbaki numbering per family (nodes are 1-based):
 
@@ -30,6 +32,7 @@ G_2      alpha_1 short (a[2][1] = -3)
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -73,9 +76,9 @@ def _cartan_block(family: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _root_lengths(family: str, rank: int) -> list[Fraction]:
-    """Half squared lengths d_i = (alpha_i, alpha_i)/2, long roots = 1."""
-    one, half, third = Fraction(1), Fraction(1, 2), Fraction(1, 3)
+def _root_lengths(family: str, rank: int) -> list[int]:
+    """6 d_i, where d_i = (alpha_i, alpha_i)/2 and long roots have d_i = 1."""
+    one, half, third = 6, 3, 2
     if family == "B":
         return [one] * (rank - 1) + [half]
     if family == "C":
@@ -128,19 +131,17 @@ class RootSystem:
         self.factors = parse_type_label(type_label)
         self.rank = sum(r for _, r in self.factors)
         cartan: list[list[int]] = [[0] * self.rank for _ in range(self.rank)]
-        lengths: list[Fraction] = []
+        lengths: list[int] = []
         offset = 0
-        self._factor_slices: list[tuple[int, int]] = []
         for family, rank in self.factors:
             block = _cartan_block(family, rank)
             for i in range(rank):
                 for j in range(rank):
                     cartan[offset + i][offset + j] = block[i][j]
             lengths.extend(_root_lengths(family, rank))
-            self._factor_slices.append((offset, offset + rank))
             offset += rank
         self.cartan: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in cartan)
-        self._d = tuple(lengths)
+        self._d6 = tuple(lengths)
         self._cartan_inv = tuple(
             tuple(row) for row in _linalg.frac_matrix_inverse([list(r) for r in self.cartan])
         )
@@ -187,26 +188,27 @@ class RootSystem:
             for j in range(self.rank)
         )
 
+    def form6(self, root, weight) -> int:
+        """6 (beta, lambda): beta in simple-root and lambda in fundamental-weight
+        coordinates, using (alpha_j, omega_i) = d_j delta_ij."""
+        return sum(root[j] * self._d6[j] * weight[j] for j in range(self.rank))
+
+    def _norm6(self, root: RootCoords) -> int:
+        return self.form6(root, self.root_weight_coords(root))
+
     def root_norm(self, root: RootCoords) -> Fraction:
-        """(alpha, alpha) for alpha in root coordinates. Gram_ij = a_ij * d_j."""
-        total = Fraction(0)
-        for i in range(self.rank):
-            if root[i] == 0:
-                continue
-            for j in range(self.rank):
-                if root[j] != 0 and self.cartan[i][j] != 0:
-                    total += Fraction(root[i]) * self.cartan[i][j] * self._d[j] * root[j]
-        return total
+        """(alpha, alpha) for alpha in root coordinates."""
+        return Fraction(self._norm6(root), 6)
 
     def _coroot(self, root: RootCoords) -> RootCoords:
         """Simple-coroot coordinates of alpha-check = 2 alpha/(alpha, alpha)."""
-        norm = self.root_norm(root)
+        norm6 = self._norm6(root)
         coords = []
         for i in range(self.rank):
-            c = Fraction(root[i]) * 2 * self._d[i] / norm
-            if c.denominator != 1:
+            c, rem = divmod(2 * root[i] * self._d6[i], norm6)
+            if rem:
                 raise AssertionError("coroot coordinates must be integral")
-            coords.append(int(c))
+            coords.append(c)
         return tuple(coords)
 
     def coroot(self, root: RootCoords) -> RootCoords:
@@ -219,11 +221,6 @@ class RootSystem:
         """<weight, alpha-check> for a weight and a root of the system."""
         co = self.coroot(root)
         return sum(int(weight[i]) * co[i] for i in range(self.rank))
-
-    def inner(self, w1, w2) -> Fraction:
-        """Invariant form on weight space, arguments in weight coordinates."""
-        rc = self.weight_root_coords(w2)
-        return sum(Fraction(w1[j]) * self._d[j] * rc[j] for j in range(self.rank))
 
     # -- derived data -------------------------------------------------------
 
@@ -244,7 +241,7 @@ class RootSystem:
             raise ReducibleError(f"operation requires an irreducible system, got {self.type_name()}")
 
     def irreducible_factors(self) -> list["RootSystem"]:
-        return [RootSystem([f]) for f in self.factors]
+        return [build_root_system([f]) for f in self.factors]
 
     def type_name(self) -> str:
         return "x".join(f"{fam}{rk}" for fam, rk in self.factors)
@@ -260,8 +257,8 @@ class RootSystem:
     def highest_short_root(self) -> Weight:
         """The dominant short root (equals the highest root when simply laced)."""
         self._require_irreducible()
-        min_norm = min(self.root_norm(r) for r in self.positive_roots)
-        short = [r for r in self.positive_roots if self.root_norm(r) == min_norm]
+        min_norm = min(self._norm6(r) for r in self.positive_roots)
+        short = [r for r in self.positive_roots if self._norm6(r) == min_norm]
         top = max(short, key=lambda r: (sum(r), r))
         w = self.root_weight_coords(top)
         if any(c < 0 for c in w):
@@ -386,5 +383,14 @@ class AbelianInvariants:
 
 
 def build_root_system(type_label) -> RootSystem:
-    """Build a root system from a type label such as 'E8' or 'A1xA1'."""
-    return RootSystem(type_label)
+    """The root system of a type label such as 'E8' or 'A1xA1'.
+
+    Each type is built once per process; every label of it gets that one
+    (immutable) instance.
+    """
+    return _build_once(parse_type_label(type_label))
+
+
+@functools.cache
+def _build_once(factors: tuple[tuple[str, int], ...]) -> RootSystem:
+    return RootSystem(factors)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -88,6 +89,116 @@ def test_freudenthal_weyl_invariance_and_duality(label, weight):
             assert mults.get(rs.reflect(v, i)) == m
         # weights come in +/- pairs with equal multiplicity (self-dual up to -w0)
         assert mults.get(tuple(-x for x in v)) == m
+
+
+def _symmetrizer(cartan):
+    """d_i with a_ij d_j = a_ji d_i, read off the Cartan matrix alone."""
+    n = len(cartan)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if cartan[i][j] and d[j] is None:
+                    d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                    stack.append(j)
+    return d
+
+
+def freudenthal_fraction_oracle(rs, lam):
+    """Dominant multiplicities of V(lambda) by the Freudenthal recursion over
+    Fractions, with the invariant form symmetrized from the Cartan matrix."""
+    d = _symmetrizer(rs.cartan)
+
+    def inner(w1, w2):
+        rc = rs.weight_root_coords(w2)
+        return sum(Fraction(w1[j]) * d[j] * rc[j] for j in range(rs.rank))
+
+    pos = [(r, rs.root_weight_coords(r)) for r in rs.positive_roots]
+    dominants = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for _, aw in pos:
+                cand = tuple(v[i] - aw[i] for i in range(rs.rank))
+                if all(c >= 0 for c in cand) and cand not in dominants:
+                    dominants.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    ordered = sorted(dominants, key=lambda v: (sum(rs.weight_root_coords(v)), v), reverse=True)
+    lam_rho = tuple(c + 1 for c in lam)
+    c_lam = inner(lam_rho, lam_rho)
+    mults = {lam: 1}
+    for mu in ordered[1:]:
+        acc = Fraction(0)
+        for ar, aw in pos:
+            d_part = [ar[j] * d[j] for j in range(rs.rank)]
+            k = 1
+            while True:
+                xi = tuple(mu[i] + k * aw[i] for i in range(rs.rank))
+                m = mults.get(ch.dominant_rep(rs, xi), 0)
+                if m == 0:
+                    break
+                acc += m * sum(d_part[j] * xi[j] for j in range(rs.rank))
+                k += 1
+        mu_rho = tuple(c + 1 for c in mu)
+        value = 2 * acc / (c_lam - inner(mu_rho, mu_rho))
+        assert value.denominator == 1 and value >= 0
+        mults[mu] = int(value)
+    return mults
+
+
+def _fundamental_pairs(rank):
+    """omega_i and omega_i + omega_j for all i <= j."""
+    out = [w(rank, (i, 1)) for i in range(1, rank + 1)]
+    out += [w(rank, (i, 1), (j, 1)) for i in range(1, rank + 1) for j in range(i, rank + 1)]
+    return out
+
+
+FREUDENTHAL_CASES = [
+    (label, weight)
+    for label in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
+                  "F4", "G2")
+    for weight in _fundamental_pairs(int(label[1]))
+] + [("E6", w(6, (1, 1))), ("F4", w(4, (4, 1))), ("G2", (2, 1))]
+
+
+@pytest.mark.parametrize("label,weight", FREUDENTHAL_CASES,
+                         ids=lambda v: v if isinstance(v, str) else ",".join(map(str, v)))
+def test_integer_freudenthal_matches_fraction_oracle(label, weight):
+    rs = build_root_system(label)
+    assert ch.dominant_weight_multiplicities(rs, weight) == freudenthal_fraction_oracle(rs, weight)
+
+
+def test_cached_weight_system_keeps_its_budget(monkeypatch):
+    rs = build_root_system("F4")
+    lam = w(4, (3, 1))
+    dim = ch.weyl_dimension(rs, lam)
+    assert ch.weight_multiplicities(rs, lam).dimension() == dim  # now cached
+    monkeypatch.setenv("LIEPAR_BUDGET", str(dim - 1))
+    with pytest.raises(BudgetError):
+        ch.weight_multiplicities(rs, lam)
+    with pytest.raises(BudgetError):
+        ch.tensor_decompose(rs, lam, lam)
+    monkeypatch.delenv("LIEPAR_BUDGET")
+    with pytest.raises(BudgetError):
+        ch.weight_multiplicities(rs, lam, budget=dim - 1)
+    assert ch.weight_multiplicities(rs, lam, budget=dim).dimension() == dim
+
+
+def test_cached_weight_system_is_read_only():
+    rs = build_root_system("G2")
+    table = ch._full_weight_multiset(rs, (1, 0))
+    assert ch._full_weight_multiset(rs, (1, 0)) is table
+    with pytest.raises(TypeError):
+        table[(0, 0)] = 5
+    assert table[(0, 0)] == 1
+    assert ch.weight_multiplicities(rs, (1, 0)).weight_mults == table
 
 
 def test_tensor_sl2_clebsch_gordan():
@@ -277,15 +388,25 @@ def test_stripping_rejects_corrupted_multiset():
 
 def test_thread_safety_of_pure_operations():
     # all operations are pure functions over immutable systems; concurrent
-    # calls must reproduce the serial results exactly
+    # calls, racing to fill the emptied per-process caches, must reproduce
+    # the serial results exactly
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
     rs = build_root_system("F4")
     jobs = [((0, 0, 0, 1), (0, 0, 0, 1)), ((1, 0, 0, 0), (0, 0, 0, 1)),
             ((0, 0, 0, 1), (1, 0, 0, 0)), ((0, 1, 0, 0), (0, 0, 0, 1))] * 4
     serial = [ch.tensor_decompose(rs, a, b).dominant_mults for a, b in jobs]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda ab: ch.tensor_decompose(rs, *ab).dominant_mults, jobs))
+    ch._weight_system.cache_clear()
+    ch._weyl_dimension.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(lambda ab: ch.tensor_decompose(rs, *ab).dominant_mults, jobs,
+                                     timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     assert parallel == serial
 
 

@@ -80,6 +80,14 @@ def test_weyl_bad_simple_index_is_one_line_domain_error(capsys, flag, value):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag,value", [("--tensor", "wx,w1"), ("--tensor", "w1,xw2"),
+                                        ("--exterior", "w1^x")])
+def test_char_bad_weight_is_one_line_domain_error(capsys, flag, value):
+    code, out, err = run(capsys, "char", "--type", "A2", flag, value)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot parse ")
+
+
 def test_weyl_over_budget_fails_before_enumerating(capsys, monkeypatch):
     monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
     start = time.perf_counter()

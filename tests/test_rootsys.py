@@ -106,8 +106,9 @@ def test_coroot_coefficients_by_expansion_oracle():
         rs = build_root_system(label)
         theta = max(rs.positive_roots, key=lambda r: (sum(r), r))
         norm = rs.root_norm(theta)
+        simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
         expected = tuple(
-            int(2 * theta[i] * rs._d[i] / norm) for i in range(rs.rank)
+            int(theta[i] * rs.root_norm(simple[i]) / norm) for i in range(rs.rank)
         )
         coeffs, nmax = rs.coroot_coefficients()
         assert coeffs == expected
@@ -193,6 +194,32 @@ def test_label_parsing_accepts_lowercase_and_lists():
     assert build_root_system("e8").type_name() == "E8"
     assert build_root_system([("b", 3), ("A", 1)]).type_name() == "B3xA1"
     assert build_root_system("A2 x G2").factors == (("A", 2), ("G", 2))
+
+
+def test_each_type_is_built_once():
+    e8 = build_root_system("E8")
+    assert build_root_system("E8") is e8
+    assert build_root_system("e8") is e8
+    assert build_root_system([("E", 8)]) is e8
+    a1, g2 = build_root_system("A1xG2").irreducible_factors()
+    assert a1 is build_root_system("A1") and g2 is build_root_system("G2")
+    assert all(f is a1 for f in build_root_system("A1xA1").irreducible_factors())
+
+
+@pytest.mark.parametrize("label", ALL_TYPES + ["A1xG2", "B3xC2"])
+def test_integer_form_is_symmetric_with_long_roots_of_norm_2(label):
+    rs = build_root_system(label)
+    simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
+    gram = [[rs.form6(a, rs.root_weight_coords(b)) for b in simple] for a in simple]
+    assert gram == [list(row) for row in zip(*gram)]
+    # (alpha_i, alpha_j) = a_ij (alpha_j, alpha_j) / 2
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            assert 2 * gram[i][j] == rs.cartan[i][j] * gram[j][j]
+    norms = [rs.root_norm(a) for a in simple]
+    for _, rank in rs.factors:
+        assert max(norms[:rank]) == 2
+        norms = norms[rank:]
 
 
 def test_weight_vector():
