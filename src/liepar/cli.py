@@ -53,16 +53,18 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
+def _parse_ints(text: str | None, what: str) -> tuple[int, ...]:
+    """Comma list of integers; empty terms are skipped."""
+    try:
+        return tuple(int(term) for term in (text or "").split(",") if term)
+    except ValueError:
+        raise LieparError(f"cannot parse {what} {text!r}: expected integers") from None
+
+
 def _parse_indices(text: str | None, rank: int) -> frozenset[int]:
     """1-based comma list -> 0-based index set."""
     out = set()
-    for term in (text or "").split(","):
-        if not term:
-            continue
-        try:
-            i = int(term)
-        except ValueError:
-            raise LieparError(f"cannot parse simple index {term!r}") from None
+    for i in _parse_ints(text, "simple indices"):
         if not 1 <= i <= rank:
             raise LieparError(f"simple index {i} out of range 1..{rank}")
         out.add(i - 1)
@@ -224,6 +226,8 @@ def _cmd_intform(args) -> str:
 
 
 def _cmd_schurweyl(args) -> str:
+    if args.d < 1:
+        raise LieparError(f"--d must be a positive integer, got {args.d}")
     doc = _document("schurweyl", d=args.d, p=args.p)
     if args.emit == "gram":
         grams = []
@@ -248,7 +252,7 @@ def _cmd_schurweyl(args) -> str:
 
 
 def _cmd_nilpotent(args) -> str:
-    lam = tuple(int(x) for x in args.partition.split(","))
+    lam = _parse_ints(args.partition, "partition")
     data = schurweyl.nilpotent_orbit_data(lam, args.n)
     doc = _document("nilpotent", **data.to_dict())
     return _emit(doc, args.format, [(doc["dimension"], doc["centralizer"])])
@@ -280,7 +284,7 @@ def _cmd_toric(args) -> str:
         rows = [(str(toricpave.CellPolynomial(tuple(doc["poincare"]))),)]
         return _emit(doc, args.format, rows)
     if args.subdivide:
-        ray = tuple(int(x) for x in args.subdivide.split(","))
+        ray = _parse_ints(args.subdivide, "ray")
         new_fan = toricpave.star_subdivision(fan, ray)
         doc["fan"] = new_fan.to_dict()
         return _emit(doc, args.format)
@@ -379,10 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         output = args.func(args)
-    except LieparError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LieparError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(output)

@@ -22,4 +22,5 @@ class NotMinimalError(LieparError):
 
 
 class InfeasibleError(LieparError):
-    """No strictly convex support function exists within the search grid."""
+    """The support-function linear program of a fan is infeasible (the fan is
+    not regular), or a given support function fails verification."""

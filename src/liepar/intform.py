@@ -59,6 +59,8 @@ class IntegerSymmetricForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IntegerSymmetricForm":
+        if not isinstance(data, dict) or "rows" not in data:
+            raise LieparError(f'a form is a JSON object with "rows", got {str(data)[:40]}')
         rows = data["rows"]
         if "n" in data and len(rows) != data["n"]:
             raise LieparError("declared size does not match row count")

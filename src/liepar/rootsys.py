@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,9 +44,6 @@ from .errors import InvalidTypeError, ReducibleError
 
 Weight = tuple[int, ...]
 RootCoords = tuple[int, ...]
-
-_WEYL_ORDERS = {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}
-_COXETER_NUMBERS = {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}
 
 
 def _cartan_block(family: str, rank: int) -> list[list[int]]:
@@ -88,6 +86,14 @@ def _root_lengths(family: str, rank: int) -> list[int]:
     if family == "G":
         return [third, one]
     return [one] * rank
+
+
+def _height_product(roots) -> int:
+    """prod (ht a + 1)/ht a over positive roots a.  Over all of them it is
+    |W| (Macdonald's product formula), and over those not supported in J
+    it is |W/W_J|, since the roots supported in J are those of W_J."""
+    heights = [sum(r) for r in roots]
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def _validate_factor(family: str, rank: int) -> None:
@@ -283,25 +289,12 @@ class RootSystem:
         return 2 * self.dual_coxeter_number() - 2
 
     def coxeter_number(self) -> int:
+        """ht(theta) + 1, theta the highest root."""
         self._require_irreducible()
-        family, rank = self.factors[0]
-        table = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2}
-        return table.get(family) or _COXETER_NUMBERS[f"{family}{rank}"]
+        return sum(self.positive_roots[-1]) + 1
 
     def weyl_order(self) -> int:
-        import math
-
-        order = 1
-        for family, rank in self.factors:
-            if family == "A":
-                order *= math.factorial(rank + 1)
-            elif family in ("B", "C"):
-                order *= 2**rank * math.factorial(rank)
-            elif family == "D":
-                order *= 2 ** (rank - 1) * math.factorial(rank)
-            else:
-                order *= _WEYL_ORDERS[f"{family}{rank}"]
-        return order
+        return _height_product(self.positive_roots)
 
     def minuscule_weights(self) -> tuple[int, ...]:
         """1-based indices i with <w_i, alpha-check> <= 1 for all positive roots."""

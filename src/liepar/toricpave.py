@@ -40,16 +40,6 @@ def _primitive(vector) -> Ray:
     return tuple(x // g for x in v)
 
 
-def _span_dim(vectors) -> int:
-    return _linalg.frac_rank(vectors)
-
-
-def _kernel_vector(vectors, dim: int) -> list[Fraction] | None:
-    """A nonzero covector vanishing on all `vectors`, or None."""
-    basis = _linalg.nullspace_q(vectors, dim)
-    return basis[0] if basis else None
-
-
 def _dot(u, v) -> Fraction:
     return sum(Fraction(a) * b for a, b in zip(u, v))
 
@@ -60,7 +50,7 @@ class Cone:
     def __init__(self, rays: tuple[Ray, ...], ambient_dim: int):
         self.rays = tuple(rays)
         self.ambient_dim = ambient_dim
-        self.dim = _span_dim(self.rays)
+        self.dim = _linalg.frac_rank(self.rays)
         self._facet_normals: list[list[Fraction]] | None = None
         self._span_equations: list[list[Fraction]] | None = None
 
@@ -86,18 +76,16 @@ class Cone:
             else:
                 seen = set()
                 for subset in itertools.combinations(self.rays, self.dim - 1):
-                    if _span_dim(subset) != self.dim - 1:
+                    if _linalg.frac_rank(subset) != self.dim - 1:
                         continue
-                    u = _kernel_vector(list(subset) + equations, n)
-                    if u is None:
+                    kernel = _linalg.nullspace_q(list(subset) + equations, n)
+                    if not kernel:
                         continue
+                    u = kernel[0]
                     values = [_dot(u, r) for r in self.rays]
-                    if all(v >= 0 for v in values):
-                        pass
-                    elif all(v <= 0 for v in values):
+                    if all(v <= 0 for v in values):
                         u = [-x for x in u]
-                        values = [-v for v in values]
-                    else:
+                    elif not all(v >= 0 for v in values):
                         continue
                     key = _normal_key(u)
                     if key not in seen:
@@ -123,7 +111,7 @@ class Cone:
         out = []
         for u in normals:
             face = tuple(r for r in self.rays if _dot(u, r) == 0)
-            if _span_dim(face) == self.dim - 1:
+            if _linalg.frac_rank(face) == self.dim - 1:
                 out.append(face)
         return out
 
@@ -184,7 +172,7 @@ class Fan:
         return sorted(out)
 
     def dim(self, key: ConeKey) -> int:
-        return _span_dim(self.cone_rays(key))
+        return _linalg.frac_rank(self.cone_rays(key))
 
     def support_contains(self, point) -> bool:
         return any(self.cone(c).contains(point) for c in self.maximal_cones())
@@ -198,6 +186,8 @@ class Fan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Fan":
+        if not isinstance(data, dict) or not {"rank", "rays", "cones"} <= data.keys():
+            raise LieparError('a fan is a JSON object with "rank", "rays" and "cones"')
         rank = int(data["rank"])
         rays = [tuple(map(int, r)) for r in data["rays"]]
         cones = [tuple(sorted(map(int, c))) for c in data["cones"]]
@@ -225,7 +215,7 @@ def _cone_is_smooth(fan: Fan, key: ConeKey) -> bool:
     rays = fan.cone_rays(key)
     if not rays:
         return True
-    if len(rays) != _span_dim(rays):
+    if len(rays) != _linalg.frac_rank(rays):
         return False
     divisors = _linalg.smith_normal_form([list(r) for r in rays])
     return all(d == 1 for d in divisors)
@@ -312,6 +302,8 @@ def _refines(fan: Fan, tau: Fan) -> bool:
 def star_subdivision(fan: Fan, ray) -> Fan:
     """Stellar subdivision of a fan along a primitive ray in its support."""
     new_ray = _primitive(ray)
+    if len(new_ray) != fan.rank:
+        raise LieparError(f"ray {new_ray} does not have {fan.rank} coordinates")
     if not fan.support_contains(new_ray):
         raise LieparError(f"ray {new_ray} lies outside the support of the fan")
     new_max: list[tuple[Ray, ...]] = []
@@ -351,79 +343,85 @@ def _interior_walls(fan: Fan) -> list[tuple[ConeKey, ConeKey, tuple[Ray, ...]]]:
     return walls
 
 
-def strictly_convex_support(fan: Fan, height_bound: int = 24) -> PLFunction:
-    """Search for ray heights inducing a strictly convex support function.
+def _phase_one(rows, rhs, nvars: int) -> list[Fraction] | None:
+    """A point x >= 0 with rows @ x = rhs (rhs >= 0), or None if there is none.
 
-    Exact-rational feasibility by backtracking over an integer height grid:
-    the rays of the first maximal cone are gauged to height 0, remaining
-    heights range over 0..height_bound, and every wall inequality is
-    verified exactly (and re-verified post hoc on the result).
+    Phase 1 of the simplex method over Q: one artificial variable per row
+    starts in the basis and their sum is minimized, with Bland's rule (lowest
+    entering column, ratio ties to the lowest basic variable) against
+    cycling.  Artificials that leave the basis never return, so only the
+    original columns are stored.
+    """
+    tableau = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    basis = [nvars + i for i in range(len(rows))]
+    cost = [-sum(row[j] for row in tableau) for j in range(nvars + 1)]  # cost[-1] = -objective
+    while (enter := next((j for j in range(nvars) if cost[j] < 0), None)) is not None:
+        _, _, leave = min((row[-1] / row[enter], basis[i], i)
+                          for i, row in enumerate(tableau) if row[enter] > 0)
+        pivot, scale = tableau[leave], tableau[leave][enter]
+        support = [j for j, a in enumerate(pivot) if a]  # rows stay sparse
+        for j in support:
+            pivot[j] /= scale
+        for row in tableau + [cost]:
+            f = row[enter]
+            if row is not pivot and f:
+                for j in support:
+                    row[j] -= f * pivot[j]
+        basis[leave] = enter
+    values = {j: row[-1] for j, row in zip(basis, tableau)}
+    return None if cost[-1] else [values.get(j, Fraction(0)) for j in range(nvars)]
+
+
+def strictly_convex_support(fan: Fan) -> PLFunction:
+    """A strictly convex support function, found by one exact linear program.
+
+    The unknowns are one covector per maximal cone, each coordinate split
+    into two nonnegative parts.  The covectors of all cones on a ray agree
+    on it, so every wall is continuous, and across each interior wall each
+    covector is at least 1 below the other cone's on every ray beyond the
+    wall (one surplus variable per such row).  These conditions are
+    invariant under scaling, so the margin 1 loses nothing: InfeasibleError
+    means the fan is not regular.  The answer is re-verified independently.
     """
     maxes = fan.maximal_cones()
     if not maxes:
         raise LieparError("fan has no maximal cones")
     if any(fan.dim(c) != fan.rank for c in maxes):
         raise LieparError("support function search needs full-dimensional maximal cones")
-    walls = _interior_walls(fan)
-    nrays = len(fan.rays)
-    gauge = set(maxes[0])
-    order = sorted(gauge) + [i for i in range(nrays) if i not in gauge]
+    d = fan.rank
+    column = {key: 2 * d * k for k, key in enumerate(maxes)}
+    beyond = [(own, other, i) for a, b, facet in _interior_walls(fan)
+              for own, other in ((a, b), (b, a)) for i in own if fan.rays[i] not in facet]
+    width = 2 * d * len(maxes) + len(beyond)
 
-    heights: dict[int, int] = {}
+    def row(plus: ConeKey, minus: ConeKey, i: int) -> list[int]:
+        """<m_plus - m_minus, ray i> over the split unknowns."""
+        out = [0] * width
+        for key, sign in ((plus, 1), (minus, -1)):
+            for j, x in enumerate(fan.rays[i]):
+                out[column[key] + 2 * j] += sign * x
+                out[column[key] + 2 * j + 1] -= sign * x
+        return out
 
-    def covector_for(key: ConeKey):
-        if any(i not in heights for i in key):
-            return None
-        sol = _linalg.frac_solve(
-            [list(fan.rays[i]) for i in key], [heights[i] for i in key]
-        )
-        if sol is None:
-            return None
-        for i in key:
-            if _dot(sol, fan.rays[i]) != heights[i]:
-                return None
-        return sol
-
-    def walls_ok() -> bool:
-        for a, b, facet in walls:
-            for left, right in ((a, b), (b, a)):
-                m = covector_for(left)
-                if m is None:
-                    continue
-                for i in right:
-                    if i in set(left):
-                        continue
-                    if i not in heights:
-                        continue
-                    value = _dot(m, fan.rays[i])
-                    if value >= heights[i]:
-                        return False
-        return True
-
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        i = order[pos]
-        choices = (0,) if i in gauge else tuple(range(height_bound + 1))
-        for h in choices:
-            heights[i] = h
-            if walls_ok() and assign(pos + 1):
-                return True
-            del heights[i]
-        return False
-
-    if not assign(0):
-        raise InfeasibleError(
-            f"no strictly convex support function with heights <= {height_bound}"
-        )
-    covectors = {}
-    for key in maxes:
-        m = covector_for(key)
-        if m is None:
-            raise InfeasibleError("heights are not linear on a maximal cone")
-        covectors[key] = tuple(m)
-    pl = PLFunction(tuple(Fraction(heights[i]) for i in range(nrays)), covectors)
-    verify_support_function(fan, pl)
+    owner: dict[int, ConeKey] = {}  # the first cone on each ray; the others equal it there
+    rows = [row(key, owner[i], i) for key in maxes for i in key
+            if owner.setdefault(i, key) != key]
+    rhs = [0] * len(rows) + [1] * len(beyond)
+    for k, (own, other, i) in enumerate(beyond):
+        rows.append(row(own, other, i))
+        rows[-1][width - len(beyond) + k] = -1
+    x = _phase_one(rows, rhs, width)
+    if x is None:
+        raise InfeasibleError("no strictly convex support function exists: the fan is not regular")
+    covectors = {key: tuple(x[c + 2 * j] - x[c + 2 * j + 1] for j in range(d))
+                 for key, c in column.items()}
+    heights = tuple(_dot(covectors[owner[i]], r) if i in owner else Fraction(0)
+                    for i, r in enumerate(fan.rays))
+    pl = PLFunction(heights, covectors)
+    try:
+        verify_support_function(fan, pl)
+    except InfeasibleError as exc:
+        raise AssertionError(f"simplex solution fails verification: {exc}") from exc
     return pl
 
 

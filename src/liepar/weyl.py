@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .config import WEYL_BUDGET, effective_budget
 from .errors import BudgetError, LieparError, NotMinimalError
-from .rootsys import RootSystem, Weight
+from .rootsys import RootSystem, Weight, _height_product
 
 
 @dataclass(frozen=True)
@@ -219,13 +219,16 @@ def double_quotient_reps(rs: RootSystem, I, J,
     """Minimal-length double coset representatives, sorted by (length, word).
 
     I and J are iterables of 0-based simple indices.  The representatives
-    are the points of the orbit of rho_J with no negative coordinate in I.
+    are the points of the orbit of rho_J with no negative coordinate in I;
+    the budget bounds the |W/W_J| points of that orbit.
     """
     I, J = _simple_indices(rs, I), _simple_indices(rs, J)
     limit = budget if budget is not None else effective_budget(WEYL_BUDGET)
-    if rs.weyl_order() > limit:
+    cosets = _height_product(r for r in rs.positive_roots
+                             if any(c for k, c in enumerate(r) if k not in J))
+    if cosets > limit:
         raise BudgetError(
-            f"|W| = {rs.weyl_order()} exceeds budget {limit}; set LIEPAR_BUDGET to raise it"
+            f"|W/W_J| = {cosets} exceeds budget {limit}; set LIEPAR_BUDGET to raise it"
         )
     points = orbit(rs, _rho_off(rs, J), range(rs.rank))
     return _elements(rs, points, keep=lambda nu: not any(nu[i] < 0 for i in I))

@@ -97,6 +97,43 @@ def test_weyl_over_budget_fails_before_enumerating(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "LIEPAR_BUDGET" in err
 
 
+def test_weyl_budget_counts_cosets_not_elements(capsys, monkeypatch):
+    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
+    code, out, _ = run(capsys, "weyl", "--type", "E8", "--J", "1,2,3,4,5,6,7")
+    assert code == 0
+    assert len(json.loads(out)["representatives"]) == 240
+
+
+def _write(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("nilpotent", "--partition", "3,a", "--n", "4"), "cannot parse partition"),
+    (("toric", "--fan", "{quadrant}", "--subdivide", "1,a"), "cannot parse ray"),
+    (("toric", "--fan", "{quadrant}", "--subdivide", "1,1,1"), "does not have 2 coordinates"),
+    (("schurweyl", "--d", "0"), "--d must be a positive integer"),
+    (("toric", "--fan", "{no_cones}"), '"cones"'),
+    (("intform", "--in", "{bare_rows}", "--p", "2"), '"rows"'),
+    (("toric", "--fan", "{not_json}"), "Expecting value"),
+])
+def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, message):
+    files = {
+        "quadrant": _write(tmp_path / "quadrant.json", QUADRANT),
+        "no_cones": _write(tmp_path / "no_cones.json", {"rank": 2, "rays": [[1, 0]]}),
+        "bare_rows": _write(tmp_path / "rows.json", [[2, -1], [-1, 2]]),
+        "not_json": str(tmp_path / "fan.txt"),
+    }
+    (tmp_path / "fan.txt").write_text("rank 2\n")
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
 def test_rootsys_emits(capsys):
     code, out, _ = run(capsys, "rootsys", "--type", "E8", "--emit", "minuscule")
     assert code == 0 and json.loads(out)["minuscule"] == []

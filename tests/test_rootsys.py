@@ -52,6 +52,35 @@ def test_positive_root_count_from_coxeter_number(label):
     assert 2 * len(rs.positive_roots) == rs.coxeter_number() * rs.rank
 
 
+# (|W|, Coxeter number) for every irreducible type of rank <= 8, recorded
+# from the closed formulas and the E/F/G tables that the product over the
+# positive roots replaced
+WEYL_ORDER_AND_COXETER = {
+    "A1": (2, 2), "A2": (6, 3), "A3": (24, 4), "A4": (120, 5), "A5": (720, 6),
+    "A6": (5040, 7), "A7": (40320, 8), "A8": (362880, 9),
+    "B2": (8, 4), "B3": (48, 6), "B4": (384, 8), "B5": (3840, 10), "B6": (46080, 12),
+    "B7": (645120, 14), "B8": (10321920, 16),
+    "C2": (8, 4), "C3": (48, 6), "C4": (384, 8), "C5": (3840, 10), "C6": (46080, 12),
+    "C7": (645120, 14), "C8": (10321920, 16),
+    "D3": (24, 4), "D4": (192, 6), "D5": (1920, 8), "D6": (23040, 10), "D7": (322560, 12),
+    "D8": (5160960, 14),
+    "E6": (51840, 12), "E7": (2903040, 18), "E8": (696729600, 30), "F4": (1152, 12),
+    "G2": (12, 6),
+}
+
+
+@pytest.mark.parametrize("label,expected", WEYL_ORDER_AND_COXETER.items())
+def test_weyl_order_and_coxeter_number(label, expected):
+    rs = build_root_system(label)
+    assert (rs.weyl_order(), rs.coxeter_number()) == expected
+
+
+@pytest.mark.parametrize("label,order", [("A1xA1", 4), ("B2xG2", 96), ("A2xD4", 1152),
+                                         ("A1xE7", 5806080)])
+def test_weyl_order_of_products(label, order):
+    assert build_root_system(label).weyl_order() == order
+
+
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
 def test_reflections_permute_roots(label):
     rs = build_root_system(label)

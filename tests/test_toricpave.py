@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -124,8 +125,10 @@ def test_support_function_verified():
     dprime, _ = a_n_fixture(1)
     pl = strictly_convex_support(dprime)
     verify_support_function(dprime, pl)
-    # heights on the gauge cone vanish and the function is continuous
+    # one covector per maximal cone, each matching the heights on its rays
     assert set(pl.covectors) == set(dprime.maximal_cones())
+    for key, m in pl.covectors.items():
+        assert all(sum(a * b for a, b in zip(m, dprime.rays[i])) == pl.heights[i] for i in key)
 
 
 def test_support_function_trivial_cone():
@@ -135,7 +138,7 @@ def test_support_function_trivial_cone():
 
 
 def test_support_function_infeasible():
-    # a fan that is not projective within the grid: tamper with verification
+    # a function that is linear across the wall, so not strictly convex
     dprime, _ = a_n_fixture(1)
     bad = PLFunction(
         heights=(Fraction(0), Fraction(0), Fraction(0)),
@@ -145,7 +148,24 @@ def test_support_function_infeasible():
         verify_support_function(dprime, bad)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def mother_of_all_examples():
+    """A subdivision of a triangle cone with a twisted inner triangle; no
+    strictly convex support function exists (it is not regular)."""
+    rays = [(x, y, 1) for x, y in ((0, 0), (4, 0), (0, 4), (1, 1), (2, 1), (1, 2))]
+    cones = [[0, 1, 4], [1, 2, 5], [2, 0, 3], [0, 3, 4], [1, 4, 5], [2, 5, 3], [3, 4, 5]]
+    return Fan.from_max_cones(3, rays, cones), Fan.from_max_cones(3, rays[:3], [[0, 1, 2]])
+
+
+def test_support_function_non_regular_fan():
+    fan, tau = mother_of_all_examples()
+    assert validate_fan(fan, tau=tau).refines_tau
+    with pytest.raises(InfeasibleError):
+        strictly_convex_support(fan)
+    with pytest.raises(InfeasibleError):
+        paving(fan, tau, seed=0)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_paving_a_n_chain(n):
     dprime, tau = a_n_fixture(n)
     result = paving(dprime, tau, seed=0)
@@ -155,6 +175,22 @@ def test_paving_a_n_chain(n):
     members = [m for cell in result.cells for m in cell.member_cones]
     assert sorted(members) == sorted(result.relevant_cones)
     assert len(members) == 2 * n + 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stellar_subdivisions_stay_regular(seed):
+    # a star subdivision of a regular fan is regular, however large the
+    # heights it needs
+    rng = random.Random(seed)
+    tau = square_cone()
+    fan = tau
+    for _ in range(4):
+        rays = fan.cone_rays(rng.choice(fan.maximal_cones()))
+        coeffs = [rng.randint(1, 3) for _ in rays]
+        fan = star_subdivision(fan, [sum(c * r[j] for c, r in zip(coeffs, rays)) for j in range(3)])
+    verify_support_function(fan, strictly_convex_support(fan))
+    result = paving(fan, tau, seed=seed)
+    assert result.is_even() and sum(result.polynomial.coeffs) == len(fan.maximal_cones())
 
 
 def test_paving_trivial():
