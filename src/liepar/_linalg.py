@@ -5,8 +5,8 @@ no floating point is ever involved.
 
 Over Q there is one elimination, the Gauss-Jordan `rref_q`; inverse,
 solve, rank and kernel are read off its result.  Fraction-free Bareiss,
-the Smith normal form and elimination mod p are separate on purpose: they
-are the independent rank checks.
+the Smith normal form, the p-local Smith form and elimination mod p are
+separate on purpose: they are the independent rank checks.
 """
 
 from __future__ import annotations
@@ -20,13 +20,16 @@ def _copy_int(matrix) -> IntMatrix:
     return [[int(x) for x in row] for row in matrix]
 
 
-def bareiss_rank(matrix) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
+def _bareiss(matrix) -> tuple[int, int]:
+    """(rank over Q, last pivot) of an integer matrix, by fraction-free elimination.
+
+    The last pivot is the r x r minor on the pivot rows and columns, so it
+    is nonzero; it is 1 for a matrix of rank 0.
+    """
     m = _copy_int(matrix)
     if not m or not m[0]:
-        return 0
+        return 0, 1
     rows, cols = len(m), len(m[0])
-    rank = 0
     prev = 1
     r = 0
     for c in range(cols):
@@ -39,11 +42,59 @@ def bareiss_rank(matrix) -> int:
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
-        rank += 1
         r += 1
         if r == rows:
             break
-    return rank
+    return r, prev
+
+
+def bareiss_rank(matrix) -> int:
+    """Rank over Q of an integer matrix, by fraction-free elimination."""
+    return _bareiss(matrix)[0]
+
+
+def p_valuation(n: int, p: int) -> int:
+    """Largest v with p**v dividing the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def local_smith_valuations(matrix, p: int, k: int) -> list[int]:
+    """p-adic valuations, ascending, of the nonzero Smith divisors of an integer matrix.
+
+    Exact when every valuation is at most k, which holds when k is the
+    valuation of a nonzero r x r minor (r the rank): the valuations sum to
+    that of the gcd of those minors.  Elimination runs mod p**(k+1) and
+    always pivots on a unit; when no unit is left, the remaining block is
+    divided by p.  Below a pivot the column is cleared by row operations,
+    after which clearing its row would not touch the remaining block, so
+    that is skipped.
+    """
+    q = p ** (k + 1)
+    m = [[x % q for x in row] for row in matrix]
+    valuations: list[int] = []
+    v = 0
+    while m and m[0]:
+        unit = next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x % p), None)
+        if unit is None:
+            if not any(any(row) for row in m):
+                break
+            v += 1
+            q //= p
+            m = [[x // p for x in row] for row in m]
+            continue
+        i, j = unit
+        pivot = m.pop(i)
+        scale = pow(pivot.pop(j), -1, q)
+        for n, row in enumerate(m):
+            f = row.pop(j) * scale % q
+            if f:
+                m[n] = [(a - f * b) % q for a, b in zip(row, pivot)]
+        valuations.append(v)
+    return valuations
 
 
 def modp_reduce(matrix, p: int) -> IntMatrix:
@@ -84,15 +135,22 @@ def modp_kernel_basis(matrix, p: int) -> list[list[int]]:
     """Echelonized basis of the right kernel of `matrix` over F_p."""
     if not matrix or not matrix[0]:
         return []
-    cols = len(matrix[0])
-    rref, pivots = modp_echelon(matrix, p)
-    free = [c for c in range(cols) if c not in pivots]
+    return echelon_kernel(*modp_echelon(matrix, p), len(matrix[0]), p)
+
+
+def echelon_kernel(rref, pivots: list[int], cols: int, p: int) -> list[list[int]]:
+    """Right kernel over F_p read off a reduced row echelon form mod p.
+
+    One vector per non-pivot column, so the basis is itself echelonized.
+    """
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [0] * cols
         v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rref[r][fc]) % p
+        for row, pc in zip(rref, pivots):
+            v[pc] = (-row[fc]) % p
         basis.append(v)
     return basis
 

@@ -3,13 +3,14 @@
 Every subcommand prints a deterministic document (JSON by default, TSV or
 text on request) whose header carries the seed in use, so reruns with fixed
 inputs are byte-identical.  Exit codes: 0 success, 1 domain error, 2 usage
-error.
+error; a reader that closes the pipe early ends the command quietly with 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import characters, golden, intform, schurweyl, torsion, toricpave, weyl
@@ -228,6 +229,7 @@ def _cmd_intform(args) -> str:
 def _cmd_schurweyl(args) -> str:
     if args.d < 1:
         raise LieparError(f"--d must be a positive integer, got {args.d}")
+    intform.check_prime(args.p)
     doc = _document("schurweyl", d=args.d, p=args.p)
     if args.emit == "gram":
         grams = []
@@ -238,13 +240,11 @@ def _cmd_schurweyl(args) -> str:
         doc["grams"] = grams
         rows = [(",".join(map(str, g["partition"])), g["size"]) for g in grams]
         return _emit(doc, args.format, rows)
-    dims = schurweyl.simple_dims_table(args.d, args.p)
-    doc["dims"] = dims
+    dims = schurweyl.simple_dimensions(args.d, args.p)
+    doc["dims"] = sorted(dims.values())
     per = [
-        {"partition": list(lam), "f": schurweyl.hook_length_count(lam),
-         "simple_dimension": schurweyl.simple_dimension(lam, args.p)}
-        for lam in schurweyl.partitions(args.d)
-        if schurweyl.is_p_regular(lam, args.p)
+        {"partition": list(lam), "f": schurweyl.hook_length_count(lam), "simple_dimension": dim}
+        for lam, dim in dims.items()
     ]
     doc["p_regular"] = per
     rows = [(",".join(map(str, r["partition"])), r["f"], r["simple_dimension"]) for r in per]
@@ -386,7 +386,16 @@ def main(argv=None) -> int:
     except (LieparError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; send what is still buffered to devnull so
+        # that the interpreter's flush at exit does not report it again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -4,32 +4,27 @@ The rank of the modular reduction of a stratum's form is the multiplicity
 of the corresponding summand; a decomposition report aggregates these per
 stratum and flags whether every form is nondegenerate mod p.
 
-Two independent routes are kept for every rank: fraction-free (Bareiss)
-elimination and Smith normal form; `rank_and_radical` cross-checks them.
+Every rank is computed by two independent routes, and `rank_and_radical`
+cross-checks them.  Over Q, fraction-free (Bareiss) elimination is checked
+against the Smith normal form.  Over F_p, one elimination mod p gives rank
+and radical, and it is checked against the p-local Smith form: elimination
+mod p**(k+1), where k is the p-adic valuation of the last Bareiss pivot.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import _linalg
 from .errors import LieparError
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+def check_prime(p: int) -> None:
+    """Raise a domain error unless p is prime."""
+    if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+        raise LieparError(f"{p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -69,6 +64,14 @@ class IntegerSymmetricForm:
 
 @dataclass(frozen=True)
 class RankResult:
+    """Ranks of a form over Q and F_p, its radical mod p and its elementary divisors.
+
+    Without a prime, `elementary_divisors` are the nonzero Smith divisors.
+    With a prime p, they are the p-parts p**v of those divisors, ascending:
+    a divisor is prime to p exactly when its p-part is 1, so `rank_fp` is the
+    number of ones.
+    """
+
     rank_q: int
     rank_fp: int | None
     radical_basis: tuple[tuple[int, ...], ...]
@@ -78,26 +81,36 @@ class RankResult:
 def rank_and_radical(form: IntegerSymmetricForm, p: int | None = None) -> RankResult:
     """Rank over Q, rank over F_p and an echelonized radical basis mod p.
 
-    The F_p rank is computed by elimination and verified against the count
-    of Smith divisors prime to p.
+    The Bareiss rank over Q is checked against the number of Smith divisors
+    when p is None, and against the number of p-local Smith divisors
+    otherwise.  Those local divisors come from elimination mod p**(k+1),
+    where k is the p-adic valuation of the last Bareiss pivot (a nonzero
+    r x r minor), so their valuations must sum to at most k.  The F_p rank
+    and the radical come from one elimination mod p; the rank must equal
+    the number of local divisors of valuation 0.
     """
     rows = [list(r) for r in form.matrix]
-    rank_q = _linalg.bareiss_rank(rows)
-    divisors = tuple(_linalg.smith_normal_form(rows))
-    if len(divisors) != rank_q:
-        raise AssertionError("Smith rank disagrees with Bareiss rank")
+    rank_q, minor = _linalg._bareiss(rows)
     if p is None:
+        divisors = tuple(_linalg.smith_normal_form(rows))
+        if len(divisors) != rank_q:
+            raise AssertionError("Smith rank disagrees with Bareiss rank")
         return RankResult(rank_q, None, (), divisors)
-    if not _is_prime(p):
-        raise LieparError(f"{p} is not prime")
-    rank_fp = _linalg.modp_rank(rows, p)
-    snf_rank = sum(1 for d in divisors if d % p != 0)
-    if rank_fp != snf_rank:
-        raise AssertionError("elimination rank mod p disagrees with Smith form")
-    radical = tuple(tuple(v) for v in _linalg.modp_kernel_basis(rows, p))
+    check_prime(p)
+    k = _linalg.p_valuation(minor, p)
+    valuations = _linalg.local_smith_valuations(rows, p, k)
+    if len(valuations) != rank_q:
+        raise AssertionError("p-local Smith rank disagrees with Bareiss rank")
+    if sum(valuations) > k:
+        raise AssertionError("p-local Smith valuations exceed those of a nonzero minor")
+    rref, pivots = _linalg.modp_echelon(rows, p)
+    rank_fp = len(pivots)
+    if rank_fp != valuations.count(0):
+        raise AssertionError("elimination rank mod p disagrees with p-local Smith form")
+    radical = tuple(tuple(v) for v in _linalg.echelon_kernel(rref, pivots, form.size, p))
     if len(radical) != form.size - rank_fp:
         raise AssertionError("radical dimension inconsistent with rank")
-    return RankResult(rank_q, rank_fp, radical, divisors)
+    return RankResult(rank_q, rank_fp, radical, tuple(p**v for v in valuations))
 
 
 @dataclass(frozen=True)
@@ -138,8 +151,7 @@ class DecompositionReport:
 
 def decomposition_report(forms, p: int) -> DecompositionReport:
     """Per-stratum multiplicities; the global flag needs every form nondegenerate mod p."""
-    if not _is_prime(p):
-        raise LieparError(f"{p} is not prime")
+    check_prime(p)
     entries = []
     for form in forms:
         res = rank_and_radical(form, p)

@@ -17,7 +17,7 @@ from itertools import permutations
 
 from .config import SPECHT_BUDGET, effective_budget
 from .errors import BudgetError, LieparError
-from .intform import IntegerSymmetricForm, rank_and_radical
+from .intform import IntegerSymmetricForm, check_prime, rank_and_radical
 
 Partition = tuple[int, ...]
 
@@ -218,6 +218,16 @@ def simple_dimension(lam: Partition, p: int) -> int:
     return result.rank_fp
 
 
+def simple_dimensions(d: int, p: int) -> dict[Partition, int]:
+    """dim of the simple head D^lambda in characteristic p, per p-regular lambda of d.
+
+    Keys are in the order of `partitions(d)`; each Gram matrix is built and
+    ranked once.
+    """
+    check_prime(p)
+    return {lam: simple_dimension(lam, p) for lam in partitions(d) if is_p_regular(lam, p)}
+
+
 def simple_dims_table(d: int, p: int) -> list[int]:
     """Multiset (sorted list) of simple-module dimensions in characteristic p.
 
@@ -226,8 +236,7 @@ def simple_dims_table(d: int, p: int) -> list[int]:
     representation of GL_n, i.e. the ranks of the intersection forms of the
     corresponding orbit closures.
     """
-    dims = [simple_dimension(lam, p) for lam in partitions(d) if is_p_regular(lam, p)]
-    return sorted(dims)
+    return sorted(simple_dimensions(d, p).values())
 
 
 def specht_radical_bruteforce(lam: Partition, p: int, limit: int = 10**6) -> int:

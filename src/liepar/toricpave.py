@@ -136,6 +136,14 @@ def _all_faces(rays: tuple[Ray, ...], ambient_dim: int) -> set[tuple[Ray, ...]]:
     return faces
 
 
+def _integer_rows(value, what: str) -> list[tuple[int, ...]]:
+    """A fan file's list of integer lists, or a domain error naming the field."""
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in value):
+        raise LieparError(f'"{what}" must be a list of integer lists, got {str(value)[:40]}')
+    return [tuple(row) for row in value]
+
+
 @dataclass(frozen=True)
 class Fan:
     """A fan: primitive rays and cones (ray-index tuples) closed under faces."""
@@ -188,9 +196,19 @@ class Fan:
     def from_dict(cls, data: dict) -> "Fan":
         if not isinstance(data, dict) or not {"rank", "rays", "cones"} <= data.keys():
             raise LieparError('a fan is a JSON object with "rank", "rays" and "cones"')
-        rank = int(data["rank"])
-        rays = [tuple(map(int, r)) for r in data["rays"]]
-        cones = [tuple(sorted(map(int, c))) for c in data["cones"]]
+        rank = data["rank"]
+        if type(rank) is not int or rank < 1:
+            raise LieparError(f"fan rank must be a positive integer, got {rank!r}")
+        rays = _integer_rows(data["rays"], "rays")
+        for ray in rays:
+            if len(ray) != rank:
+                raise LieparError(f"ray {list(ray)} does not have {rank} coordinates")
+        cones = [tuple(sorted(c)) for c in _integer_rows(data["cones"], "cones")]
+        for cone in cones:
+            if any(not 0 <= i < len(rays) for i in cone):
+                raise LieparError(f"cone {list(cone)} names a ray outside 0..{len(rays) - 1}")
+            if len(set(cone)) != len(cone):
+                raise LieparError(f"cone {list(cone)} names a ray twice")
         maximal = [c for c in cones if not any(set(c) < set(d) for d in cones)]
         fan = cls.from_max_cones(rank, rays, maximal)
         missing = set(map(tuple, cones)) - set(fan.cones)

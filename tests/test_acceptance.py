@@ -134,7 +134,7 @@ def test_criterion_6_intersection_form_calculus():
                 matrix[i][j] = matrix[j][i] = rng.randint(-9, 9)
         form = intform.IntegerSymmetricForm(tuple(tuple(r) for r in matrix))
         p = rng.choice((2, 3, 5, 7))
-        res = intform.rank_and_radical(form, p)  # elimination vs Smith asserted inside
+        res = intform.rank_and_radical(form, p)  # elimination vs p-local Smith asserted inside
         assert res.rank_fp + len(res.radical_basis) == n
     _report(6, started, 60, "[-2] at p=2, -Cartan(A_n) drops, 1000 fuzzed rank/radical checks")
 

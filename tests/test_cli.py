@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from liepar import cli
+from liepar import cli, schurweyl
 from liepar.characters import GenerationCertificate
 from liepar.golden import TABLE_NAMES, load_table, run_golden
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -120,6 +126,12 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("toric", "--fan", "{no_cones}"), '"cones"'),
     (("intform", "--in", "{bare_rows}", "--p", "2"), '"rows"'),
     (("toric", "--fan", "{not_json}"), "Expecting value"),
+    (("schurweyl", "--d", "3", "--p", "1"), "1 is not prime"),
+    (("schurweyl", "--d", "3", "--p", "4", "--emit", "gram"), "4 is not prime"),
+    (("toric", "--fan", "{cone_past_rays}"), "names a ray outside 0..1"),
+    (("toric", "--fan", "{long_ray}"), "does not have 2 coordinates"),
+    (("toric", "--fan", "{text_cone}"), '"cones" must be a list of integer lists'),
+    (("toric", "--fan", "{repeated_ray}"), "names a ray twice"),
 ])
 def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, message):
     files = {
@@ -127,6 +139,10 @@ def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, messag
         "no_cones": _write(tmp_path / "no_cones.json", {"rank": 2, "rays": [[1, 0]]}),
         "bare_rows": _write(tmp_path / "rows.json", [[2, -1], [-1, 2]]),
         "not_json": str(tmp_path / "fan.txt"),
+        "cone_past_rays": _write(tmp_path / "past.json", {**QUADRANT, "cones": [[0, 5]]}),
+        "long_ray": _write(tmp_path / "long.json", {**QUADRANT, "rays": [[1, 0], [0, 1, 0]]}),
+        "text_cone": _write(tmp_path / "text.json", {**QUADRANT, "cones": [[0, "x"]]}),
+        "repeated_ray": _write(tmp_path / "twice.json", {**QUADRANT, "cones": [[0, 0]]}),
     }
     (tmp_path / "fan.txt").write_text("rank 2\n")
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
@@ -146,6 +162,33 @@ def test_schurweyl_dims(capsys):
     code, out, _ = run(capsys, "schurweyl", "--d", "3", "--p", "2")
     assert code == 0
     assert json.loads(out)["dims"] == [1, 2]
+
+
+def test_schurweyl_builds_one_gram_per_p_regular_partition(capsys, monkeypatch):
+    built = []
+    specht_gram = schurweyl.specht_gram
+
+    def counted(lam, *args, **kwargs):
+        built.append(lam)
+        return specht_gram(lam, *args, **kwargs)
+
+    monkeypatch.setattr(schurweyl, "specht_gram", counted)
+    code, out, _ = run(capsys, "schurweyl", "--d", "6", "--p", "2")
+    assert code == 0
+    regular = [tuple(r["partition"]) for r in json.loads(out)["p_regular"]]
+    assert regular == [(6,), (5, 1), (4, 2), (3, 2, 1)]
+    assert built == regular
+
+
+def test_closed_pipe_ends_quietly():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "liepar.cli", "rootsys", "--type", "E8"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # before the command has written anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_nilpotent(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from liepar import _linalg
 from liepar._linalg import modp_rank, smith_normal_form
 from liepar.errors import LieparError
 from liepar.intform import (
@@ -174,3 +175,26 @@ def test_smith_chain_divisibility():
         divisors = smith_normal_form(m)
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
+
+
+def test_p_local_divisors_are_p_parts_of_smith_divisors():
+    rng = random.Random(11)
+    for _ in range(100):
+        form = IntegerSymmetricForm(random_symmetric(rng, rng.randint(1, 6)))
+        divisors = rank_and_radical(form).elementary_divisors
+        for p in (2, 3, 5, 7):
+            parts = tuple(p ** _linalg.p_valuation(d, p) for d in divisors)
+            assert rank_and_radical(form, p).elementary_divisors == parts
+
+
+@pytest.mark.parametrize("matrix,tamper,message", [
+    (((2, 1), (1, 2)), lambda vals: vals[:-1], "disagrees with Bareiss rank"),
+    (((2, 1), (1, 2)), lambda vals: [v + 1 for v in vals], "exceed those of a nonzero minor"),
+    # the last Bareiss pivot is 9, so k = 2 leaves room for one more valuation
+    (((9, 3), (3, 1)), lambda vals: [v + 1 for v in vals], "disagrees with p-local Smith form"),
+])
+def test_rank_cross_checks_raise(monkeypatch, matrix, tamper, message):
+    local = _linalg.local_smith_valuations
+    monkeypatch.setattr(_linalg, "local_smith_valuations", lambda *a: tamper(local(*a)))
+    with pytest.raises(AssertionError, match=message):
+        rank_and_radical(IntegerSymmetricForm(matrix), 3)

@@ -1,12 +1,14 @@
 """Gauss-Jordan over Q (`rref_q` and the functions read off it) on seeded
-random integer matrices, with fraction-free Bareiss as the rank oracle."""
+random integer matrices, with fraction-free Bareiss as the rank oracle; the
+p-local Smith form against the global one."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from liepar import _linalg
+from liepar import _linalg, schurweyl
 
 
 def _product(left, right):
@@ -104,3 +106,51 @@ def test_nullspace_of_no_equations_is_the_standard_basis():
     assert _linalg.nullspace_q([], 3) == [
         [Fraction(int(i == j)) for j in range(3)] for i in range(3)
     ]
+
+
+def _check_local_smith(matrix, divisors, p):
+    rank, minor = _linalg._bareiss(matrix)
+    k = _linalg.p_valuation(minor, p)
+    valuations = _linalg.local_smith_valuations(matrix, p, k)
+    assert valuations == [_linalg.p_valuation(d, p) for d in divisors]
+    assert len(valuations) == rank and sum(valuations) <= k
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_local_smith_matches_global_smith(seed, p):
+    for matrix in _matrices(seed):
+        # scaling by p**2 raises every valuation, so k must follow it
+        for scaled in (matrix, [[p * p * x for x in row] for row in matrix]):
+            _check_local_smith(scaled, _linalg.smith_normal_form(scaled), p)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_last_bareiss_pivot_is_a_nonzero_minor(seed):
+    # the product of the Smith divisors is the gcd of the r x r minors
+    for matrix in _matrices(seed):
+        rank, minor = _linalg._bareiss(matrix)
+        divisors = _linalg.smith_normal_form(matrix)
+        assert rank == len(divisors) and minor != 0
+        assert minor % math.prod(divisors) == 0
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_local_smith_of_specht_grams(d):
+    for lam in schurweyl.partitions(d):
+        matrix = [list(r) for r in schurweyl.specht_gram(lam).form.matrix]
+        divisors = _linalg.smith_normal_form(matrix)
+        for p in (2, 3, 5, 7):
+            _check_local_smith(matrix, divisors, p)
+
+
+def test_echelon_kernel_is_the_kernel_mod_p():
+    for p in (2, 3, 5, 7):
+        for matrix in _matrices(p):
+            cols = _cols(matrix)
+            rref, pivots = _linalg.modp_echelon(matrix, p)
+            basis = _linalg.echelon_kernel(rref, pivots, cols, p)
+            assert len(basis) == cols - len(pivots)
+            assert _linalg.modp_rank(basis, p) == len(basis)
+            for v in basis:
+                assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in matrix)
