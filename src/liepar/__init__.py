@@ -11,8 +11,10 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     BudgetError,
+    ConfigError,
     InfeasibleError,
     InvalidTypeError,
+    InvariantError,
     LieparError,
     NotMinimalError,
     ReducibleError,

@@ -26,7 +26,7 @@ from math import comb
 from types import MappingProxyType
 
 from .config import WEIGHT_BUDGET, effective_budget
-from .errors import BudgetError, LieparError
+from .errors import BudgetError, InvariantError, LieparError
 from .rootsys import RootSystem, Weight, WeightVector
 from .weyl import orbit
 
@@ -57,7 +57,7 @@ def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
         num *= sum((lam[i] + 1) * co[i] for i in range(rs.rank))
         den *= sum(co)
     if num % den != 0:
-        raise AssertionError("Weyl dimension formula must give an integer")
+        raise InvariantError("Weyl dimension formula must give an integer")
     return num // den
 
 
@@ -95,7 +95,8 @@ def straighten_signed(rs: RootSystem, weight: Weight) -> tuple[Weight, int]:
 
 def weyl_orbit(rs: RootSystem, weight) -> list[Weight]:
     """The full Weyl orbit of a weight, as a sorted list."""
-    return sorted(orbit(rs, dominant_rep(rs, _coords(weight)), range(rs.rank)))
+    levels = orbit(rs, dominant_rep(rs, _coords(weight)), range(rs.rank))
+    return sorted(point for level in levels for point, _ in level)
 
 
 def _height(rs: RootSystem, weight: Weight) -> Fraction:
@@ -149,7 +150,7 @@ def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
         denom6 = rs.form6(depth[mu], tuple(lam[i] + mu[i] + 2 for i in range(rank)))
         value, rem = divmod(2 * acc6, denom6)
         if rem or value < 0:
-            raise AssertionError(
+            raise InvariantError(
                 f"Freudenthal multiplicity {Fraction(2 * acc6, denom6)} at {mu} is not natural")
         mults[mu] = value
     return mults
@@ -171,7 +172,7 @@ def _weight_system(rs: RootSystem, lam: Weight) -> Mapping[Weight, int]:
         for w in weyl_orbit(rs, mu):
             out[w] = m
     if sum(out.values()) != weyl_dimension(rs, lam):
-        raise AssertionError("weight multiset does not have the Weyl dimension")
+        raise InvariantError("weight multiset does not have the Weyl dimension")
     return MappingProxyType(out)
 
 
@@ -198,7 +199,7 @@ class Character:
         if self.dominant_mults is not None:
             return sum(m * weyl_dimension(self.system, w) for w, m in self.dominant_mults.items())
         if self.weight_mults is None:
-            raise AssertionError("character carries neither representation")
+            raise InvariantError("character carries neither representation")
         return sum(self.weight_mults.values())
 
     def is_consistent(self) -> bool:
@@ -213,7 +214,7 @@ class Character:
 
     def sorted_dominant(self) -> list[tuple[Weight, int]]:
         if self.dominant_mults is None:
-            raise AssertionError("character has no irreducible decomposition")
+            raise InvariantError("character has no irreducible decomposition")
         return sorted(self.dominant_mults.items(), key=lambda kv: (_height(self.system, kv[0]), kv[0]), reverse=True)
 
 
@@ -246,7 +247,7 @@ def tensor_decompose(rs: RootSystem, left, right, budget: int | None = None) -> 
         acc[res] = acc.get(res, 0) + sign * m
     result = {w: m for w, m in acc.items() if m != 0}
     if any(m < 0 for m in result.values()):
-        raise AssertionError("negative multiplicity out of Klimyk accumulation")
+        raise InvariantError("negative multiplicity out of Klimyk accumulation")
     return Character.from_dominant(rs, result)
 
 
@@ -275,11 +276,11 @@ def decompose_weight_multiset(rs: RootSystem, multiset: dict[Weight, int]) -> di
     while rem:
         dominants = [w for w in rem if all(c >= 0 for c in w)]
         if not dominants:
-            raise AssertionError("leftover non-dominant weights; multiset was not Weyl-invariant")
+            raise InvariantError("leftover non-dominant weights; multiset was not Weyl-invariant")
         mu = max(dominants, key=lambda w: (_height(rs, w), w))
         m = rem[mu]
         if m < 0:
-            raise AssertionError(f"negative multiplicity {m} at {mu} during stripping")
+            raise InvariantError(f"negative multiplicity {m} at {mu} during stripping")
         for w, c in _full_weight_multiset(rs, mu).items():
             nv = rem.get(w, 0) - m * c
             if nv:
@@ -323,14 +324,14 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int,
         ek = {}
         for w, m in acc.items():
             if m % k != 0:
-                raise AssertionError("Newton identity must give integral multiplicities")
+                raise InvariantError("Newton identity must give integral multiplicities")
             if m // k:
                 ek[w] = m // k
         elementary.append(ek)
     mults = decompose_weight_multiset(rs, elementary[power])
     character = Character.from_dominant(rs, mults)
     if character.dimension() != comb(dim, power):
-        raise AssertionError("exterior power does not have dimension binomial(dim, power)")
+        raise InvariantError("exterior power does not have dimension binomial(dim, power)")
     return character
 
 
@@ -451,6 +452,6 @@ def generation_certificate(rs: RootSystem, max_word_length: int = 8,
         word = discovered[t]
         mult = word_multiplicity(rs, word, t)
         if mult <= 0:
-            raise AssertionError(f"certificate word for w{idx} has multiplicity {mult}")
+            raise InvariantError(f"certificate word for w{idx} has multiplicity {mult}")
         entries.append(CertificateEntry(idx, word, mult))
     return GenerationCertificate(rs.type_name(), tuple(gens), tuple(entries))

@@ -2,8 +2,11 @@
 
 Every subcommand prints a deterministic document (JSON by default, TSV or
 text on request) whose header carries the seed in use, so reruns with fixed
-inputs are byte-identical.  Exit codes: 0 success, 1 domain error, 2 usage
-error; a reader that closes the pipe early ends the command quietly with 1.
+inputs are byte-identical.  `weyl` writes its rows as they are enumerated,
+after every budget and index check has passed.  Exit codes: 0 success,
+1 domain error, 2 usage error (a bad option or a bad LIEPAR_BUDGET), 3 a
+failed invariant check, which can come after part of a streamed document;
+a reader that closes the pipe early ends the command quietly with 1.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import os
 import sys
 
 from . import characters, golden, intform, schurweyl, torsion, toricpave, weyl
-from .errors import LieparError
+from .config import budget_override
+from .errors import ConfigError, InvariantError, LieparError
 from .rootsys import build_root_system
 
 _DESCRIPTIONS = {
@@ -85,6 +89,54 @@ def _emit(document: dict, fmt: str, tsv_rows=None, text_lines=None) -> str:
     return "\n".join(lines)
 
 
+_ROWS = "\x00rows"  # stands in for a streamed list while its document is dumped
+
+
+def _json_block(value, pad: str) -> str:
+    """`value` as json.dumps(value, sort_keys=True, indent=2) lays it out at
+    indentation `pad`, for values made of dicts, lists, ints and strings."""
+    if type(value) is int:
+        return str(value)
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(k)}: {_json_block(value[k], inner)}" for k in sorted(value))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, list) and value:
+        if all(type(v) is int for v in value):
+            items = map(str, value)
+        else:
+            items = (_json_block(v, inner) for v in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
+def _emit_rows(document: dict, fmt: str, key: str, items, json_row, tsv_row):
+    """The chunks of `_emit(document, fmt, tsv_rows)` with document[key] the
+    list of json_row(x) and tsv_rows those of tsv_row(x), x over `items`.
+
+    `items` is consumed only as chunks are taken, and only the rows of `fmt`
+    are built: none for text, which leaves lists out.
+    """
+    if fmt == "text":
+        yield _emit(document, fmt)
+        return
+    if fmt == "tsv":  # the header is never empty: every document has a subcommand
+        yield _emit(document, fmt)
+        for item in items:
+            yield "\n" + "\t".join(map(str, tsv_row(item)))
+        return
+    head, _, tail = _emit({**document, key: _ROWS}, fmt).partition(json.dumps(_ROWS))
+    rows = (_json_block(json_row(item), "    ") for item in items)
+    first = next(rows, None)
+    if first is None:
+        yield head + "[]" + tail
+        return
+    yield head + "[\n    " + first
+    for row in rows:
+        yield ",\n    " + row
+    yield "\n  ]" + tail
+
+
 def _document(subcommand: str, seed: int = 0, **payload) -> dict:
     return {"subcommand": subcommand, "seed": seed, **payload}
 
@@ -111,26 +163,24 @@ def _cmd_rootsys(args) -> str:
     return _emit(doc, args.format, rows)
 
 
-def _cmd_weyl(args) -> str:
+def _word_label(w) -> str:
+    return "-".join(str(i + 1) for i in w.word) or "e"
+
+
+def _cmd_weyl(args):
     rs = build_root_system(args.type)
     I, J = _parse_indices(args.I, rs.rank), _parse_indices(args.J, rs.rank)
-    reps = weyl.double_quotient_reps(rs, I, J)
+    reps = weyl.iter_double_quotient_reps(rs, I, J)  # checks the budget before any output
     doc = _document("weyl", type=rs.type_name(),
                     I=sorted(i + 1 for i in I), J=sorted(j + 1 for j in J))
     if args.emit == "reps":
-        doc["representatives"] = [
-            {"word": [i + 1 for i in w.word], "length": w.length} for w in reps
-        ]
-        rows = [("-".join(str(i + 1) for i in w.word) or "e", w.length) for w in reps]
-        return _emit(doc, args.format, rows)
-    polys = []
-    rows = []
-    for w in reps:
-        poly = weyl.stratum_poincare(rs, I, J, w)
-        polys.append({"word": [i + 1 for i in w.word], "polynomial": list(poly.coeffs)})
-        rows.append(("-".join(str(i + 1) for i in w.word) or "e", str(poly)))
-    doc["poincare"] = polys
-    return _emit(doc, args.format, rows)
+        return _emit_rows(doc, args.format, "representatives", reps,
+                          lambda w: {"word": [i + 1 for i in w.word], "length": w.length},
+                          lambda w: (_word_label(w), w.length))
+    strata = ((w, weyl.stratum_poincare(rs, I, J, w)) for w in reps)
+    return _emit_rows(doc, args.format, "poincare", strata,
+                      lambda ws: {"word": [i + 1 for i in ws[0].word], "polynomial": list(ws[1].coeffs)},
+                      lambda ws: (_word_label(ws[0]), str(ws[1])))
 
 
 def _cmd_torsion(args) -> str:
@@ -382,12 +432,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        budget_override()
         output = args.func(args)
-    except (LieparError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        print(output)
+        # a streamed document is a generator of chunks; its checks ran before it was returned
+        for chunk in [output] if isinstance(output, str) else output:
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early; send what is still buffered to devnull so
@@ -395,6 +445,15 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InvariantError as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return 3
+    except (LieparError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -24,3 +24,13 @@ class NotMinimalError(LieparError):
 class InfeasibleError(LieparError):
     """The support-function linear program of a fan is infeasible (the fan is
     not regular), or a given support function fails verification."""
+
+
+class ConfigError(LieparError):
+    """An environment setting, such as a budget override, is malformed."""
+
+
+class InvariantError(AssertionError):
+    """A mathematical invariant failed: a bug in the computation, not in the
+    input.  It subclasses AssertionError, which `python -O` cannot strip from
+    an explicit raise."""

@@ -14,16 +14,47 @@ mod p**(k+1), where k is the p-adic valuation of the last Bareiss pivot.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from . import _linalg
-from .errors import LieparError
+from .errors import InvariantError, LieparError
+
+
+# Strong-probable-prime tests to the first 13 prime bases decide primality
+# exactly below PRIME_LIMIT, the least composite that passes all of them
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n must be below PRIME_LIMIT."""
+    if n >= PRIME_LIMIT:
+        raise LieparError(f"{n} is too large: primality is decided only below {PRIME_LIMIT}")
+    if n < 2:
+        return False
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_prime(p: int) -> None:
     """Raise a domain error unless p is prime."""
-    if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+    if not is_prime(p):
         raise LieparError(f"{p} is not prime")
 
 
@@ -94,22 +125,22 @@ def rank_and_radical(form: IntegerSymmetricForm, p: int | None = None) -> RankRe
     if p is None:
         divisors = tuple(_linalg.smith_normal_form(rows))
         if len(divisors) != rank_q:
-            raise AssertionError("Smith rank disagrees with Bareiss rank")
+            raise InvariantError("Smith rank disagrees with Bareiss rank")
         return RankResult(rank_q, None, (), divisors)
     check_prime(p)
     k = _linalg.p_valuation(minor, p)
     valuations = _linalg.local_smith_valuations(rows, p, k)
     if len(valuations) != rank_q:
-        raise AssertionError("p-local Smith rank disagrees with Bareiss rank")
+        raise InvariantError("p-local Smith rank disagrees with Bareiss rank")
     if sum(valuations) > k:
-        raise AssertionError("p-local Smith valuations exceed those of a nonzero minor")
+        raise InvariantError("p-local Smith valuations exceed those of a nonzero minor")
     rref, pivots = _linalg.modp_echelon(rows, p)
     rank_fp = len(pivots)
     if rank_fp != valuations.count(0):
-        raise AssertionError("elimination rank mod p disagrees with p-local Smith form")
+        raise InvariantError("elimination rank mod p disagrees with p-local Smith form")
     radical = tuple(tuple(v) for v in _linalg.echelon_kernel(rref, pivots, form.size, p))
     if len(radical) != form.size - rank_fp:
-        raise AssertionError("radical dimension inconsistent with rank")
+        raise InvariantError("radical dimension inconsistent with rank")
     return RankResult(rank_q, rank_fp, radical, tuple(p**v for v in valuations))
 
 

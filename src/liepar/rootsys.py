@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .errors import InvalidTypeError, ReducibleError
+from .errors import InvalidTypeError, InvariantError, ReducibleError
 
 Weight = tuple[int, ...]
 RootCoords = tuple[int, ...]
@@ -213,7 +213,7 @@ class RootSystem:
         for i in range(self.rank):
             c, rem = divmod(2 * root[i] * self._d6[i], norm6)
             if rem:
-                raise AssertionError("coroot coordinates must be integral")
+                raise InvariantError("coroot coordinates must be integral")
             coords.append(c)
         return tuple(coords)
 
@@ -237,7 +237,7 @@ class RootSystem:
     def reflect(self, weight, i: int) -> Weight:
         """Simple reflection s_i acting on fundamental-weight coordinates."""
         c = weight[i]
-        return tuple(weight[j] - c * self.cartan[i][j] for j in range(self.rank))
+        return tuple([x - c * a for x, a in zip(weight, self.cartan[i])])
 
     def is_irreducible(self) -> bool:
         return len(self.factors) == 1
@@ -257,7 +257,7 @@ class RootSystem:
         self._require_irreducible()
         theta = max(self.positive_roots, key=lambda r: (sum(r), r))
         if not all(all(a >= b for a, b in zip(theta, r)) for r in self.positive_roots):
-            raise AssertionError("highest root must dominate every positive root")
+            raise InvariantError("highest root must dominate every positive root")
         return self.root_weight_coords(theta)
 
     def highest_short_root(self) -> Weight:
@@ -268,7 +268,7 @@ class RootSystem:
         top = max(short, key=lambda r: (sum(r), r))
         w = self.root_weight_coords(top)
         if any(c < 0 for c in w):
-            raise AssertionError("highest short root must be dominant")
+            raise InvariantError("highest short root must be dominant")
         return w
 
     def coroot_coefficients(self) -> tuple[tuple[int, ...], int]:

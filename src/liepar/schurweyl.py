@@ -11,12 +11,13 @@ explicit column-group enumeration, so this module stays the oracle layer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
 
 from .config import SPECHT_BUDGET, effective_budget
-from .errors import BudgetError, LieparError
+from .errors import BudgetError, InvariantError, LieparError
 from .intform import IntegerSymmetricForm, check_prime, rank_and_radical
 
 Partition = tuple[int, ...]
@@ -65,7 +66,7 @@ def hook_length_count(lam: Partition) -> int:
         for j in range(row):
             prod *= (row - j) + (conj[j] - i) - 1
     if math.factorial(d) % prod != 0:
-        raise AssertionError("hook length product must divide d!")
+        raise InvariantError("hook length product must divide d!")
     return math.factorial(d) // prod
 
 
@@ -126,11 +127,13 @@ def _tabloid_key(tableau) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(row)) for row in tableau)
 
 
-def _column_group(lam: Partition):
-    """All (signed) column permutations of a tableau of shape lambda.
+@functools.cache
+def _column_group(lam: Partition) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
+    """The signed permutations of each column of a tableau of shape lambda.
 
-    Yields (mapping, sign) where mapping sends each cell (i, j) to the row
-    index its entry moves to.
+    Entry j lists (perm, sign) over the permutations of column j, perm[i]
+    being the row whose entry moves to row i.  Built once per shape and
+    shared, hence tuples.
     """
     conj = conjugate(lam)
     per_column = []
@@ -151,8 +154,8 @@ def _column_group(lam: Partition):
                 if length % 2 == 0:
                     sign = -sign
             perms.append((perm, sign))
-        per_column.append(perms)
-    return per_column
+        per_column.append(tuple(perms))
+    return tuple(per_column)
 
 
 def polytabloid(lam: Partition, tableau) -> dict[tuple, int]:
@@ -274,7 +277,7 @@ def specht_radical_bruteforce(lam: Partition, p: int, limit: int = 10**6) -> int
     while p**rad_dim < radical:
         rad_dim += 1
     if p**rad_dim != radical:
-        raise AssertionError(f"radical has {radical} elements, not a power of {p}")
+        raise InvariantError(f"radical has {radical} elements, not a power of {p}")
     return f - rad_dim
 
 

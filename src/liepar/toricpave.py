@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import _linalg
-from .errors import InfeasibleError, LieparError
+from .errors import InfeasibleError, InvariantError, LieparError
 from .weyl import CellPolynomial
 
 Ray = tuple[int, ...]
@@ -439,7 +439,7 @@ def strictly_convex_support(fan: Fan) -> PLFunction:
     try:
         verify_support_function(fan, pl)
     except InfeasibleError as exc:
-        raise AssertionError(f"simplex solution fails verification: {exc}") from exc
+        raise InvariantError(f"simplex solution fails verification: {exc}") from exc
     return pl
 
 

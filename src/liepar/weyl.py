@@ -9,7 +9,9 @@ Everything is enumerated by one walk down a Weyl orbit (`orbit`): from a
 weight dominant for the generators, apply s_i wherever coordinate i is
 positive.  A point nu is kept only when reached from s_i0 nu, i0 its least
 negative coordinate, so each point is found once and its word is the
-lexicographically first reduced word.
+lexicographically first reduced word.  The walk yields one depth level at
+a time and keeps only the level before, so a caller that consumes levels
+as they come holds two levels, never the whole orbit.
 
 * W is the orbit of rho, and W_I its orbit under the s_i with i in I.
 * Let rho_J be 1 off J and 0 on J.  Then x -> x(rho_J) maps the minimal
@@ -24,6 +26,7 @@ lexicographically first reduced word.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .config import WEYL_BUDGET, effective_budget
@@ -102,52 +105,70 @@ def reduced_word(rs: RootSystem, key: Weight) -> tuple[int, ...]:
 
 
 def orbit(rs: RootSystem, weight, gens, length_bound: int | None = None,
-          limit: int | None = None) -> dict[Weight, tuple[int, ...]]:
-    """The orbit of `weight` under the s_i, i in `gens`, each point with its word.
+          limit: int | None = None) -> Iterator[list[tuple[Weight, tuple[int, ...]]]]:
+    """The orbit of `weight` under the s_i, i in `gens`, one depth level at a time.
 
-    `weight` must be dominant for `gens`.  Points come in order of depth, the
-    length of their word, up to `length_bound`; BudgetError is raised when
-    there are more than `limit` of them.
+    `weight` must be dominant for `gens`; that is checked here, before the
+    first level.  Each level is a list of (point, word) pairs whose words
+    have one length, the depth, and come in increasing order, so the levels
+    run through the orbit in (length, word) order.  Levels stop after depth
+    `length_bound`; BudgetError is raised once more than `limit` points are
+    found.
     """
     gens = sorted(gens)
     start = tuple(weight)
     if any(start[i] < 0 for i in gens):
         raise LieparError(f"weight {start} is not dominant for the generators")
+    return _levels(rs, start, gens, length_bound, limit)
+
+
+def _levels(rs: RootSystem, start: Weight, gens: list[int], length_bound, limit):
+    """The levels of `orbit`.  A point's word minus its first letter is the
+    word of its parent, one level up, so only that level is kept.  The points
+    with first letter i come in the order of their parents; concatenating
+    them for increasing i sorts the new level with no comparison."""
     before = {i: [k for k in gens if k < i] for i in gens}
-    words = {start: ()}
-    frontier = [start]
-    depth = 0
-    while frontier and (length_bound is None or depth < length_bound):
-        next_frontier = []
-        for mu in frontier:
-            word = words[mu]
+    cartan = rs.cartan
+    level = [(start, ())]
+    found, depth = 1, 0
+    while level:
+        yield level
+        if length_bound is not None and depth >= length_bound:
+            return
+        by_letter = {i: [] for i in gens}
+        for mu, word in level:
             for i in gens:
-                if mu[i] > 0:
-                    nu = rs.reflect(mu, i)
+                c = mu[i]
+                if c > 0:  # nu = s_i mu, written out: this is the hot loop
+                    nu = tuple([x - c * a for x, a in zip(mu, cartan[i])])
                     if not any(nu[k] < 0 for k in before[i]):
-                        words[nu] = (i,) + word
-                        next_frontier.append(nu)
-            if limit is not None and len(words) > limit:
-                raise BudgetError(f"enumeration exceeded budget {limit}")
-        frontier = next_frontier
-        depth += 1
-    return words
+                        by_letter[i].append((nu, (i,) + word))
+        level = [point for i in gens for point in by_letter[i]]
+        found, depth = found + len(level), depth + 1
+        if limit is not None and found > limit:
+            raise BudgetError(f"enumeration exceeded budget {limit}")
 
 
-def _elements(rs: RootSystem, points: dict, keep=None) -> list[WeylElement]:
-    """The elements x of an orbit walk's words, sorted by (length, word).
+def _elements(rs: RootSystem, start: Weight, gens, keep=None,
+              length_bound: int | None = None, limit: int | None = None) -> Iterator[WeylElement]:
+    """The elements x of the walk down the orbit of `start`, in (length, word) order.
 
-    Each word minus its first letter belongs to an earlier point, so x(rho)
-    is one reflection away from a key already known.  `keep` filters points.
+    From rho each point is x(rho).  From elsewhere, each word minus its first
+    letter belongs to a point of the level before, so x(rho) is one
+    reflection away from a key of that level.  `keep` filters points.
     """
-    keys = {(): rs.rho}
-    out = []
-    for nu, word in points.items():
-        if word:
-            keys[word] = rs.reflect(keys[word[1:]], word[0])
-        if keep is None or keep(nu):
-            out.append(WeylElement(word, keys[word], len(word), rs))
-    return sorted(out, key=lambda w: (w.length, w.word))
+    from_rho = start == rs.rho
+    keys: dict[tuple[int, ...], Weight] = {}
+    for level in orbit(rs, start, gens, length_bound, limit):
+        parents, keys = keys, {}
+        for nu, word in level:
+            if from_rho:
+                key = nu
+            else:
+                key = rs.reflect(parents[word[1:]], word[0]) if word else rs.rho
+                keys[word] = key
+            if keep is None or keep(nu):
+                yield WeylElement(word, key, len(word), rs)
 
 
 def generate_weyl(rs: RootSystem, length_bound: int | None = None,
@@ -162,12 +183,12 @@ def generate_weyl(rs: RootSystem, length_bound: int | None = None,
         raise BudgetError(
             f"|W| = {rs.weyl_order()} exceeds budget {limit}; pass a length bound"
         )
-    return _elements(rs, orbit(rs, rs.rho, range(rs.rank), length_bound, limit))
+    return list(_elements(rs, rs.rho, range(rs.rank), length_bound=length_bound, limit=limit))
 
 
 def generate_parabolic(rs: RootSystem, indices) -> list[WeylElement]:
     """The standard parabolic subgroup W_I, I a set of 0-based simple indices."""
-    return _elements(rs, orbit(rs, rs.rho, _simple_indices(rs, indices)))
+    return list(_elements(rs, rs.rho, _simple_indices(rs, indices)))
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -214,13 +235,14 @@ def _rho_off(rs: RootSystem, J: frozenset[int]) -> Weight:
     return tuple(0 if k in J else 1 for k in range(rs.rank))
 
 
-def double_quotient_reps(rs: RootSystem, I, J,
-                         budget: int | None = None) -> list[WeylElement]:
-    """Minimal-length double coset representatives, sorted by (length, word).
+def iter_double_quotient_reps(rs: RootSystem, I, J,
+                              budget: int | None = None) -> Iterator[WeylElement]:
+    """Minimal-length double coset representatives, lazily in (length, word) order.
 
     I and J are iterables of 0-based simple indices.  The representatives
     are the points of the orbit of rho_J with no negative coordinate in I;
-    the budget bounds the |W/W_J| points of that orbit.
+    the budget bounds the |W/W_J| points of that orbit.  The indices and the
+    budget are checked here, before the first representative.
     """
     I, J = _simple_indices(rs, I), _simple_indices(rs, J)
     limit = budget if budget is not None else effective_budget(WEYL_BUDGET)
@@ -230,8 +252,14 @@ def double_quotient_reps(rs: RootSystem, I, J,
         raise BudgetError(
             f"|W/W_J| = {cosets} exceeds budget {limit}; set LIEPAR_BUDGET to raise it"
         )
-    points = orbit(rs, _rho_off(rs, J), range(rs.rank))
-    return _elements(rs, points, keep=lambda nu: not any(nu[i] < 0 for i in I))
+    return _elements(rs, _rho_off(rs, J), range(rs.rank),
+                     keep=lambda nu: not any(nu[i] < 0 for i in I))
+
+
+def double_quotient_reps(rs: RootSystem, I, J,
+                         budget: int | None = None) -> list[WeylElement]:
+    """The list of `iter_double_quotient_reps`."""
+    return list(iter_double_quotient_reps(rs, I, J, budget))
 
 
 @dataclass(frozen=True)
@@ -284,5 +312,5 @@ def stratum_poincare(rs: RootSystem, I, J, w: WeylElement) -> CellPolynomial:
     I, J = _simple_indices(rs, I), _simple_indices(rs, J)
     if (w.left_descents() & I) or (w.right_descents() & J):
         raise NotMinimalError("w is not a minimal double-coset representative")
-    points = orbit(rs, _act(rs, w.word, _rho_off(rs, J)), I)
-    return CellPolynomial.from_exponents(w.length + len(word) for word in points.values())
+    levels = orbit(rs, _act(rs, w.word, _rho_off(rs, J)), I)
+    return CellPolynomial((0,) * w.length + tuple(len(level) for level in levels))

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from liepar import cli, schurweyl
+from liepar import cli, schurweyl, weyl
 from liepar.characters import GenerationCertificate
+from liepar.errors import InvariantError
 from liepar.golden import TABLE_NAMES, load_table, run_golden
+from liepar.rootsys import build_root_system
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -289,3 +291,118 @@ def test_run_golden_report_shape():
     report = run_golden()
     assert report.passed
     assert len(report.outcomes) > 150
+
+
+def _one_shot_weyl(label, I, J, emit, fmt):
+    """The `weyl` document as the CLI wrote it before streaming: the whole
+    list built, then one `_emit` call."""
+    rs = build_root_system(label)
+    reps = weyl.double_quotient_reps(rs, I, J)
+    doc = cli._document("weyl", type=rs.type_name(),
+                        I=sorted(i + 1 for i in I), J=sorted(j + 1 for j in J))
+    word = lambda w: "-".join(str(i + 1) for i in w.word) or "e"
+    if emit == "reps":
+        doc["representatives"] = [{"word": [i + 1 for i in w.word], "length": w.length} for w in reps]
+        rows = [(word(w), w.length) for w in reps]
+    else:
+        polys = [(w, weyl.stratum_poincare(rs, I, J, w)) for w in reps]
+        doc["poincare"] = [{"word": [i + 1 for i in w.word], "polynomial": list(p.coeffs)}
+                           for w, p in polys]
+        rows = [(word(w), str(p)) for w, p in polys]
+    return cli._emit(doc, fmt, rows) + "\n"
+
+
+def _index_sets(rank):
+    last = rank - 1
+    return sorted({((), ()), ((0,), ()), ((), (last,)), (tuple(range(last)), tuple({0, last}))})
+
+
+@pytest.mark.parametrize("label,I,J", [
+    (label, I, J)
+    for label in ("A1", "A2", "A3", "A4", "A5", "B3", "C4", "D5", "F4", "G2")
+    for I, J in _index_sets(build_root_system(label).rank)
+])
+def test_streamed_weyl_equals_one_shot_emit(capsys, label, I, J):
+    argv = ["weyl", "--type", label,
+            "--I", ",".join(str(i + 1) for i in I), "--J", ",".join(str(j + 1) for j in J)]
+    for emit in ("reps", "poincare"):
+        for fmt in ("json", "tsv", "text"):
+            code, out, err = run(capsys, *argv, "--emit", emit, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert out == _one_shot_weyl(label, I, J, emit, fmt), (emit, fmt)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], {"a": []}, {"b": {}, "a": [1, -2]}, [[1, [2, []]], {"x": "\u00e9\"q"}],
+    {"word": [1, 2, 3], "length": 3}, [True, None, 0, "s"],
+])
+def test_json_block_matches_json_dumps(value):
+    for pad in ("", "    "):
+        expected = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        assert cli._json_block(value, pad) == expected
+
+
+def test_streamed_rows_empty_list_matches_one_shot():
+    doc = cli._document("weyl", type="A1")
+    for fmt in ("json", "tsv", "text"):
+        streamed = "".join(cli._emit_rows(doc, fmt, "representatives", [], None, None))
+        assert streamed == cli._emit({**doc, "representatives": []}, fmt, [])
+
+
+def _env_without_budget():
+    env = {k: v for k, v in os.environ.items() if k != "LIEPAR_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_pipe_mid_stream_ends_quietly():
+    # all of W(E7) is 2,903,040 rows, about 1.2 GB: only a streamed document
+    # can be cut short after its first 64 KiB
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "liepar.cli", "weyl", "--type", "E7"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_without_budget())
+    head = proc.stdout.read(64 * 1024)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+    assert time.perf_counter() - start < 20
+    assert head.startswith(b'{\n  "I": [],\n  "J": [],\n  "representatives": [\n')
+
+
+def test_bad_budget_override_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LIEPAR_BUDGET", "1e6")
+    code, out, err = run(capsys, "rootsys", "--type", "A1")
+    assert code == 2 and out == ""
+    assert err == "error: LIEPAR_BUDGET must be a positive integer, got '1e6'\n"
+
+
+def test_invariant_failure_mid_stream_exits_3(capsys, monkeypatch):
+    stratum_poincare = weyl.stratum_poincare
+    calls = []
+
+    def failing(rs, I, J, w):
+        calls.append(w)
+        if len(calls) == 3:
+            raise InvariantError("stratum check failed")
+        return stratum_poincare(rs, I, J, w)
+
+    monkeypatch.setattr(weyl, "stratum_poincare", failing)
+    code, out, err = run(capsys, "weyl", "--type", "A3", "--emit", "poincare")
+    assert code == 3
+    assert err == "error: invariant failed: stratum check failed\n"
+    assert out.startswith('{\n  "I": [],\n  "J": [],\n  "poincare": [\n')
+    assert len(calls) == 3
+
+
+def test_invariant_failure_exits_3(capsys, monkeypatch):
+    from liepar import characters
+
+    def failing(*args):
+        raise InvariantError("Weyl dimension formula must give an integer")
+
+    monkeypatch.setattr(characters, "weyl_dimension", failing)
+    code, out, err = run(capsys, "char", "--type", "A2", "--tensor", "w1,w2")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: invariant failed: ")

@@ -1,7 +1,7 @@
 import pytest
 
 from liepar.config import WEYL_BUDGET, effective_budget
-from liepar.errors import BudgetError
+from liepar.errors import BudgetError, ConfigError
 from liepar.rootsys import build_root_system
 from liepar.weyl import generate_weyl
 
@@ -14,10 +14,13 @@ def test_effective_budget_default(monkeypatch):
 def test_effective_budget_override(monkeypatch):
     monkeypatch.setenv("LIEPAR_BUDGET", "12345")
     assert effective_budget(WEYL_BUDGET) == 12345
-    monkeypatch.setenv("LIEPAR_BUDGET", "junk")
-    assert effective_budget(WEYL_BUDGET) == WEYL_BUDGET
-    monkeypatch.setenv("LIEPAR_BUDGET", "-5")
-    assert effective_budget(WEYL_BUDGET) == WEYL_BUDGET
+
+
+@pytest.mark.parametrize("raw", ["junk", "-5", "0", "", "1.5"])
+def test_bad_budget_override_is_an_error(monkeypatch, raw):
+    monkeypatch.setenv("LIEPAR_BUDGET", raw)
+    with pytest.raises(ConfigError, match=f"LIEPAR_BUDGET must be a positive integer, got {raw!r}"):
+        effective_budget(WEYL_BUDGET)
 
 
 def test_env_budget_limits_weyl_enumeration(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -7,9 +8,12 @@ from liepar import _linalg
 from liepar._linalg import modp_rank, smith_normal_form
 from liepar.errors import LieparError
 from liepar.intform import (
+    PRIME_LIMIT,
     DecompositionReport,
     IntegerSymmetricForm,
+    check_prime,
     decomposition_report,
+    is_prime,
     load_forms,
     rank_and_radical,
 )
@@ -198,3 +202,40 @@ def test_rank_cross_checks_raise(monkeypatch, matrix, tamper, message):
     monkeypatch.setattr(_linalg, "local_smith_valuations", lambda *a: tamper(local(*a)))
     with pytest.raises(AssertionError, match=message):
         rank_and_radical(IntegerSymmetricForm(matrix), 3)
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    def trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == [n for n in range(10**5) if trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    2047,                          # strong pseudoprime to base 2
+    1373653,                       # to bases 2, 3
+    25326001,                      # to bases 2, 3, 5
+    3215031751,                    # to bases 2, 3, 5, 7
+    2152302898747,                 # to bases 2, ..., 11
+    3474749660383,                 # to bases 2, ..., 13
+    341550071728321,               # to bases 2, ..., 17
+    3825123056546413051,           # to bases 2, ..., 23
+    318665857834031151167461,      # to bases 2, ..., 37: only base 41 catches it
+    (2**31 - 1) ** 2,
+])
+def test_strong_pseudoprimes_are_composite(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("p", [1000000000000000003, 2**61 - 1, 2**31 - 1, 41, 43])
+def test_large_primes_are_prime(p):
+    assert is_prime(p)
+    check_prime(p)
+
+
+def test_primes_past_the_certified_range_are_refused():
+    with pytest.raises(LieparError, match="too large"):
+        check_prime(PRIME_LIMIT)
+    with pytest.raises(LieparError, match="too large"):
+        is_prime(2**89 - 1)
+    assert not is_prime(PRIME_LIMIT - 1)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from liepar import schurweyl
 from liepar.errors import BudgetError, LieparError
 from liepar.intform import rank_and_radical
 from liepar.schurweyl import (
@@ -162,3 +163,16 @@ def test_regular_orbit_dimension_formula():
         d = nilpotent_orbit_data((n,), n)
         assert d.dimension == n * n - n
         assert d.centralizer_factors == (1,)
+
+
+def test_column_group_is_built_once_per_shape():
+    schurweyl._column_group.cache_clear()
+    for lam in partitions(6):
+        specht_gram(lam)
+        specht_gram(lam)
+    info = schurweyl._column_group.cache_info()
+    assert info.misses == len(partitions(6))
+    assert info.hits == 2 * sum(hook_length_count(lam) for lam in partitions(6)) - info.misses
+    group = schurweyl._column_group((3, 2, 1))
+    assert isinstance(group, tuple) and all(isinstance(column, tuple) for column in group)
+    assert [len(column) for column in group] == [6, 2, 1]

@@ -12,7 +12,9 @@ from liepar.weyl import (
     generate_parabolic,
     generate_weyl,
     identity,
+    iter_double_quotient_reps,
     multiply,
+    orbit,
     stratum_poincare,
 )
 
@@ -260,3 +262,55 @@ def test_cell_polynomial_invariants():
     assert p.evaluate(1) == 3
     with pytest.raises(Exception):
         CellPolynomial((1, -1))
+
+
+def _rho_off(rs, J):
+    return tuple(0 if k in J else 1 for k in range(rs.rank))
+
+
+@pytest.mark.parametrize("label,gens,J", [
+    ("A4", range(4), ()), ("B3", range(3), ()), ("F4", range(4), ()), ("G2", range(2), ()),
+    ("D5", range(5), (1, 2)), ("E6", range(6), (0, 1, 2, 3, 4)), ("C4", (0, 2, 3), ()),
+    ("A1xA1", range(2), ()), ("B4", (), ()),
+])
+def test_orbit_levels_come_in_length_word_order(label, gens, J):
+    rs = build_root_system(label)
+    levels = list(orbit(rs, _rho_off(rs, J), gens))
+    pairs = [pair for level in levels for pair in level]
+    for depth, level in enumerate(levels):
+        assert level and all(len(word) == depth for _, word in level)
+    assert [w for _, w in pairs] == sorted((w for _, w in pairs), key=lambda w: (len(w), w))
+    assert len({nu for nu, _ in pairs}) == len(pairs)
+    # every point is its word applied to the start, and every word reduced
+    for nu, word in pairs:
+        point = _rho_off(rs, J)
+        for i in reversed(word):
+            point = rs.reflect(point, i)
+        assert point == nu
+
+
+def test_orbit_levels_respect_bound_and_budget():
+    rs = build_root_system("E7")
+    assert [len(level) for level in orbit(rs, rs.rho, range(7), length_bound=2)] == [1, 7, 27]
+    with pytest.raises(BudgetError):
+        list(orbit(rs, rs.rho, range(7), limit=100))
+    # the budget counts points found, so a bounded walk under it passes
+    assert sum(map(len, orbit(rs, rs.rho, range(7), length_bound=2, limit=35))) == 35
+
+
+def test_orbit_checks_dominance_before_the_first_level():
+    rs = build_root_system("A2")
+    with pytest.raises(LieparError, match="not dominant"):
+        orbit(rs, (-1, 2), range(2))
+
+
+def test_iter_double_quotient_reps_checks_before_the_first_rep():
+    rs = build_root_system("E8")
+    with pytest.raises(BudgetError, match="LIEPAR_BUDGET"):
+        iter_double_quotient_reps(rs, (), ())
+    with pytest.raises(LieparError, match="out of range"):
+        iter_double_quotient_reps(rs, (8,), ())
+    reps = iter_double_quotient_reps(rs, (), range(7))
+    first = next(reps)
+    assert first.length == 0 and first.key == rs.rho
+    assert 1 + sum(1 for _ in reps) == 240
