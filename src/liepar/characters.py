@@ -61,36 +61,27 @@ def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     return num // den
 
 
-def dominant_rep(rs: RootSystem, weight: Weight) -> Weight:
-    """The dominant Weyl-orbit representative of a weight."""
-    w = list(weight)
-    while True:
-        i = next((k for k, c in enumerate(w) if c < 0), None)
-        if i is None:
-            return tuple(w)
-        c = w[i]
-        for j in range(rs.rank):
-            w[j] -= c * rs.cartan[i][j]
-
-
 def straighten_signed(rs: RootSystem, weight: Weight) -> tuple[Weight, int]:
     """Dominant representative with the sign of the straightening word.
 
-    Returns (rep, 0) when the weight lies on a reflection wall.
+    Reflects at the first negative coordinate until none is left.  Returns
+    (rep, 0) when the weight lies on a reflection wall.
     """
-    w = list(weight)
+    w = weight
     sign = 1
     while True:
-        i = next((k for k, c in enumerate(w) if c < 0), None)
-        if i is None:
-            break
-        c = w[i]
-        for j in range(rs.rank):
-            w[j] -= c * rs.cartan[i][j]
+        for i, c in enumerate(w):
+            if c < 0:
+                break
+        else:
+            return tuple(w), 0 if 0 in w else sign
+        w = [a - c * b for a, b in zip(w, rs.cartan[i])]
         sign = -sign
-    if any(c == 0 for c in w):
-        return tuple(w), 0
-    return tuple(w), sign
+
+
+def dominant_rep(rs: RootSystem, weight: Weight) -> Weight:
+    """The dominant Weyl-orbit representative of a weight."""
+    return straighten_signed(rs, weight)[0]
 
 
 def weyl_orbit(rs: RootSystem, weight) -> list[Weight]:

@@ -282,6 +282,7 @@ def _cmd_schurweyl(args) -> str:
     intform.check_prime(args.p)
     doc = _document("schurweyl", d=args.d, p=args.p)
     if args.emit == "gram":
+        schurweyl.check_specht_budget(args.d)
         grams = []
         for lam in schurweyl.partitions(args.d):
             g = schurweyl.specht_gram(lam)

@@ -183,12 +183,20 @@ def polytabloid(lam: Partition, tableau) -> dict[tuple, int]:
     return {k: v for k, v in coeffs.items() if v}
 
 
+def check_specht_budget(d: int, budget: int | None = None) -> None:
+    """Raise BudgetError when Specht modules of S_d exceed the budget.
+
+    Callers check d before they enumerate the partitions of d.
+    """
+    limit = budget if budget is not None else effective_budget(SPECHT_BUDGET)
+    if d > limit:
+        raise BudgetError(f"|lambda| = {d} exceeds Specht budget {limit}")
+
+
 def specht_gram(lam: Partition, budget: int | None = None) -> GramMatrix:
     """Gram matrix of the standard polytabloids under the tabloid pairing."""
     lam = check_partition(lam)
-    limit = budget if budget is not None else effective_budget(SPECHT_BUDGET)
-    if sum(lam) > limit:
-        raise BudgetError(f"|lambda| = {sum(lam)} exceeds Specht budget {limit}")
+    check_specht_budget(sum(lam), budget)
     basis = standard_tableaux(lam)
     vectors = [polytabloid(lam, t) for t in basis]
     size = len(basis)
@@ -228,6 +236,7 @@ def simple_dimensions(d: int, p: int) -> dict[Partition, int]:
     ranked once.
     """
     check_prime(p)
+    check_specht_budget(d)
     return {lam: simple_dimension(lam, p) for lam in partitions(d) if is_p_regular(lam, p)}
 
 

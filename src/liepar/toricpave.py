@@ -15,12 +15,14 @@ membership or wall test runs over the rationals.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from . import _linalg
 from .errors import InfeasibleError, InvariantError, LieparError
@@ -45,75 +47,69 @@ def _dot(u, v) -> Fraction:
 
 
 class Cone:
-    """A strongly convex rational cone given by generating rays."""
+    """A rational cone given by generating rays.
+
+    Its H-representation is found once, by brute force over (dim-1)-subsets
+    of rays, which is adequate at desk scale.  Every face is an intersection
+    of facets (Ziegler, Lectures on Polytopes, section 2.1).
+    """
 
     def __init__(self, rays: tuple[Ray, ...], ambient_dim: int):
         self.rays = tuple(rays)
         self.ambient_dim = ambient_dim
-        self.dim = _linalg.frac_rank(self.rays)
-        self._facet_normals: list[list[Fraction]] | None = None
-        self._span_equations: list[list[Fraction]] | None = None
 
-    def _hrep(self) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-        """(equations cutting out the span, inequalities valid on the cone).
+    @functools.cached_property
+    def dim(self) -> int:
+        return _linalg.frac_rank(self.rays)
 
-        Facet inequalities are found by brute force over (dim-1)-subsets of
-        rays, adequate at desk scale.
+    @functools.cached_property
+    def _hrep(self) -> tuple[list, tuple, tuple[tuple[int, ...], ...]]:
+        """(equations of the span, facet normals, ray positions on each facet).
+
+        A (dim-1)-subset of rays spans a candidate hyperplane of the span
+        when the kernel it leaves there is a line; its normal is a facet
+        normal when the rays all lie on one side.
         """
-        if self._facet_normals is not None:
-            return self._span_equations, self._facet_normals
         n = self.ambient_dim
         equations = _linalg.nullspace_q(self.rays, n)
-        normals: list[list[Fraction]] = []
-        if self.dim >= 1:
-            if self.dim == 1:
-                # a single ray: inequalities <u, x> >= 0 for u with <u, ray> > 0
-                ray = self.rays[0]
-                j = next(i for i, x in enumerate(ray) if x != 0)
-                u = [Fraction(0)] * n
-                u[j] = Fraction(1) if ray[j] > 0 else Fraction(-1)
+        normals, facets, seen = [], [], set()
+        for subset in itertools.combinations(self.rays, self.dim - 1) if self.dim else ():
+            kernel = _linalg.nullspace_q(list(subset) + equations, n)
+            if len(kernel) != 1:
+                continue
+            u = kernel[0]
+            values = [_dot(u, r) for r in self.rays]
+            if all(v <= 0 for v in values):
+                u, values = [-x for x in u], [-v for v in values]
+            elif not all(v >= 0 for v in values):
+                continue
+            key = _normal_key(u)
+            if key not in seen:
+                seen.add(key)
                 normals.append(u)
-            else:
-                seen = set()
-                for subset in itertools.combinations(self.rays, self.dim - 1):
-                    if _linalg.frac_rank(subset) != self.dim - 1:
-                        continue
-                    kernel = _linalg.nullspace_q(list(subset) + equations, n)
-                    if not kernel:
-                        continue
-                    u = kernel[0]
-                    values = [_dot(u, r) for r in self.rays]
-                    if all(v <= 0 for v in values):
-                        u = [-x for x in u]
-                    elif not all(v >= 0 for v in values):
-                        continue
-                    key = _normal_key(u)
-                    if key not in seen:
-                        seen.add(key)
-                        normals.append(u)
-        self._span_equations = equations
-        self._facet_normals = normals
-        return equations, normals
+                facets.append(tuple(p for p, v in enumerate(values) if v == 0))
+        return equations, tuple(normals), tuple(facets)
 
     def contains(self, point) -> bool:
-        equations, normals = self._hrep()
+        equations, normals, _ = self._hrep
         if any(_dot(eq, point) != 0 for eq in equations):
             return False
         return all(_dot(u, point) >= 0 for u in normals)
 
-    def facet_ray_sets(self) -> list[tuple[Ray, ...]]:
+    def facet_ray_sets(self) -> tuple[tuple[Ray, ...], ...]:
         """Generating rays of each facet (codimension-1 face)."""
-        if self.dim == 0:
-            return []
-        if self.dim == 1:
-            return [()]
-        _, normals = self._hrep()
-        out = []
-        for u in normals:
-            face = tuple(r for r in self.rays if _dot(u, r) == 0)
-            if _linalg.frac_rank(face) == self.dim - 1:
-                out.append(face)
-        return out
+        return tuple(tuple(self.rays[p] for p in f) for f in self._hrep[2])
+
+    def faces(self) -> set[tuple[Ray, ...]]:
+        """Every face, as its rays in cone order: the cone, () and each
+        intersection of facets."""
+        facets = [frozenset(f) for f in self._hrep[2]]
+        found = {frozenset(range(len(self.rays))), frozenset()}
+        layer = set(facets)
+        while layer:
+            found |= layer
+            layer = {f & g for f in layer for g in facets} - found
+        return {tuple(self.rays[p] for p in sorted(face)) for face in found}
 
 
 def _normal_key(u) -> tuple:
@@ -121,19 +117,14 @@ def _normal_key(u) -> tuple:
     return tuple(x / abs(nz) for x in u)
 
 
-def _all_faces(rays: tuple[Ray, ...], ambient_dim: int) -> set[tuple[Ray, ...]]:
-    """All faces of the cone spanned by `rays`, each as a ray tuple (sorted)."""
-    todo = [tuple(sorted(rays))]
-    faces: set[tuple[Ray, ...]] = {tuple(sorted(rays)), ()}
-    while todo:
-        current = todo.pop()
-        cone = Cone(current, ambient_dim)
-        for facet in cone.facet_ray_sets():
-            key = tuple(sorted(facet))
-            if key not in faces:
-                faces.add(key)
-                todo.append(key)
-    return faces
+def _maximal(cones) -> list[ConeKey]:
+    """The cones contained in no other, in the given order."""
+    maximal: list[frozenset] = []
+    for c in sorted(map(frozenset, cones), key=len, reverse=True):
+        if not any(c < m for m in maximal):
+            maximal.append(c)
+    keep = set(maximal)
+    return [c for c in cones if frozenset(c) in keep]
 
 
 def _integer_rows(value, what: str) -> list[tuple[int, ...]]:
@@ -146,7 +137,11 @@ def _integer_rows(value, what: str) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class Fan:
-    """A fan: primitive rays and cones (ray-index tuples) closed under faces."""
+    """A fan: primitive rays and cones (ray-index tuples) closed under faces.
+
+    Its `Cone` objects, maximal cones and walls are derived once, lazily,
+    and handed out read-only; equality and hashing see only the fields.
+    """
 
     rank: int
     rays: tuple[Ray, ...]
@@ -160,27 +155,42 @@ class Fan:
         index = {r: i for i, r in enumerate(prim)}
         cone_keys: set[ConeKey] = set()
         for cone in max_cones:
-            ray_tuple = tuple(prim[i] for i in cone)
-            for face in _all_faces(ray_tuple, rank):
+            for face in Cone(tuple(prim[i] for i in cone), rank).faces():
                 cone_keys.add(tuple(sorted(index[r] for r in face)))
         return cls(rank, prim, tuple(sorted(cone_keys, key=lambda c: (len(c), c))))
 
     def cone_rays(self, key: ConeKey) -> tuple[Ray, ...]:
         return tuple(self.rays[i] for i in key)
 
-    def cone(self, key: ConeKey) -> Cone:
-        return Cone(self.cone_rays(key), self.rank)
+    @functools.cached_property
+    def _cone_table(self) -> MappingProxyType:
+        return MappingProxyType({key: Cone(self.cone_rays(key), self.rank) for key in self.cones})
 
-    def maximal_cones(self) -> list[ConeKey]:
-        keys = set(self.cones)
-        out = []
-        for c in self.cones:
-            if not any(set(c) < set(d) for d in keys if d != c):
-                out.append(c)
-        return sorted(out)
+    def cone(self, key: ConeKey) -> Cone:
+        return self._cone_table[key]
+
+    def facets(self, key: ConeKey) -> tuple[ConeKey, ...]:
+        """The facets of a cone, as ray-index tuples."""
+        return tuple(tuple(key[p] for p in f) for f in self.cone(key)._hrep[2])
+
+    @functools.cached_property
+    def _maximal_cones(self) -> tuple[ConeKey, ...]:
+        return tuple(sorted(_maximal(self.cones)))
+
+    def maximal_cones(self) -> tuple[ConeKey, ...]:
+        return self._maximal_cones
 
     def dim(self, key: ConeKey) -> int:
-        return _linalg.frac_rank(self.cone_rays(key))
+        return self.cone(key).dim
+
+    @functools.cached_property
+    def walls(self) -> MappingProxyType:
+        """Each facet of a maximal cone -> the maximal cones it bounds."""
+        walls: dict[ConeKey, tuple[ConeKey, ...]] = {}
+        for key in self.maximal_cones():
+            for facet in self.facets(key):
+                walls[facet] = walls.get(facet, ()) + (key,)
+        return MappingProxyType(walls)
 
     def support_contains(self, point) -> bool:
         return any(self.cone(c).contains(point) for c in self.maximal_cones())
@@ -209,9 +219,8 @@ class Fan:
                 raise LieparError(f"cone {list(cone)} names a ray outside 0..{len(rays) - 1}")
             if len(set(cone)) != len(cone):
                 raise LieparError(f"cone {list(cone)} names a ray twice")
-        maximal = [c for c in cones if not any(set(c) < set(d) for d in cones)]
-        fan = cls.from_max_cones(rank, rays, maximal)
-        missing = set(map(tuple, cones)) - set(fan.cones)
+        fan = cls.from_max_cones(rank, rays, _maximal(cones))
+        missing = set(cones) - set(fan.cones)
         if missing:
             raise LieparError(f"cone list is not closed under faces near {sorted(missing)}")
         return fan
@@ -230,12 +239,11 @@ class FanReport:
 
 
 def _cone_is_smooth(fan: Fan, key: ConeKey) -> bool:
-    rays = fan.cone_rays(key)
-    if not rays:
+    if not key:
         return True
-    if len(rays) != _linalg.frac_rank(rays):
+    if len(key) != fan.dim(key):
         return False
-    divisors = _linalg.smith_normal_form([list(r) for r in rays])
+    divisors = _linalg.smith_normal_form([list(r) for r in fan.cone_rays(key)])
     return all(d == 1 for d in divisors)
 
 
@@ -251,18 +259,15 @@ def validate_fan(fan: Fan, tau: "Fan | None" = None) -> FanReport:
         for r in cone.rays:
             if cone.contains(tuple(-x for x in r)):
                 raise LieparError(f"cone {key} is not strongly convex")
-        for facet in cone.facet_ray_sets():
-            fk = tuple(sorted(fan.rays.index(r) for r in facet))
+        for fk in fan.facets(key):
             if fk not in cone_set:
                 raise LieparError(f"face {fk} of cone {key} missing from fan")
     for a, b in itertools.combinations(fan.maximal_cones(), 2):
         common = tuple(sorted(set(a) & set(b)))
         if common not in cone_set:
             raise LieparError(f"intersection of {a} and {b} is not a listed cone")
-        ca, cb = fan.cone(a), fan.cone(b)
-        inter_rays = fan.cone_rays(common)
         # the intersection must be exactly the cone on the common rays
-        inter = Cone(inter_rays, fan.rank)
+        ca, cb, inter = fan.cone(a), fan.cone(b), fan.cone(common)
         for r in fan.rays:
             if ca.contains(r) and cb.contains(r) and not inter.contains(r):
                 raise LieparError(f"cones {a} and {b} do not meet in a common face")
@@ -273,48 +278,39 @@ def validate_fan(fan: Fan, tau: "Fan | None" = None) -> FanReport:
     return FanReport(simplicial, smooth, complete, refines)
 
 
-def _facet_count(fan: Fan) -> dict[tuple, list[ConeKey]]:
-    walls: dict[tuple, list[ConeKey]] = {}
-    for key in fan.maximal_cones():
-        cone = fan.cone(key)
-        for facet in cone.facet_ray_sets():
-            fk = tuple(sorted(facet))
-            walls.setdefault(fk, []).append(key)
-    return walls
-
-
 def _is_complete(fan: Fan) -> bool:
     maxes = fan.maximal_cones()
-    if not maxes:
-        return False
-    if any(fan.dim(c) != fan.rank for c in maxes):
-        return False
-    return all(len(v) == 2 for v in _facet_count(fan).values())
+    return (bool(maxes) and all(fan.dim(c) == fan.rank for c in maxes)
+            and all(len(owners) == 2 for owners in fan.walls.values()))
+
+
+def _tau_cone(tau: Fan) -> Cone:
+    tau_max = tau.maximal_cones()
+    if len(tau_max) != 1 or tau.dim(tau_max[0]) != tau.rank:
+        raise LieparError("tau must consist of a single full-dimensional cone")
+    return tau.cone(tau_max[0])
+
+
+def _on_tau_wall(tau_cone: Cone, rays) -> bool:
+    """Whether rays that lie in tau lie together on one facet of tau."""
+    return any(all(_dot(u, r) == 0 for r in rays) for u in tau_cone._hrep[1])
 
 
 def _refines(fan: Fan, tau: Fan) -> bool:
     """Support equality |fan| = |tau| for tau a single full-dimensional cone."""
-    tau_max = tau.maximal_cones()
-    if len(tau_max) != 1 or tau.dim(tau_max[0]) != tau.rank:
-        raise LieparError("tau must consist of a single full-dimensional cone")
-    tau_cone = tau.cone(tau_max[0])
+    tau_cone = _tau_cone(tau)
     for key in fan.maximal_cones():
         if fan.dim(key) != fan.rank:
             return False
         if not all(tau_cone.contains(r) for r in fan.cone_rays(key)):
             return False
     # interior facets shared by two cones, boundary facets inside tau's walls
-    tau_facets = [Cone(f, tau.rank) for f in tau_cone.facet_ray_sets()]
-    for facet, owners in _facet_count(fan).items():
+    for facet, owners in fan.walls.items():
         if len(owners) == 2:
             continue
-        if len(owners) != 1:
+        if len(owners) != 1 or not _on_tau_wall(tau_cone, fan.cone_rays(facet)):
             return False
-        if not any(all(tf.contains(r) for r in facet) for tf in tau_facets):
-            return False
-    if not all(fan.support_contains(r) for r in tau.rays):
-        return False
-    return True
+    return all(fan.support_contains(r) for r in tau.rays)
 
 
 def star_subdivision(fan: Fan, ray) -> Fan:
@@ -327,16 +323,14 @@ def star_subdivision(fan: Fan, ray) -> Fan:
     new_max: list[tuple[Ray, ...]] = []
     for key in fan.maximal_cones():
         cone = fan.cone(key)
-        if not cone.contains(new_ray):
-            new_max.append(fan.cone_rays(key))
+        if not cone.contains(new_ray) or new_ray in cone.rays:
+            new_max.append(cone.rays)
             continue
-        if new_ray in cone.rays:
-            new_max.append(fan.cone_rays(key))
-            continue
-        for facet in cone.facet_ray_sets():
-            if Cone(facet, fan.rank).contains(new_ray):
-                continue
-            new_max.append(tuple(facet) + (new_ray,))
+        # the new ray lies in the cone, so off a facet exactly when off its hyperplane
+        _, normals, facets = cone._hrep
+        for u, facet in zip(normals, facets):
+            if _dot(u, new_ray) != 0:
+                new_max.append(tuple(cone.rays[p] for p in facet) + (new_ray,))
     rays = list(dict.fromkeys([r for c in new_max for r in c]))
     index = {r: i for i, r in enumerate(rays)}
     return Fan.from_max_cones(fan.rank, rays, [[index[r] for r in c] for c in new_max])
@@ -353,12 +347,9 @@ class PLFunction:
         return _dot(self.covectors[cone_key], point)
 
 
-def _interior_walls(fan: Fan) -> list[tuple[ConeKey, ConeKey, tuple[Ray, ...]]]:
-    walls = []
-    for facet, owners in _facet_count(fan).items():
-        if len(owners) == 2:
-            walls.append((owners[0], owners[1], facet))
-    return walls
+def _interior_walls(fan: Fan) -> list[tuple[ConeKey, ConeKey, ConeKey]]:
+    """(one cone, the other cone, the wall) for each wall bounding two cones."""
+    return [(*owners, wall) for wall, owners in fan.walls.items() if len(owners) == 2]
 
 
 def _phase_one(rows, rhs, nvars: int) -> list[Fraction] | None:
@@ -408,8 +399,8 @@ def strictly_convex_support(fan: Fan) -> PLFunction:
         raise LieparError("support function search needs full-dimensional maximal cones")
     d = fan.rank
     column = {key: 2 * d * k for k, key in enumerate(maxes)}
-    beyond = [(own, other, i) for a, b, facet in _interior_walls(fan)
-              for own, other in ((a, b), (b, a)) for i in own if fan.rays[i] not in facet]
+    beyond = [(own, other, i) for a, b, wall in _interior_walls(fan)
+              for own, other in ((a, b), (b, a)) for i in own if i not in wall]
     width = 2 * d * len(maxes) + len(beyond)
 
     def row(plus: ConeKey, minus: ConeKey, i: int) -> list[int]:
@@ -449,18 +440,14 @@ def verify_support_function(fan: Fan, pl: PLFunction) -> None:
         for i in key:
             if _dot(m, fan.rays[i]) != pl.heights[i]:
                 raise InfeasibleError("support function is not linear on a cone")
-    for a, b, facet in _interior_walls(fan):
+    for a, b, wall in _interior_walls(fan):
         ma, mb = pl.covectors[a], pl.covectors[b]
-        facet_set = set(facet)
-        for r in facet:
+        for r in fan.cone_rays(wall):
             if _dot(ma, r) != _dot(mb, r):
                 raise InfeasibleError("support function discontinuous across a wall")
         for source, m in ((b, ma), (a, mb)):
             for i in source:
-                ray = fan.rays[i]
-                if ray in facet_set:
-                    continue
-                if _dot(m, ray) >= pl.heights[i]:
+                if i not in wall and _dot(m, fan.rays[i]) >= pl.heights[i]:
                     raise InfeasibleError("support function not strictly convex across a wall")
 
 
@@ -516,35 +503,23 @@ def paving(fan: Fan, tau: Fan, seed: int = 0,
     maxes = fan.maximal_cones()
     values = {key: pl.value(key, x0) for key in maxes}
 
-    walls = _interior_walls(fan)
-    ray_index = {r: i for i, r in enumerate(fan.rays)}
     positive_walls: dict[ConeKey, list[ConeKey]] = {key: [] for key in maxes}
-    for a, b, facet in walls:
-        wall_key = tuple(sorted(ray_index[r] for r in facet))
+    for a, b, wall in _interior_walls(fan):
         if values[a] > values[b]:
-            positive_walls[b].append(wall_key)
+            positive_walls[b].append(wall)
         elif values[b] > values[a]:
-            positive_walls[a].append(wall_key)
+            positive_walls[a].append(wall)
         else:
             raise LieparError("generic point produced a tie across a wall")
 
-    tau_cone = tau.cone(tau.maximal_cones()[0])
-    tau_facets = [Cone(f, tau.rank) for f in tau_cone.facet_ray_sets()]
-
-    def in_tau_wall(key: ConeKey) -> bool:
-        rays = fan.cone_rays(key)
-        return any(all(tf.contains(r) for r in rays) for tf in tau_facets)
-
-    relevant = tuple(sorted(c for c in fan.cones if not in_tau_wall(c)))
+    tau_cone = _tau_cone(tau)
+    relevant = tuple(sorted(c for c in fan.cones
+                            if not _on_tau_wall(tau_cone, fan.cone_rays(c))))
 
     cells = []
     covered: dict[ConeKey, ConeKey] = {}
     for sigma in maxes:
-        pw = positive_walls[sigma]
-        gamma = set(sigma)
-        for wall in pw:
-            gamma &= set(wall)
-        gamma_key = tuple(sorted(gamma))
+        gamma_key = tuple(sorted(set(sigma).intersection(*positive_walls[sigma])))
         members = tuple(
             sorted(c for c in fan.cones if set(gamma_key) <= set(c) <= set(sigma))
         )

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -64,6 +65,24 @@ def test_weyl_orbit_from_any_point():
     a2 = build_root_system("A2")
     assert ch.weyl_orbit(a2, (-1, 1)) == ch.weyl_orbit(a2, (1, 0)) == [(-1, 1), (0, -1), (1, 0)]
     assert len(ch.weyl_orbit(a2, (1, 1))) == 6
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "C3"])
+def test_straightening_sign_is_the_parity_of_the_chamber(label):
+    # a regular weight is carried to the dominant chamber by an element of
+    # length #{alpha > 0 : <weight, alpha^vee> < 0}; its sign is the parity
+    rs = build_root_system(label)
+    coroots = [rs.coroot(root) for root in rs.positive_roots]
+    box = range(-3, 4)
+    for weight in itertools.product(box, repeat=rs.rank):
+        dom, sign = ch.straighten_signed(rs, weight)
+        assert min(dom) >= 0 and dom == ch.dominant_rep(rs, weight)
+        assert weight in ch.weyl_orbit(rs, dom)
+        pairings = [sum(c * x for c, x in zip(co, weight)) for co in coroots]
+        if 0 in pairings:
+            assert sign == 0
+        else:
+            assert sign == (-1) ** sum(p < 0 for p in pairings)
 
 
 def test_character_values_are_read_only():

@@ -105,6 +105,19 @@ def test_weyl_over_budget_fails_before_enumerating(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "LIEPAR_BUDGET" in err
 
 
+@pytest.mark.parametrize("emit", ["dims", "gram"])
+def test_schurweyl_over_budget_fails_before_enumerating(capsys, monkeypatch, emit):
+    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
+
+    def refuse(d):
+        raise AssertionError(f"partitions({d}) built before the Specht budget check")
+
+    monkeypatch.setattr(schurweyl, "partitions", refuse)
+    code, out, err = run(capsys, "schurweyl", "--d", "100", "--p", "2", "--emit", emit)
+    assert code == 1 and out == ""
+    assert err == "error: |lambda| = 100 exceeds Specht budget 8\n"
+
+
 def test_weyl_budget_counts_cosets_not_elements(capsys, monkeypatch):
     monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
     code, out, _ = run(capsys, "weyl", "--type", "E8", "--J", "1,2,3,4,5,6,7")

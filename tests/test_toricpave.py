@@ -5,6 +5,7 @@ import pytest
 
 from liepar.errors import InfeasibleError, LieparError
 from liepar.toricpave import (
+    Cone,
     Fan,
     PLFunction,
     orbit_poset,
@@ -235,3 +236,79 @@ def test_fan_json_roundtrip():
     dprime, _ = a_n_fixture(2)
     again = Fan.from_dict(dprime.to_dict())
     assert again == dprime
+
+
+def _all_faces_recursive(rays, ambient_dim):
+    """Reference: faces found by recursing into facets of facets, each facet
+    cone built and searched anew."""
+    todo = [tuple(sorted(rays))]
+    faces = {tuple(sorted(rays)), ()}
+    while todo:
+        current = todo.pop()
+        for facet in Cone(current, ambient_dim).facet_ray_sets():
+            key = tuple(sorted(facet))
+            if key not in faces:
+                faces.add(key)
+                todo.append(key)
+    return faces
+
+
+def square_subdivision(depth):
+    """The square cone subdivided depth times, each time at the sum of the
+    rays of one maximal cone (first at its body ray (1, 1, 1))."""
+    fan = square_cone()
+    for step in range(depth):
+        maxes = fan.maximal_cones()
+        rays = fan.cone_rays(maxes[step % len(maxes)])
+        fan = star_subdivision(fan, [sum(r[j] for r in rays) for j in range(3)])
+    return fan
+
+
+@pytest.mark.parametrize("kind,size", [("chain", n) for n in range(1, 9)]
+                         + [("square", depth) for depth in range(5)])
+def test_faces_are_intersections_of_facets(kind, size):
+    fan = a_n_fixture(size)[0] if kind == "chain" else square_subdivision(size)
+    for key in fan.cones:
+        rays = fan.cone_rays(key)
+        found = {tuple(sorted(face)) for face in Cone(rays, fan.rank).faces()}
+        assert found == _all_faces_recursive(rays, fan.rank)
+    faces_of_max = {f for key in fan.maximal_cones() for f in fan.cone(key).faces()}
+    assert {tuple(sorted(f)) for f in faces_of_max} == {
+        tuple(sorted(fan.cone_rays(key))) for key in fan.cones}
+
+
+def test_faces_of_a_half_plane():
+    rays = ((1, 0), (-1, 0), (0, 1))
+    faces = {tuple(sorted(f)) for f in Cone(rays, 2).faces()}
+    assert faces == _all_faces_recursive(rays, 2)
+    assert faces == {tuple(sorted(rays)), ((-1, 0), (1, 0)), ()}
+
+
+def test_line_cone_contains_both_directions():
+    line = Cone(((1, 0), (-1, 0)), 2)
+    assert line.dim == 1
+    assert line.contains((-3, 0)) and line.contains((5, 0))
+    assert not line.contains((0, 1))
+    ray = Cone(((1, 2),), 2)
+    assert ray.contains((2, 4)) and not ray.contains((-1, -2)) and not ray.contains((1, 0))
+    assert ray.facet_ray_sets() == ((),)
+
+
+def test_fan_tables_are_read_only_and_ignored_by_equality():
+    dprime, tau = a_n_fixture(3)
+    paving(dprime, tau, seed=0)
+    validate_fan(dprime, tau=tau)
+    orbit_poset(dprime)
+    again = Fan.from_dict(dprime.to_dict())
+    assert again == dprime and hash(again) == hash(dprime)
+    assert isinstance(dprime.maximal_cones(), tuple)
+    assert dprime.walls[(0,)] == ((0, 1),)
+    wall = (1,)
+    assert dprime.walls[wall] == ((0, 1), (1, 2))
+    with pytest.raises(TypeError):
+        dprime.walls[wall] = ()
+    with pytest.raises(TypeError):
+        dprime.walls[wall] += ((3, 4),)
+    assert all(isinstance(owners, tuple) for owners in dprime.walls.values())
+    # the same Cone object each time, its facets found once
+    assert dprime.cone((0, 1)) is dprime.cone((0, 1))
