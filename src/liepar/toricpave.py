@@ -298,6 +298,8 @@ def _on_tau_wall(tau_cone: Cone, rays) -> bool:
 
 def _refines(fan: Fan, tau: Fan) -> bool:
     """Support equality |fan| = |tau| for tau a single full-dimensional cone."""
+    if fan.rank != tau.rank:
+        raise LieparError(f"fan has rank {fan.rank} but tau has rank {tau.rank}")
     tau_cone = _tau_cone(tau)
     for key in fan.maximal_cones():
         if fan.dim(key) != fan.rank:

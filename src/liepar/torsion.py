@@ -74,17 +74,12 @@ def _is_z_closed(rs: RootSystem, subsystem) -> bool:
     return members == set(subsystem)
 
 
-def _oracle_candidate_sets(rs: RootSystem, exhaustive: bool):
-    from itertools import combinations
-
-    pos = rs.positive_roots
+def _oracle_generators(rs: RootSystem, exhaustive: bool) -> tuple[tuple[int, ...], ...]:
     if exhaustive:
         # every subsystem has a base of <= rank roots inside the positive roots
-        for size in range(1, rs.rank + 1):
-            yield from combinations(pos, size)
-        return
-    # targeted search: subsets of the simple roots together with the lowest
-    # root of each irreducible factor (extended-base subsystems); sound but
+        return rs.positive_roots
+    # targeted search: the simple roots together with the lowest root of
+    # each irreducible factor (extended-base subsystems); sound but
     # exhaustive only through the coroot-coefficient equivalence
     simple = [tuple(1 if j == i else 0 for j in range(rs.rank)) for i in range(rs.rank)]
     lowest: list[tuple[int, ...]] = []
@@ -96,9 +91,7 @@ def _oracle_candidate_sets(rs: RootSystem, exhaustive: bool):
             embedded[offset + i] = -c
         lowest.append(tuple(embedded))
         offset += factor.rank
-    base = simple + lowest
-    for size in range(1, len(base) + 1):
-        yield from combinations(base, size)
+    return tuple(simple + lowest)
 
 
 def torsion_primes_subsystem_oracle(
@@ -106,36 +99,59 @@ def torsion_primes_subsystem_oracle(
 ) -> tuple[PrimeSet, list[SubsystemCertificate]]:
     """Independent oracle: Smith forms of coroot lattices of Z-closed subsystems.
 
-    For rank <= 5 the enumeration is exhaustive: candidate subsystems are
-    intersections of the root set with sublattices spanned by at most `rank`
-    positive roots, deduplicated by lattice.  Above that, candidates are the
-    extended-base subsystems (simple roots plus lowest roots); every
-    certificate is still a genuine Z-closed subsystem with a verified
-    divisor, but completeness then rests on the coroot-coefficient theorem.
+    Each candidate lattice is spanned by a combination of generators, and
+    its subsystem is the set of positive roots it contains.  For rank <= 5
+    the generators are the positive roots and combinations have at most
+    `rank` members, so the enumeration is exhaustive (every Z-closed
+    subsystem has a base of at most `rank` positive roots).  Above that,
+    the generators are the simple roots and the lowest root of each factor
+    (extended-base subsystems); every certificate is still a genuine
+    Z-closed subsystem with a verified divisor, but completeness then rests
+    on the coroot-coefficient theorem.
+
+    Lattices are met in the order of a sweep over all combinations by size,
+    then lexicographically, each lattice where the sweep first spans it; its
+    primes and certificates are recorded in that order.  The walk goes size
+    by size and extends a combination by a later generator only when that
+    combination was the first to span its lattice, skipping generators
+    already in the lattice.  Nothing is lost: the prefix of the first
+    combination C + (g,) to span a lattice is itself the first to span its
+    own lattice, for if an earlier K spanned it, K with g added would span
+    the lattice before C + (g,).  Distinct lattices spanned by roots hold
+    distinct subsystems, since each is spanned by its subsystem.
     """
     exhaustive = rs.rank <= SUBSYSTEM_RANK_GUARD
+    generators = _oracle_generators(rs, exhaustive)
+    max_size = rs.rank if exhaustive else len(generators)
     pos = rs.positive_roots
     seen_lattices: set[tuple] = set()
-    seen_subsystems: set[tuple] = set()
     primes: set[int] = set()
     certificates: list[SubsystemCertificate] = []
-    for subset in _oracle_candidate_sets(rs, exhaustive):
-        hnf = _linalg.row_hermite([list(r) for r in subset])
-        key = tuple(tuple(row) for row in hnf)
-        if key in seen_lattices:
-            continue
-        seen_lattices.add(key)
-        subsystem = tuple(
-            sorted(r for r in pos if _linalg.in_row_lattice(hnf, r))
-        )
-        if subsystem in seen_subsystems:
-            continue
-        seen_subsystems.add(subsystem)
-        for d in _coroot_quotient_divisors(rs, subsystem):
-            for p in _primes_dividing([d]):
-                if p not in primes:
-                    primes.add(p)
-                    certificates.append(SubsystemCertificate(p, subsystem, d))
+    # (last generator index, HNF) of each combination of the current size
+    # that first spans its lattice; size 0 spans the zero lattice
+    level: list[tuple[int, list[list[int]]]] = [(-1, [])]
+    for _ in range(max_size):
+        extended = []
+        for last, parent in level:
+            for j in range(last + 1, len(generators)):
+                generator = generators[j]
+                if _linalg.in_row_lattice(parent, generator):
+                    continue
+                hnf = _linalg.row_hermite(parent + [list(generator)])
+                key = tuple(tuple(row) for row in hnf)
+                if key in seen_lattices:
+                    continue
+                seen_lattices.add(key)
+                extended.append((j, hnf))
+                subsystem = tuple(
+                    sorted(r for r in pos if _linalg.in_row_lattice(hnf, r))
+                )
+                for d in _coroot_quotient_divisors(rs, subsystem):
+                    for p in _primes_dividing([d]):
+                        if p not in primes:
+                            primes.add(p)
+                            certificates.append(SubsystemCertificate(p, subsystem, d))
+        level = extended
     return tuple(sorted(primes)), sorted(certificates, key=lambda c: c.prime)
 
 

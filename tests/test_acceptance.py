@@ -44,13 +44,13 @@ def test_criterion_1_torsion_prime_table():
 
 def test_criterion_2_two_algorithm_agreement():
     started = time.time()
-    for label in RANK_LE_4:
+    for label in RANK_LE_4 + ["A5", "B5", "C5", "D5"]:
         rs = build_root_system(label)
         oracle, certs = torsion.torsion_primes_subsystem_oracle(rs)
         fast = torsion.torsion_primes_fast(rs)
         assert oracle == fast, (label, oracle, fast)
         assert all(c.verify(rs) for c in certs), label
-    _report(2, started, 300, "subsystem oracle equals fast criterion, rank <= 4")
+    _report(2, started, 300, "subsystem oracle equals fast criterion, rank <= 5")
 
 
 def test_criterion_3_minimal_orbit_data():

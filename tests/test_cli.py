@@ -147,6 +147,9 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("toric", "--fan", "{long_ray}"), "does not have 2 coordinates"),
     (("toric", "--fan", "{text_cone}"), '"cones" must be a list of integer lists'),
     (("toric", "--fan", "{repeated_ray}"), "names a ray twice"),
+    (("toric", "--fan", "{quadrant}", "--tau", "{orthant}"), "fan has rank 2 but tau has rank 3"),
+    (("toric", "--fan", "{quadrant}", "--tau", "{orthant}", "--paving"),
+     "fan has rank 2 but tau has rank 3"),
 ])
 def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, message):
     files = {
@@ -158,6 +161,8 @@ def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, messag
         "long_ray": _write(tmp_path / "long.json", {**QUADRANT, "rays": [[1, 0], [0, 1, 0]]}),
         "text_cone": _write(tmp_path / "text.json", {**QUADRANT, "cones": [[0, "x"]]}),
         "repeated_ray": _write(tmp_path / "twice.json", {**QUADRANT, "cones": [[0, 0]]}),
+        "orthant": _write(tmp_path / "orthant.json", {
+            "rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "cones": [[0, 1, 2]]}),
     }
     (tmp_path / "fan.txt").write_text("rank 2\n")
     code, out, err = run(capsys, *(a.format(**files) for a in argv))

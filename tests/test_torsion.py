@@ -1,5 +1,9 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 
+from liepar import _linalg, torsion
 from liepar.errors import LieparError
 from liepar.rootsys import build_root_system
 from liepar.torsion import (
@@ -41,6 +45,64 @@ def test_oracle_agrees_with_fast_small(label):
     assert primes == torsion_primes_fast(rs)
     for cert in certs:
         assert cert.verify(rs)
+
+
+def sweep_oracle(rs):
+    """The oracle as a sweep over every combination of generators, by size
+    and then lexicographically, deduplicated by lattice and by subsystem:
+    the reference for the walk, which meets each lattice once."""
+    exhaustive = rs.rank <= torsion.SUBSYSTEM_RANK_GUARD
+    generators = torsion._oracle_generators(rs, exhaustive)
+    max_size = rs.rank if exhaustive else len(generators)
+    pos = rs.positive_roots
+    seen_lattices = set()
+    seen_subsystems = set()
+    primes = set()
+    certificates = []
+    for size in range(1, max_size + 1):
+        for subset in combinations(generators, size):
+            hnf = _linalg.row_hermite([list(r) for r in subset])
+            key = tuple(tuple(row) for row in hnf)
+            if key in seen_lattices:
+                continue
+            seen_lattices.add(key)
+            subsystem = tuple(sorted(r for r in pos if _linalg.in_row_lattice(hnf, r)))
+            if subsystem in seen_subsystems:
+                continue
+            seen_subsystems.add(subsystem)
+            for d in torsion._coroot_quotient_divisors(rs, subsystem):
+                for p in torsion._primes_dividing([d]):
+                    if p not in primes:
+                        primes.add(p)
+                        certificates.append(torsion.SubsystemCertificate(p, subsystem, d))
+    return tuple(sorted(primes)), sorted(certificates, key=lambda c: c.prime)
+
+
+SWEEP_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
+               "G2", "F4", "A5", "D5", "A2xG2", "B2xA3", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("label", SWEEP_TYPES)
+def test_oracle_walk_equals_combination_sweep(label):
+    rs = build_root_system(label)
+    assert torsion_primes_subsystem_oracle(rs) == sweep_oracle(rs)
+
+
+def test_oracle_walk_builds_fewer_lattices_than_combinations(monkeypatch):
+    rs = build_root_system("B4")
+    calls = []
+    hermite = _linalg.row_hermite
+
+    def counting(matrix):
+        calls.append(1)
+        return hermite(matrix)
+
+    monkeypatch.setattr(_linalg, "row_hermite", counting)
+    primes, _ = torsion_primes_subsystem_oracle(rs)
+    assert primes == (2,)
+    combinations_count = sum(comb(len(rs.positive_roots), k) for k in range(1, rs.rank + 1))
+    assert combinations_count == 2516
+    assert len(calls) < combinations_count
 
 
 def test_oracle_b3_certificate_is_triple_a1():

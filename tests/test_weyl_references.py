@@ -1,16 +1,16 @@
-"""`liepar weyl`, `char`, `golden` and `toric` output is byte-identical to
-the benchmark's recorded references.
+"""`liepar weyl`, `char`, `golden`, `toric` and `torsion` output is
+byte-identical to the benchmark's recorded references.
 
 Replays, in process, every `weyl` job of the benchmark catalog
 (`perfbench/jobs.py`) except the large E6, D6 and A6 ones, and every `char`,
-`golden` and `toric` job, and compares the SHA-256 of its stdout with
-`perfbench/references.json`.  All jobs share one process, so root systems
-and weight systems cached by one job are reused by the next; a cache that
-changed an answer would show here.  The `toric` jobs read their fan files
-from a temporary directory.  The catalog's chain-of-7 pavings have no
-recorded output (they were documented as failing: the old height-grid
-search could not find their support function), so their paving invariants
-are checked instead.
+`golden`, `toric` and `torsion` job (certificates included), and compares
+the SHA-256 of its stdout with `perfbench/references.json`.  All jobs
+share one process, so root systems and weight systems cached by one job are
+reused by the next; a cache that changed an answer would show here.  The
+`toric` jobs read their fan files from a temporary directory.  The
+catalog's chain-of-7 pavings have no recorded output (they were documented
+as failing: the old height-grid search could not find their support
+function), so their paving invariants are checked instead.
 """
 
 import hashlib
@@ -41,6 +41,7 @@ WEYL_JOBS = [job.argv for job in CATALOG
              if job.subcommand == "weyl" and job.argv[2] not in SKIPPED_TYPES]
 CHARACTER_JOBS = [job.argv for job in CATALOG if job.subcommand in ("char", "golden")]
 TORIC_JOBS = [job for job in CATALOG if job.subcommand == "toric"]
+TORSION_JOBS = [job.argv for job in CATALOG if job.subcommand == "torsion"]
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
 
 
@@ -58,6 +59,11 @@ def test_weyl_output_matches_reference(argv, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", CHARACTER_JOBS, ids=" ".join)
 def test_character_output_matches_reference(argv, capsys, monkeypatch):
+    _assert_matches_reference(argv, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", TORSION_JOBS, ids=" ".join)
+def test_torsion_output_matches_reference(argv, capsys, monkeypatch):
     _assert_matches_reference(argv, capsys, monkeypatch)
 
 
