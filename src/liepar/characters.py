@@ -1,12 +1,12 @@
 """Exact character arithmetic on dominant weights.
 
 Provides the Weyl dimension formula, weight multiplicities by the
-Freudenthal recursion, tensor product decomposition by the Klimyk
-rho-shifted reflection algorithm (iterating over the smaller factor's
-weight multiset), exterior powers via the Newton identity on power-sum
-characters, breadth-first generation certificates over minuscule and
-highest-short-root generators, and the dominance order / orbit dimension
-combinatorics for affine Grassmannian orbits.
+Freudenthal recursion, one Brauer-Klimyk straightening that decomposes
+tensor products (over the smaller factor's weight multiset) and exterior
+powers (their weight multisets built as one layered product), breadth-first
+generation certificates over minuscule and highest-short-root generators,
+and the dominance order / orbit dimension combinatorics for affine
+Grassmannian orbits.
 
 All arithmetic is exact: Python big integers and fractions throughout.
 Weights are tuples of integers in fundamental-weight coordinates.
@@ -23,6 +23,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from types import MappingProxyType
 
 from .config import WEIGHT_BUDGET, effective_budget
@@ -50,8 +51,7 @@ def weyl_dimension(rs: RootSystem, weight) -> int:
 
 @functools.cache
 def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    num = 1
-    den = 1
+    num = den = 1
     for root in rs.positive_roots:
         co = rs.coroot(root)
         num *= sum((lam[i] + 1) * co[i] for i in range(rs.rank))
@@ -88,10 +88,6 @@ def weyl_orbit(rs: RootSystem, weight) -> list[Weight]:
     """The full Weyl orbit of a weight, as a sorted list."""
     levels = orbit(rs, dominant_rep(rs, _coords(weight)), range(rs.rank))
     return sorted(point for level in levels for point, _ in level)
-
-
-def _height(rs: RootSystem, weight: Weight) -> Fraction:
-    return sum(rs.weight_root_coords(weight))
 
 
 def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
@@ -147,12 +143,18 @@ def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
     return mults
 
 
+def _check_budget(what: str, dim: int, budget: int | None) -> int:
+    """Refuse a multiset of dimension `dim` over `budget` or the weight budget;
+    return that limit."""
+    limit = budget if budget is not None else effective_budget(WEIGHT_BUDGET)
+    if dim > limit:
+        raise BudgetError(f"{what} of dimension {dim} exceeds budget {limit}")
+    return limit
+
+
 def _full_weight_multiset(rs: RootSystem, weight, budget: int | None = None) -> Mapping[Weight, int]:
     lam = _coords(weight)
-    limit = budget if budget is not None else effective_budget(WEIGHT_BUDGET)
-    dim = weyl_dimension(rs, lam)
-    if dim > limit:
-        raise BudgetError(f"weight system of dimension {dim} exceeds budget {limit}")
+    _check_budget("weight system", weyl_dimension(rs, lam), budget)
     return _weight_system(rs, lam)
 
 
@@ -206,15 +208,33 @@ class Character:
     def sorted_dominant(self) -> list[tuple[Weight, int]]:
         if self.dominant_mults is None:
             raise InvariantError("character has no irreducible decomposition")
-        return sorted(self.dominant_mults.items(), key=lambda kv: (_height(self.system, kv[0]), kv[0]), reverse=True)
+        return sorted(self.dominant_mults.items(), reverse=True,
+                      key=lambda kv: (sum(self.system.weight_root_coords(kv[0])), kv[0]))
 
 
 def weight_multiplicities(rs: RootSystem, weight, budget: int | None = None) -> Character:
     """Full weight multiset of V(lambda) (Freudenthal + Weyl orbits)."""
     lam = _check_dominant(_coords(weight))
-    ch = Character(rs, dominant_mults={lam: 1},
-                   weight_mults=_full_weight_multiset(rs, lam, budget))
-    return ch
+    return Character(rs, dominant_mults={lam: 1},
+                     weight_mults=_full_weight_multiset(rs, lam, budget))
+
+
+def _brauer_klimyk(rs: RootSystem, shift: Weight, multiset: Mapping[Weight, int]) -> dict[Weight, int]:
+    """Sum of m(nu) sign(w) [w(shift + nu + rho) - rho] over the multiset, w
+    straightening shift + nu + rho: Klimyk's formula for V(shift) (x) V(mu)
+    over the weights of V(mu), Brauer's for a Weyl-invariant multiset with
+    shift 0.  Raises on a negative multiplicity, which is no character."""
+    shift_rho = tuple(s + 1 for s in shift)
+    acc: dict[Weight, int] = {}
+    for nu, m in multiset.items():
+        dom, sign = straighten_signed(rs, tuple(map(add, shift_rho, nu)))
+        if sign:
+            res = tuple(c - 1 for c in dom)
+            acc[res] = acc.get(res, 0) + sign * m
+    result = {w: m for w, m in acc.items() if m}
+    if any(m < 0 for m in result.values()):
+        raise InvariantError("negative multiplicity out of Brauer-Klimyk straightening")
+    return result
 
 
 def tensor_decompose(rs: RootSystem, left, right, budget: int | None = None) -> Character:
@@ -226,70 +246,27 @@ def tensor_decompose(rs: RootSystem, left, right, budget: int | None = None) -> 
     lam, mu = _check_dominant(_coords(left)), _check_dominant(_coords(right))
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
-    small = _full_weight_multiset(rs, mu, budget)
-    rho = rs.rho
-    acc: dict[Weight, int] = {}
-    for nu, m in small.items():
-        xi = tuple(lam[i] + 1 + nu[i] for i in range(rs.rank))
-        dom, sign = straighten_signed(rs, xi)
-        if sign == 0:
-            continue
-        res = tuple(dom[i] - 1 for i in range(rs.rank))
-        acc[res] = acc.get(res, 0) + sign * m
-    result = {w: m for w, m in acc.items() if m != 0}
-    if any(m < 0 for m in result.values()):
-        raise InvariantError("negative multiplicity out of Klimyk accumulation")
-    return Character.from_dominant(rs, result)
-
-
-def _char_product(a: dict[Weight, int], b: dict[Weight, int]) -> dict[Weight, int]:
-    out: dict[Weight, int] = {}
-    for u, m in a.items():
-        for v, c in b.items():
-            w = tuple(x + y for x, y in zip(u, v))
-            out[w] = out.get(w, 0) + m * c
-    return {w: m for w, m in out.items() if m}
-
-
-def _char_scale(a: dict[Weight, int], k: int) -> dict[Weight, int]:
-    """Adams scaling: every weight multiplied by k, multiplicities kept."""
-    return {tuple(k * x for x in w): m for w, m in a.items()}
+    return Character.from_dominant(rs, _brauer_klimyk(rs, lam, _full_weight_multiset(rs, mu, budget)))
 
 
 def decompose_weight_multiset(rs: RootSystem, multiset: dict[Weight, int]) -> dict[Weight, int]:
-    """Write a Weyl-invariant weight multiset as a sum of irreducible characters.
-
-    Iterated highest-weight stripping in decreasing height order; a negative
-    intermediate multiplicity signals corrupted input and raises.
-    """
+    """Write a Weyl-invariant weight multiset as a sum of irreducible
+    characters, by Brauer's formula.  Raises unless every simple reflection
+    fixes the multiset and the sum has nonnegative multiplicities."""
     rem = {w: m for w, m in multiset.items() if m}
-    out: dict[Weight, int] = {}
-    while rem:
-        dominants = [w for w in rem if all(c >= 0 for c in w)]
-        if not dominants:
-            raise InvariantError("leftover non-dominant weights; multiset was not Weyl-invariant")
-        mu = max(dominants, key=lambda w: (_height(rs, w), w))
-        m = rem[mu]
-        if m < 0:
-            raise InvariantError(f"negative multiplicity {m} at {mu} during stripping")
-        for w, c in _full_weight_multiset(rs, mu).items():
-            nv = rem.get(w, 0) - m * c
-            if nv:
-                rem[w] = nv
-            else:
-                rem.pop(w, None)
-        out[mu] = m
-    return out
+    for w, m in rem.items():
+        if any(c and rem.get(rs.reflect(w, i), 0) != m for i, c in enumerate(w)):
+            raise InvariantError(f"multiset is not Weyl-invariant at {w}")
+    return _brauer_klimyk(rs, (0,) * rs.rank, rem)
 
 
 def exterior_power_decompose(rs: RootSystem, weight, power: int,
                              budget: int | None = None) -> Character:
-    """Decomposition of the exterior power Lambda^i V(lambda).
-
-    Weight multisets of the powers are produced by the Newton identity
-    e_k = (1/k) sum_{i} (-1)^(i-1) e_(k-i) p_i from Adams-scaled multisets,
-    then stripped into irreducibles.
-    """
+    """Decomposition of Lambda^k V(lambda) by Brauer's formula.  Its weight
+    multiset, the t^k coefficient of prod_nu (1 + t e^nu)^m(nu), is built one
+    weight at a time in layers up to min(k, dim-k): the weights of V sum to 0,
+    so Lambda^k is Lambda^(dim-k) negated.  binomial(dim, k) is held to the
+    weight budget before anything is built."""
     lam = _check_dominant(_coords(weight))
     if power < 0:
         raise LieparError("exterior power must be nonnegative")
@@ -299,29 +276,26 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int,
     dim = weyl_dimension(rs, lam)
     if power > dim:
         return Character.from_dominant(rs, {})
-    base = _full_weight_multiset(rs, lam, budget)
-    powersums = {1: base}
-    for k in range(2, power + 1):
-        powersums[k] = _char_scale(base, k)
-    elementary: list[dict[Weight, int]] = [{zero: 1}]
-    for k in range(1, power + 1):
-        acc: dict[Weight, int] = {}
-        sign = 1
-        for i in range(1, k + 1):
-            term = _char_product(elementary[k - i], powersums[i])
-            for w, m in term.items():
-                acc[w] = acc.get(w, 0) + sign * m
-            sign = -sign
-        ek = {}
-        for w, m in acc.items():
-            if m % k != 0:
-                raise InvariantError("Newton identity must give integral multiplicities")
-            if m // k:
-                ek[w] = m // k
-        elementary.append(ek)
-    mults = decompose_weight_multiset(rs, elementary[power])
-    character = Character.from_dominant(rs, mults)
-    if character.dimension() != comb(dim, power):
+    limit = _check_budget("weight system", dim, budget)
+    depth, size = min(power, dim - power), 1
+    for i in range(depth):  # size runs through binomial(dim, i + 1), increasing
+        size = size * (dim - i) // (i + 1)
+        if size > limit:
+            raise BudgetError(f"exterior power of dimension binomial({dim}, {power}) exceeds budget {limit}")
+    layers: list[dict[Weight, int]] = [{zero: 1}] + [{} for _ in range(depth)]
+    for nu, m in _weight_system(rs, lam).items():
+        for j in range(depth, 0, -1):  # downwards, so layers[j - i] is still the old one
+            layer = layers[j]
+            for i in range(1, min(m, j) + 1):
+                c, step = comb(m, i), tuple(i * b for b in nu)
+                for u, n in layers[j - i].items():
+                    key = tuple(map(add, u, step))
+                    layer[key] = layer.get(key, 0) + c * n
+    top = layers[depth]
+    if depth < power:
+        top = {tuple(-a for a in u): n for u, n in top.items()}
+    character = Character.from_dominant(rs, decompose_weight_multiset(rs, top))
+    if character.dimension() != size:
         raise InvariantError("exterior power does not have dimension binomial(dim, power)")
     return character
 

@@ -76,7 +76,7 @@ def _parse_indices(text: str | None, rank: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _emit(document: dict, fmt: str, tsv_rows=None, text_lines=None) -> str:
+def _emit(document: dict, fmt: str, tsv_rows=None) -> str:
     if fmt == "json":
         return json.dumps(document, sort_keys=True, indent=2)
     if fmt == "tsv":
@@ -84,9 +84,7 @@ def _emit(document: dict, fmt: str, tsv_rows=None, text_lines=None) -> str:
         for row in tsv_rows or []:
             lines.append("\t".join(str(x) for x in row))
         return "\n".join(lines)
-    lines = [f"{k}: {document[k]}" for k in sorted(document) if not isinstance(document[k], (list, dict))]
-    lines.extend(text_lines or [])
-    return "\n".join(lines)
+    return "\n".join(f"{k}: {document[k]}" for k in sorted(document) if not isinstance(document[k], (list, dict)))
 
 
 _ROWS = "\x00rows"  # stands in for a streamed list while its document is dumped

@@ -255,7 +255,7 @@ class RootSystem:
     def highest_root(self) -> Weight:
         """The highest root, in fundamental-weight coordinates."""
         self._require_irreducible()
-        theta = max(self.positive_roots, key=lambda r: (sum(r), r))
+        theta = self.positive_roots[-1]
         if not all(all(a >= b for a, b in zip(theta, r)) for r in self.positive_roots):
             raise InvariantError("highest root must dominate every positive root")
         return self.root_weight_coords(theta)
@@ -277,8 +277,7 @@ class RootSystem:
         Returns (coefficients, max coefficient).
         """
         self._require_irreducible()
-        theta = max(self.positive_roots, key=lambda r: (sum(r), r))
-        co = self.coroot(theta)
+        co = self.coroot(self.positive_roots[-1])
         return co, max(co)
 
     def dual_coxeter_number(self) -> int:

@@ -85,9 +85,8 @@ def _oracle_generators(rs: RootSystem, exhaustive: bool) -> tuple[tuple[int, ...
     lowest: list[tuple[int, ...]] = []
     offset = 0
     for factor in rs.irreducible_factors():
-        theta = max(factor.positive_roots, key=lambda r: (sum(r), r))
         embedded = [0] * rs.rank
-        for i, c in enumerate(theta):
+        for i, c in enumerate(factor.positive_roots[-1]):  # the highest root
             embedded[offset + i] = -c
         lowest.append(tuple(embedded))
         offset += factor.rank

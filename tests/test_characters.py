@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -403,6 +405,91 @@ def test_stripping_rejects_corrupted_multiset():
     not_invariant = {(1, 0): 1, (0, 1): 1}
     with pytest.raises(AssertionError):
         ch.decompose_weight_multiset(a2, not_invariant)
+
+
+def stripping_oracle(rs, multiset):
+    """Iterated highest-weight stripping: subtract the full weight system of
+    the highest remaining dominant weight until nothing is left."""
+    rem = {v: m for v, m in multiset.items() if m}
+    out = {}
+    while rem:
+        mu = max((v for v in rem if min(v) >= 0), key=lambda v: (sum(rs.weight_root_coords(v)), v))
+        m = rem[mu]
+        assert m > 0
+        for v, c in ch.weight_multiplicities(rs, mu).weight_mults.items():
+            rem[v] = rem.get(v, 0) - m * c
+            if not rem[v]:
+                del rem[v]
+        out[mu] = m
+    return out
+
+
+RANK_AT_MOST_3 = ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3",
+                  "A1xA1", "A1xA2", "A1xB2", "A1xG2", "A1xA1xA1"]
+
+
+@pytest.mark.parametrize("label", RANK_AT_MOST_3)
+def test_brauer_decomposition_of_tensor_products(label):
+    rs = build_root_system(label)
+    rng = random.Random(f"brauer {label}")
+    top = 2 if rs.rank <= 2 else 1
+    for _ in range(3):
+        lam, mu = (tuple(rng.randint(0, top) for _ in range(rs.rank)) for _ in range(2))
+        product = {}
+        for u, a in ch.weight_multiplicities(rs, lam).weight_mults.items():
+            for v, b in ch.weight_multiplicities(rs, mu).weight_mults.items():
+                key = tuple(x + y for x, y in zip(u, v))
+                product[key] = product.get(key, 0) + a * b
+        brauer = ch.decompose_weight_multiset(rs, product)
+        assert brauer == stripping_oracle(rs, product)
+        assert brauer == ch.tensor_decompose(rs, lam, mu).dominant_mults
+
+
+@pytest.mark.parametrize("label,weight", [
+    ("G2", (1, 0)), ("B3", (1, 0, 0)), ("A3", (0, 1, 0)), ("F4", (0, 0, 0, 1)),
+])
+def test_layered_exterior_multiset_against_subsets(label, weight, monkeypatch):
+    rs = build_root_system(label)
+    expanded = [v for v, m in ch.weight_multiplicities(rs, weight).weight_mults.items()
+                for _ in range(m)]
+    dim = len(expanded)
+    seen = []
+    decompose = ch.decompose_weight_multiset
+    monkeypatch.setattr(ch, "decompose_weight_multiset",
+                        lambda rs, multiset: seen.append(dict(multiset)) or decompose(rs, multiset))
+    # k <= 3 builds layers directly; dim - k reads them negated
+    for k in sorted({1, 2, 3, dim - 3, dim - 2, dim - 1}):
+        subsets = Counter(tuple(map(sum, zip(*chosen))) for chosen in itertools.combinations(expanded, k))
+        ch.exterior_power_decompose(rs, weight, k)
+        assert seen.pop() == subsets
+
+
+def test_exterior_power_builds_one_weight_system():
+    e8 = build_root_system("E8")
+    ch._weight_system.cache_clear()
+    res = ch.exterior_power_decompose(e8, w(8, (8, 1)), 2)
+    assert res.dominant_mults == {w(8, (7, 1)): 1, w(8, (8, 1)): 1}
+    assert ch._weight_system.cache_info().currsize == 1
+
+
+def test_exterior_power_budget_bounds_the_power(monkeypatch):
+    a1 = build_root_system("A1")
+    # V(20 w1) has dimension 21 and Lambda^3 of it has dimension 1330
+    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
+    with pytest.raises(BudgetError,
+                       match=r"exterior power of dimension binomial\(21, 3\) exceeds budget 100"):
+        ch.exterior_power_decompose(a1, (20,), 3, budget=100)
+    # V itself over budget is refused as a weight system, before the binomial
+    with pytest.raises(BudgetError, match="weight system of dimension 21 exceeds budget 20"):
+        ch.exterior_power_decompose(a1, (20,), 3, budget=20)
+    assert ch.exterior_power_decompose(a1, (20,), 3, budget=1330).dimension() == 1330
+    monkeypatch.setenv("LIEPAR_BUDGET", "1329")
+    with pytest.raises(BudgetError):
+        ch.exterior_power_decompose(a1, (20,), 3)
+    # Lambda^20 is Lambda^1 negated: one layer, not twenty
+    monkeypatch.setenv("LIEPAR_BUDGET", "21")
+    assert ch.exterior_power_decompose(a1, (20,), 20).dominant_mults == {(20,): 1}
+    assert ch.exterior_power_decompose(a1, (20,), 21).dominant_mults == {(0,): 1}
 
 
 def test_thread_safety_of_pure_operations():

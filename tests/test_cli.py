@@ -105,6 +105,24 @@ def test_weyl_over_budget_fails_before_enumerating(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "LIEPAR_BUDGET" in err
 
 
+@pytest.mark.parametrize("job, message", [
+    # binomial(20001, k) weights, though V(20000 w1) itself is within budget;
+    # binomial(20001, 10000) has about 6,000 digits and is never formed
+    ("20000w1^3", "exterior power of dimension binomial(20001, 3) exceeds budget 1000000"),
+    ("20000w1^10000",
+     "exterior power of dimension binomial(20001, 10000) exceeds budget 1000000"),
+    # V itself over budget is refused first, whatever the power
+    ("100000000w1^50000000", "weight system of dimension 100000001 exceeds budget 1000000"),
+])
+def test_exterior_over_budget_fails_before_building(capsys, monkeypatch, job, message):
+    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "char", "--type", "A1", "--exterior", job)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("emit", ["dims", "gram"])
 def test_schurweyl_over_budget_fails_before_enumerating(capsys, monkeypatch, emit):
     monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
