@@ -87,7 +87,7 @@ def dominant_rep(rs: RootSystem, weight: Weight) -> Weight:
 def weyl_orbit(rs: RootSystem, weight) -> list[Weight]:
     """The full Weyl orbit of a weight, as a sorted list."""
     levels = orbit(rs, dominant_rep(rs, _coords(weight)), range(rs.rank))
-    return sorted(point for level in levels for point, _ in level)
+    return sorted(point for points, _ in levels for point in points)
 
 
 def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
@@ -148,7 +148,8 @@ def _check_budget(what: str, dim: int, budget: int | None) -> int:
     return that limit."""
     limit = budget if budget is not None else effective_budget(WEIGHT_BUDGET)
     if dim > limit:
-        raise BudgetError(f"{what} of dimension {dim} exceeds budget {limit}")
+        raise BudgetError(
+            f"{what} of dimension {dim} exceeds budget {limit}; set LIEPAR_BUDGET to raise it")
     return limit
 
 
@@ -281,7 +282,8 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int,
     for i in range(depth):  # size runs through binomial(dim, i + 1), increasing
         size = size * (dim - i) // (i + 1)
         if size > limit:
-            raise BudgetError(f"exterior power of dimension binomial({dim}, {power}) exceeds budget {limit}")
+            raise BudgetError(f"exterior power of dimension binomial({dim}, {power}) exceeds budget "
+                              f"{limit}; set LIEPAR_BUDGET to raise it")
     layers: list[dict[Weight, int]] = [{zero: 1}] + [{} for _ in range(depth)]
     for nu, m in _weight_system(rs, lam).items():
         for j in range(depth, 0, -1):  # downwards, so layers[j - i] is still the old one

@@ -90,27 +90,32 @@ def _emit(document: dict, fmt: str, tsv_rows=None) -> str:
 _ROWS = "\x00rows"  # stands in for a streamed list while its document is dumped
 
 
-def _json_block(value, pad: str) -> str:
-    """`value` as json.dumps(value, sort_keys=True, indent=2) lays it out at
-    indentation `pad`, for values made of dicts, lists, ints and strings."""
-    if type(value) is int:
-        return str(value)
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        items = (f"{json.dumps(k)}: {_json_block(value[k], inner)}" for k in sorted(value))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, list) and value:
-        if all(type(v) is int for v in value):
-            items = map(str, value)
-        else:
-            items = (_json_block(v, inner) for v in value)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    return json.dumps(value)
+def _json_list(texts: list[str], pad: str) -> str:
+    """The list of JSON values `texts` as json.dumps(..., indent=2) lays it
+    out at indentation `pad`."""
+    if not texts:
+        return "[]"
+    return "[\n  " + pad + (",\n  " + pad).join(texts) + "\n" + pad + "]"
+
+
+def _reps_row(labels: list[str], word, length: int) -> str:
+    """The `representatives` row {"length": length, "word": word} as
+    json.dumps(row, sort_keys=True, indent=2) lays it out at indentation 4,
+    labels[i] being the text of letter i."""
+    return '{\n      "length": %d,\n      "word": %s\n    }' % (
+        length, _json_list([labels[i] for i in word], "      "))
+
+
+def _poincare_row(labels: list[str], word, coeffs) -> str:
+    """The `poincare` row {"polynomial": coeffs, "word": word}, as `_reps_row`."""
+    return '{\n      "polynomial": %s,\n      "word": %s\n    }' % (
+        _json_list([str(c) for c in coeffs], "      "), _json_list([labels[i] for i in word], "      "))
 
 
 def _emit_rows(document: dict, fmt: str, key: str, items, json_row, tsv_row):
     """The chunks of `_emit(document, fmt, tsv_rows)` with document[key] the
-    list of json_row(x) and tsv_rows those of tsv_row(x), x over `items`.
+    list of rows whose JSON text at indent 4 is json_row(x), and tsv_rows
+    those of tsv_row(x), x over `items`.
 
     `items` is consumed only as chunks are taken, and only the rows of `fmt`
     are built: none for text, which leaves lists out.
@@ -124,7 +129,7 @@ def _emit_rows(document: dict, fmt: str, key: str, items, json_row, tsv_row):
             yield "\n" + "\t".join(map(str, tsv_row(item)))
         return
     head, _, tail = _emit({**document, key: _ROWS}, fmt).partition(json.dumps(_ROWS))
-    rows = (_json_block(json_row(item), "    ") for item in items)
+    rows = map(json_row, items)
     first = next(rows, None)
     if first is None:
         yield head + "[]" + tail
@@ -171,13 +176,14 @@ def _cmd_weyl(args):
     reps = weyl.iter_double_quotient_reps(rs, I, J)  # checks the budget before any output
     doc = _document("weyl", type=rs.type_name(),
                     I=sorted(i + 1 for i in I), J=sorted(j + 1 for j in J))
+    labels = [str(i + 1) for i in range(rs.rank)]
     if args.emit == "reps":
         return _emit_rows(doc, args.format, "representatives", reps,
-                          lambda w: {"word": [i + 1 for i in w.word], "length": w.length},
+                          lambda w: _reps_row(labels, w.word, w.length),
                           lambda w: (_word_label(w), w.length))
     strata = ((w, weyl.stratum_poincare(rs, I, J, w)) for w in reps)
     return _emit_rows(doc, args.format, "poincare", strata,
-                      lambda ws: {"word": [i + 1 for i in ws[0].word], "polynomial": list(ws[1].coeffs)},
+                      lambda ws: _poincare_row(labels, ws[0].word, ws[1].coeffs),
                       lambda ws: (_word_label(ws[0]), str(ws[1])))
 
 

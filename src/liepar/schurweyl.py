@@ -190,7 +190,7 @@ def check_specht_budget(d: int, budget: int | None = None) -> None:
     """
     limit = budget if budget is not None else effective_budget(SPECHT_BUDGET)
     if d > limit:
-        raise BudgetError(f"|lambda| = {d} exceeds Specht budget {limit}")
+        raise BudgetError(f"|lambda| = {d} exceeds Specht budget {limit}; set LIEPAR_BUDGET to raise it")
 
 
 def specht_gram(lam: Partition, budget: int | None = None) -> GramMatrix:

@@ -11,7 +11,10 @@ positive.  A point nu is kept only when reached from s_i0 nu, i0 its least
 negative coordinate, so each point is found once and its word is the
 lexicographically first reduced word.  The walk yields one depth level at
 a time and keeps only the level before, so a caller that consumes levels
-as they come holds two levels, never the whole orbit.
+as they come holds two levels, never the whole orbit.  A level is two
+parallel lists, its points and their words, a word as `bytes` with one
+byte per letter, so the walk serves simple indices 0..255; the word of a
+`WeylElement` is a tuple of ints.
 
 * W is the orbit of rho, and W_I its orbit under the s_i with i in I.
 * Let rho_J be 1 off J and 0 on J.  Then x -> x(rho_J) maps the minimal
@@ -105,18 +108,22 @@ def reduced_word(rs: RootSystem, key: Weight) -> tuple[int, ...]:
 
 
 def orbit(rs: RootSystem, weight, gens, length_bound: int | None = None,
-          limit: int | None = None) -> Iterator[list[tuple[Weight, tuple[int, ...]]]]:
+          limit: int | None = None) -> Iterator[tuple[list[Weight], list[bytes]]]:
     """The orbit of `weight` under the s_i, i in `gens`, one depth level at a time.
 
-    `weight` must be dominant for `gens`; that is checked here, before the
-    first level.  Each level is a list of (point, word) pairs whose words
-    have one length, the depth, and come in increasing order, so the levels
-    run through the orbit in (length, word) order.  Levels stop after depth
+    `weight` must be dominant for `gens`, and every index in `gens` at most
+    255; both are checked here, before the first level.  Each level is a
+    pair (points, words) of parallel lists, a word as `bytes` with one byte
+    per letter (0-based simple indices).  The words of a level have one
+    length, the depth, and come in increasing order, so the levels run
+    through the orbit in (length, word) order.  Levels stop after depth
     `length_bound`; BudgetError is raised once more than `limit` points are
     found.
     """
     gens = sorted(gens)
     start = tuple(weight)
+    if gens and gens[-1] > 255:
+        raise LieparError(f"simple index {gens[-1]} does not fit in a one-byte orbit word (0..255)")
     if any(start[i] < 0 for i in gens):
         raise LieparError(f"weight {start} is not dominant for the generators")
     return _levels(rs, start, gens, length_bound, limit)
@@ -128,25 +135,32 @@ def _levels(rs: RootSystem, start: Weight, gens: list[int], length_bound, limit)
     with first letter i come in the order of their parents; concatenating
     them for increasing i sorts the new level with no comparison."""
     before = {i: [k for k in gens if k < i] for i in gens}
+    letter = {i: bytes((i,)) for i in gens}
     cartan = rs.cartan
-    level = [(start, ())]
+    points, words = [start], [b""]
     found, depth = 1, 0
-    while level:
-        yield level
+    while points:
+        yield points, words
         if length_bound is not None and depth >= length_bound:
             return
-        by_letter = {i: [] for i in gens}
-        for mu, word in level:
+        new_points = {i: [] for i in gens}
+        new_words = {i: [] for i in gens}
+        for mu, word in zip(points, words):
             for i in gens:
                 c = mu[i]
                 if c > 0:  # nu = s_i mu, written out: this is the hot loop
                     nu = tuple([x - c * a for x, a in zip(mu, cartan[i])])
-                    if not any(nu[k] < 0 for k in before[i]):
-                        by_letter[i].append((nu, (i,) + word))
-        level = [point for i in gens for point in by_letter[i]]
-        found, depth = found + len(level), depth + 1
+                    for k in before[i]:  # a loop, not any(): no generator per point
+                        if nu[k] < 0:
+                            break
+                    else:
+                        new_points[i].append(nu)
+                        new_words[i].append(letter[i] + word)
+        points = [nu for i in gens for nu in new_points[i]]
+        words = [word for i in gens for word in new_words[i]]
+        found, depth = found + len(points), depth + 1
         if limit is not None and found > limit:
-            raise BudgetError(f"enumeration exceeded budget {limit}")
+            raise BudgetError(f"enumeration exceeded budget {limit}; set LIEPAR_BUDGET to raise it")
 
 
 def _elements(rs: RootSystem, start: Weight, gens, keep=None,
@@ -158,17 +172,17 @@ def _elements(rs: RootSystem, start: Weight, gens, keep=None,
     reflection away from a key of that level.  `keep` filters points.
     """
     from_rho = start == rs.rho
-    keys: dict[tuple[int, ...], Weight] = {}
-    for level in orbit(rs, start, gens, length_bound, limit):
+    keys: dict[bytes, Weight] = {}
+    for points, words in orbit(rs, start, gens, length_bound, limit):
         parents, keys = keys, {}
-        for nu, word in level:
+        for nu, word in zip(points, words):
             if from_rho:
                 key = nu
             else:
                 key = rs.reflect(parents[word[1:]], word[0]) if word else rs.rho
                 keys[word] = key
             if keep is None or keep(nu):
-                yield WeylElement(word, key, len(word), rs)
+                yield WeylElement(tuple(word), key, len(word), rs)
 
 
 def generate_weyl(rs: RootSystem, length_bound: int | None = None,
@@ -206,28 +220,6 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
         kw, lw = rs.reflect(kw, i), lw - 1
         if ku[i] < 0:
             ku, lu = rs.reflect(ku, i), lu - 1
-
-
-def bruhat_leq_chain_oracle(elements: list[WeylElement]) -> dict[Weight, set[Weight]]:
-    """Independent Bruhat oracle: transitive closure of the covering relation.
-
-    Covers are w -> t*w for reflections t with l(t*w) = l(w) + 1, t acting on
-    w(rho) as a reflection.  Returns, for each element, the set of keys of
-    all elements below or equal to it.
-    """
-    if not elements:
-        return {}
-    rs = elements[0].system
-    by_key = {w.key: w for w in elements}
-    reflections = [(rs.root_weight_coords(a), rs.coroot(a)) for a in rs.positive_roots]
-    below: dict[Weight, set[Weight]] = {w.key: {w.key} for w in elements}
-    for w in sorted(elements, key=lambda x: x.length):
-        for alpha, co in reflections:
-            c = sum(w.key[k] * co[k] for k in range(rs.rank))
-            higher = by_key.get(tuple(w.key[k] - c * alpha[k] for k in range(rs.rank)))
-            if higher is not None and higher.length == w.length + 1:
-                below[higher.key] |= below[w.key]
-    return below
 
 
 def _rho_off(rs: RootSystem, J: frozenset[int]) -> Weight:
@@ -313,4 +305,4 @@ def stratum_poincare(rs: RootSystem, I, J, w: WeylElement) -> CellPolynomial:
     if (w.left_descents() & I) or (w.right_descents() & J):
         raise NotMinimalError("w is not a minimal double-coset representative")
     levels = orbit(rs, _act(rs, w.word, _rho_off(rs, J)), I)
-    return CellPolynomial((0,) * w.length + tuple(len(level) for level in levels))
+    return CellPolynomial((0,) * w.length + tuple(len(points) for points, _ in levels))

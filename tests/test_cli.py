@@ -108,11 +108,14 @@ def test_weyl_over_budget_fails_before_enumerating(capsys, monkeypatch):
 @pytest.mark.parametrize("job, message", [
     # binomial(20001, k) weights, though V(20000 w1) itself is within budget;
     # binomial(20001, 10000) has about 6,000 digits and is never formed
-    ("20000w1^3", "exterior power of dimension binomial(20001, 3) exceeds budget 1000000"),
+    ("20000w1^3", "exterior power of dimension binomial(20001, 3) exceeds budget 1000000"
+     "; set LIEPAR_BUDGET to raise it"),
     ("20000w1^10000",
-     "exterior power of dimension binomial(20001, 10000) exceeds budget 1000000"),
+     "exterior power of dimension binomial(20001, 10000) exceeds budget 1000000"
+     "; set LIEPAR_BUDGET to raise it"),
     # V itself over budget is refused first, whatever the power
-    ("100000000w1^50000000", "weight system of dimension 100000001 exceeds budget 1000000"),
+    ("100000000w1^50000000", "weight system of dimension 100000001 exceeds budget 1000000"
+     "; set LIEPAR_BUDGET to raise it"),
 ])
 def test_exterior_over_budget_fails_before_building(capsys, monkeypatch, job, message):
     monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
@@ -133,7 +136,7 @@ def test_schurweyl_over_budget_fails_before_enumerating(capsys, monkeypatch, emi
     monkeypatch.setattr(schurweyl, "partitions", refuse)
     code, out, err = run(capsys, "schurweyl", "--d", "100", "--p", "2", "--emit", emit)
     assert code == 1 and out == ""
-    assert err == "error: |lambda| = 100 exceeds Specht budget 8\n"
+    assert err == "error: |lambda| = 100 exceeds Specht budget 8; set LIEPAR_BUDGET to raise it\n"
 
 
 def test_weyl_budget_counts_cosets_not_elements(capsys, monkeypatch):
@@ -357,6 +360,9 @@ def _index_sets(rank):
     (label, I, J)
     for label in ("A1", "A2", "A3", "A4", "A5", "B3", "C4", "D5", "F4", "G2")
     for I, J in _index_sets(build_root_system(label).rank)
+] + [
+    # ranks above 5: 27, 240 and 18 rows, the E8 words using letters up to 8
+    ("E6", (), tuple(range(5))), ("E8", (), tuple(range(7))), ("D6", tuple(range(5)), (0, 5)),
 ])
 def test_streamed_weyl_equals_one_shot_emit(capsys, label, I, J):
     argv = ["weyl", "--type", label,
@@ -368,14 +374,18 @@ def test_streamed_weyl_equals_one_shot_emit(capsys, label, I, J):
             assert out == _one_shot_weyl(label, I, J, emit, fmt), (emit, fmt)
 
 
-@pytest.mark.parametrize("value", [
-    {}, [], {"a": []}, {"b": {}, "a": [1, -2]}, [[1, [2, []]], {"x": "\u00e9\"q"}],
-    {"word": [1, 2, 3], "length": 3}, [True, None, 0, "s"],
+@pytest.mark.parametrize("word,length,coeffs", [
+    ((), 0, (1,)), ((0,), 1, (0, 1)), ((7,), 1, (0, 1, 7)),
+    ((7, 6, 4, 3, 1, 0), 6, (0,) * 6 + (1, 7, 27, 106)),
 ])
-def test_json_block_matches_json_dumps(value):
-    for pad in ("", "    "):
-        expected = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-        assert cli._json_block(value, pad) == expected
+def test_weyl_row_templates_match_json_dumps(word, length, coeffs):
+    labels = [str(i + 1) for i in range(8)]
+    letters = [i + 1 for i in word]
+    for text, row in [
+        (cli._reps_row(labels, word, length), {"word": letters, "length": length}),
+        (cli._poincare_row(labels, word, coeffs), {"word": letters, "polynomial": list(coeffs)}),
+    ]:
+        assert text == json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
 
 
 def test_streamed_rows_empty_list_matches_one_shot():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,6 @@ from liepar.rootsys import build_root_system
 from liepar.weyl import (
     CellPolynomial,
     bruhat_leq,
-    bruhat_leq_chain_oracle,
     double_quotient_reps,
     generate_parabolic,
     generate_weyl,
@@ -70,6 +70,28 @@ def test_bruhat_subword_examples():
     assert bruhat_leq(words[(0,)], words[(0, 1)])
     assert not bruhat_leq(words[(0, 1)], words[(1, 0)])
     assert not bruhat_leq(words[(1, 0)], words[(0, 1)])
+
+
+def bruhat_leq_chain_oracle(elements):
+    """Independent Bruhat oracle: transitive closure of the covering relation.
+
+    Covers are w -> t*w for reflections t with l(t*w) = l(w) + 1, t acting on
+    w(rho) as a reflection.  Returns, for each element, the set of keys of
+    all elements below or equal to it.
+    """
+    if not elements:
+        return {}
+    rs = elements[0].system
+    by_key = {w.key: w for w in elements}
+    reflections = [(rs.root_weight_coords(a), rs.coroot(a)) for a in rs.positive_roots]
+    below = {w.key: {w.key} for w in elements}
+    for w in sorted(elements, key=lambda x: x.length):
+        for alpha, co in reflections:
+            c = sum(w.key[k] * co[k] for k in range(rs.rank))
+            higher = by_key.get(tuple(w.key[k] - c * alpha[k] for k in range(rs.rank)))
+            if higher is not None and higher.length == w.length + 1:
+                below[higher.key] |= below[w.key]
+    return below
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "A3", "G2"])
@@ -276,9 +298,9 @@ def _rho_off(rs, J):
 def test_orbit_levels_come_in_length_word_order(label, gens, J):
     rs = build_root_system(label)
     levels = list(orbit(rs, _rho_off(rs, J), gens))
-    pairs = [pair for level in levels for pair in level]
-    for depth, level in enumerate(levels):
-        assert level and all(len(word) == depth for _, word in level)
+    pairs = [pair for points, words in levels for pair in zip(points, words, strict=True)]
+    for depth, (points, words) in enumerate(levels):
+        assert points and all(type(word) is bytes and len(word) == depth for word in words)
     assert [w for _, w in pairs] == sorted((w for _, w in pairs), key=lambda w: (len(w), w))
     assert len({nu for nu, _ in pairs}) == len(pairs)
     # every point is its word applied to the start, and every word reduced
@@ -291,17 +313,36 @@ def test_orbit_levels_come_in_length_word_order(label, gens, J):
 
 def test_orbit_levels_respect_bound_and_budget():
     rs = build_root_system("E7")
-    assert [len(level) for level in orbit(rs, rs.rho, range(7), length_bound=2)] == [1, 7, 27]
-    with pytest.raises(BudgetError):
+    assert [len(points) for points, _ in orbit(rs, rs.rho, range(7), length_bound=2)] == [1, 7, 27]
+    with pytest.raises(BudgetError, match="LIEPAR_BUDGET"):
         list(orbit(rs, rs.rho, range(7), limit=100))
     # the budget counts points found, so a bounded walk under it passes
-    assert sum(map(len, orbit(rs, rs.rho, range(7), length_bound=2, limit=35))) == 35
+    assert sum(len(points) for points, _ in orbit(rs, rs.rho, range(7), length_bound=2, limit=35)) == 35
 
 
 def test_orbit_checks_dominance_before_the_first_level():
     rs = build_root_system("A2")
     with pytest.raises(LieparError, match="not dominant"):
         orbit(rs, (-1, 2), range(2))
+
+
+def test_orbit_refuses_letters_above_one_byte():
+    # checked before the root system is read, so no rank-257 system is built
+    with pytest.raises(LieparError, match="simple index 256 does not fit in a one-byte orbit word"):
+        orbit(None, (0,) * 257, range(257))
+    orbit(None, (0,) * 256, range(256))  # letter 255 fits; the walk starts only when iterated
+
+
+def test_orbit_walk_of_e6_stays_small():
+    # two levels of W(E6) are live at once, at most 3,611 + 3,662 points with their words
+    rs = build_root_system("E6")
+    tracemalloc.start()
+    try:
+        assert sum(len(points) for points, _ in orbit(rs, rs.rho, range(6))) == 51840
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_iter_double_quotient_reps_checks_before_the_first_rep():

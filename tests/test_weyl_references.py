@@ -1,11 +1,11 @@
 """`liepar weyl`, `char`, `golden`, `toric` and `torsion` output is
 byte-identical to the benchmark's recorded references.
 
-Replays, in process, every `weyl` job of the benchmark catalog
-(`perfbench/jobs.py`) except the large E6, D6 and A6 ones, and every `char`,
-`golden`, `toric` and `torsion` job (certificates included), and compares
-the SHA-256 of its stdout with `perfbench/references.json`.  All jobs
-share one process, so root systems and weight systems cached by one job are
+Replays, in process, every `weyl`, `char`, `golden`, `toric` and `torsion`
+job of the benchmark catalog (`perfbench/jobs.py`, certificates included),
+the full E6 enumeration (13 MB of JSON) among them, and compares the
+SHA-256 of its stdout with `perfbench/references.json`.  All jobs share one
+process, so root systems and weight systems cached by one job are
 reused by the next; a cache that changed an answer would show here.  The
 `toric` jobs read their fan files from a temporary directory.  The
 catalog's chain-of-7 pavings have no recorded output (they were documented
@@ -24,7 +24,6 @@ import pytest
 from liepar import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SKIPPED_TYPES = {"E6", "D6", "A6"}  # covered by the benchmark's own gate
 
 
 def _jobs_module():
@@ -37,8 +36,7 @@ def _jobs_module():
 
 JOBS = _jobs_module()
 CATALOG = JOBS.catalog()
-WEYL_JOBS = [job.argv for job in CATALOG
-             if job.subcommand == "weyl" and job.argv[2] not in SKIPPED_TYPES]
+WEYL_JOBS = [job.argv for job in CATALOG if job.subcommand == "weyl"]
 CHARACTER_JOBS = [job.argv for job in CATALOG if job.subcommand in ("char", "golden")]
 TORIC_JOBS = [job for job in CATALOG if job.subcommand == "toric"]
 TORSION_JOBS = [job.argv for job in CATALOG if job.subcommand == "torsion"]
