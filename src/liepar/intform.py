@@ -4,11 +4,14 @@ The rank of the modular reduction of a stratum's form is the multiplicity
 of the corresponding summand; a decomposition report aggregates these per
 stratum and flags whether every form is nondegenerate mod p.
 
-Every rank is computed by two independent routes, and `rank_and_radical`
-cross-checks them.  Over Q, fraction-free (Bareiss) elimination is checked
-against the Smith normal form.  Over F_p, one elimination mod p gives rank
-and radical, and it is checked against the p-local Smith form: elimination
-mod p**(k+1), where k is the p-adic valuation of the last Bareiss pivot.
+`rank_and_radical` computes every rank of a form by two independent
+routes and cross-checks them.  Over Q, fraction-free (Bareiss) elimination
+is checked against the Smith normal form.  Over F_p, one elimination mod p
+gives rank and radical, and it is checked against the p-local Smith form:
+elimination mod p**(k+1), where k is the p-adic valuation of the last
+Bareiss pivot.  Specht Gram matrices do not come here: their rank over Q
+and the valuation of their determinant are known in closed form, and
+`schurweyl.simple_dimension` checks its own elimination against them.
 """
 
 from __future__ import annotations

@@ -5,8 +5,13 @@ integral Gram matrices of Specht modules in the standard-polytabloid basis,
 simple-module dimensions as ranks of the modular reduction, and the
 Jordan-type combinatorics of GL_n nilpotent orbits.
 
-Everything is brute-force transparent: polytabloids are expanded by
-explicit column-group enumeration, so this module stays the oracle layer.
+A Gram matrix comes from polytabloids stored as sets of integer-coded
+tabloids.  Its rank over Q is f^lambda and the p-adic valuation of its
+determinant has a closed form (James and Murphy), so a simple dimension
+needs no elimination over Z: the p-local Smith form runs at doubling
+precision, its valuations must sum to that of the determinant, and one
+elimination mod p must agree with it.  `polytabloid` is the readable
+tuple-keyed expansion the tests check the Gram matrices against.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
+from . import _linalg
 from .config import SPECHT_BUDGET, effective_budget
 from .errors import BudgetError, InvariantError, LieparError
-from .intform import IntegerSymmetricForm, check_prime, rank_and_radical
+from .intform import IntegerSymmetricForm, check_prime
 
 Partition = tuple[int, ...]
 
@@ -193,40 +199,133 @@ def check_specht_budget(d: int, budget: int | None = None) -> None:
         raise BudgetError(f"|lambda| = {d} exceeds Specht budget {limit}; set LIEPAR_BUDGET to raise it")
 
 
+def _signed_tabloids(tableau, per_column, width: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The polytabloid of `tableau` as its sets of positive and negative tabloids.
+
+    A tabloid is one int: the row of entry v sits in the `width` bits from
+    bit width*(v-1) up.  A permutation of one column fixes the rows of that
+    column's entries, so each column contributes a code and a sign of its
+    own, and a tabloid of the polytabloid is a sum of one code per column.
+    The tabloids {sigma t} for sigma in the column group are distinct, so
+    every coefficient is +1 or -1.
+    """
+    positive, negative = [0], []
+    for j, column in enumerate(per_column):
+        weights = [1 << width * (tableau[i][j] - 1) for i in range(len(column[0][0]))]
+        moves = [(sum(i * weights[row] for i, row in enumerate(perm)), sign)
+                 for perm, sign in column]
+        even = [code for code, sign in moves if sign > 0]
+        odd = [code for code, sign in moves if sign < 0]
+        positive, negative = (
+            [a + b for a in positive for b in even] + [a + b for a in negative for b in odd],
+            [a + b for a in positive for b in odd] + [a + b for a in negative for b in even],
+        )
+    return frozenset(positive), frozenset(negative)
+
+
 def specht_gram(lam: Partition, budget: int | None = None) -> GramMatrix:
-    """Gram matrix of the standard polytabloids under the tabloid pairing."""
+    """Gram matrix of the standard polytabloids under the tabloid pairing.
+
+    With e_t = P_t - N_t as sets of tabloids (see `_signed_tabloids`),
+    <e_s, e_t> = |P_s & P_t| + |N_s & N_t| - |P_s & N_t| - |N_s & P_t|.
+    `polytabloid` is the readable expansion that the tests pair against.
+    """
     lam = check_partition(lam)
     check_specht_budget(sum(lam), budget)
     basis = standard_tableaux(lam)
-    vectors = [polytabloid(lam, t) for t in basis]
+    per_column = _column_group(lam)
+    width = max(1, (len(lam) - 1).bit_length())
+    vectors = [_signed_tabloids(t, per_column, width) for t in basis]
     size = len(basis)
     matrix = [[0] * size for _ in range(size)]
-    for i in range(size):
+    for i, (pi, ni) in enumerate(vectors):
         for j in range(i, size):
-            value = 0
-            vi, vj = vectors[i], vectors[j]
-            if len(vj) < len(vi):
-                vi, vj = vj, vi
-            for key, c in vi.items():
-                value += c * vj.get(key, 0)
-            matrix[i][j] = matrix[j][i] = value
+            pj, nj = vectors[j]
+            matrix[i][j] = matrix[j][i] = (len(pi & pj) + len(ni & nj)
+                                           - len(pi & nj) - len(ni & pj))
     form = IntegerSymmetricForm(tuple(tuple(r) for r in matrix),
                                 label="S^(" + ",".join(map(str, lam)) + ")")
     return GramMatrix(form, tuple(basis))
+
+
+def _gram_determinant_factors(lam: Partition, basis) -> tuple[list[int], list[int]]:
+    """Factors (numerator, denominator) of |det G^lambda| in closed form.
+
+    |det G^lambda| is the product over the standard tableaux t of
+    gamma_t = prod_k prod_A (c_t(k) - c(a)) / prod_R (c_t(k) - c(b)), where
+    A and R are the addable and removable nodes of the shape of the entries
+    1..k of t in the rows strictly above the row of k, and c(i, j) = j - i
+    is the content (James and Murphy, "The determinant of the Gram matrix
+    for a Specht module", J. Algebra 59, 1979; Murphy, J. Algebra 152,
+    1992).  Those nodes have larger content than k, so no factor is 0.
+    """
+    numerator: list[int] = []
+    denominator: list[int] = []
+    for t in basis:
+        node = {v: (i, j) for i, row in enumerate(t) for j, v in enumerate(row)}
+        shape = [0] * len(lam)
+        for k in range(1, len(node) + 1):
+            r, c = node[k]
+            shape[r] += 1
+            content = c - r
+            for i in range(r):
+                if i == 0 or shape[i - 1] > shape[i]:
+                    numerator.append(content - (shape[i] - i))
+                if shape[i] > shape[i + 1]:
+                    denominator.append(content - (shape[i] - 1 - i))
+    return numerator, denominator
+
+
+def _specht_rank_mod_p(matrix, p: int, f: int, k: int) -> int:
+    """F_p rank of a Gram matrix of rank f whose determinant has p-adic valuation k.
+
+    The p-local Smith form runs at precision p**min(e, k+1) for e = 2, 4,
+    8, ... until it finds f divisors; at precision p**(k+1) it must, since
+    no divisor of a nonsingular matrix has valuation above k.  It starts at
+    p**2 because mod p the matrix is singular unless k = 0.  The valuations
+    found must sum to k exactly, and one elimination mod p must find as
+    many pivots as there are divisors prime to p.
+    """
+    e = 2
+    while True:
+        precision = min(e, k + 1)
+        valuations = _linalg.local_smith_valuations(matrix, p, precision - 1)
+        if len(valuations) == f:
+            break
+        if precision == k + 1:
+            raise InvariantError(f"p-local Smith form mod {p}**{k + 1} finds "
+                                 f"{len(valuations)} divisors, not {f}")
+        e *= 2
+    if sum(valuations) != k:
+        raise InvariantError(f"p-local Smith valuations sum to {sum(valuations)}, "
+                             f"not to v_{p}(det) = {k}")
+    rank_fp = len(_linalg.modp_echelon(matrix, p)[1])
+    if rank_fp != valuations.count(0):
+        raise InvariantError("elimination rank mod p disagrees with p-local Smith form")
+    return rank_fp
 
 
 def simple_dimension(lam: Partition, p: int) -> int:
     """dim of the simple head of the Specht module in characteristic p.
 
     Computed as the rank of the Gram matrix over F_p; defined only for
-    p-regular partitions.
+    p-regular partitions.  Its rank over Q is f^lambda and the p-adic
+    valuation of its determinant comes from the closed form, so no
+    elimination over Z is needed (`_specht_rank_mod_p`).
     """
     lam = check_partition(lam)
+    check_prime(p)
     if not is_p_regular(lam, p):
         raise LieparError(f"{lam} is not {p}-regular: it indexes no simple module")
     gram = specht_gram(lam)
-    result = rank_and_radical(gram.form, p)
-    return result.rank_fp
+    f = hook_length_count(lam)
+    if gram.size != f:
+        raise InvariantError(f"{gram.size} standard tableaux of shape {lam}, "
+                             f"but the hook length formula gives {f}")
+    numerator, denominator = _gram_determinant_factors(lam, gram.basis)
+    k = (sum(_linalg.p_valuation(a, p) for a in numerator)
+         - sum(_linalg.p_valuation(b, p) for b in denominator))
+    return _specht_rank_mod_p(gram.form.matrix, p, f, k)
 
 
 def simple_dimensions(d: int, p: int) -> dict[Partition, int]:
@@ -249,45 +348,6 @@ def simple_dims_table(d: int, p: int) -> list[int]:
     corresponding orbit closures.
     """
     return sorted(simple_dimensions(d, p).values())
-
-
-def specht_radical_bruteforce(lam: Partition, p: int, limit: int = 10**6) -> int:
-    """Simple-head dimension by exhaustive radical enumeration over F_p.
-
-    Enumerates every vector of the Specht module and tests orthogonality
-    against all standard polytabloids; only viable for p**f <= limit.
-    Serves as an oracle fully independent of matrix elimination.
-    """
-    lam = check_partition(lam)
-    basis = standard_tableaux(lam)
-    f = len(basis)
-    if p**f > limit:
-        raise BudgetError(f"{p}**{f} exceeds brute-force limit")
-    vectors = [polytabloid(lam, t) for t in basis]
-    keys = sorted({k for v in vectors for k in v})
-    idx = {k: i for i, k in enumerate(keys)}
-    mat = [[0] * len(keys) for _ in range(f)]
-    for r, v in enumerate(vectors):
-        for k, c in v.items():
-            mat[r][idx[k]] = c % p
-    radical = 0
-    coeffs = [0] * f
-    for code in range(p**f):
-        val = code
-        for i in range(f):
-            coeffs[i] = val % p
-            val //= p
-        vec = [sum(coeffs[r] * mat[r][c] for r in range(f)) % p for c in range(len(keys))]
-        if all(
-            sum(vec[c] * mat[r][c] for c in range(len(keys))) % p == 0 for r in range(f)
-        ):
-            radical += 1
-    rad_dim = 0
-    while p**rad_dim < radical:
-        rad_dim += 1
-    if p**rad_dim != radical:
-        raise InvariantError(f"radical has {radical} elements, not a power of {p}")
-    return f - rad_dim
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,8 @@ def generate_weyl(rs: RootSystem, length_bound: int | None = None,
     limit = budget if budget is not None else effective_budget(WEYL_BUDGET)
     if length_bound is None and rs.weyl_order() > limit:
         raise BudgetError(
-            f"|W| = {rs.weyl_order()} exceeds budget {limit}; pass a length bound"
+            f"|W| = {rs.weyl_order()} exceeds budget {limit}; "
+            "pass a length bound or set LIEPAR_BUDGET to raise it"
         )
     return list(_elements(rs, rs.rho, range(rs.rank), length_bound=length_bound, limit=limit))
 

@@ -13,6 +13,7 @@ import time
 from liepar import characters, intform, schurweyl, toricpave, torsion, weyl
 from liepar.golden import load_table, run_golden
 from liepar.rootsys import build_root_system
+from specht_oracle import specht_radical_bruteforce
 
 RANK_LE_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
              "C2", "C3", "C4", "D3", "D4", "G2", "F4"]
@@ -155,7 +156,7 @@ def test_criterion_7_schur_weyl_desk_scale():
     assert schurweyl.simple_dims_table(3, 3) == [1, 1]
     for lam in ((3,), (2, 1)):
         for p in (2, 3):
-            assert (schurweyl.specht_radical_bruteforce(lam, p)
+            assert (specht_radical_bruteforce(lam, p)
                     == schurweyl.simple_dimension(lam, p)), (lam, p)
     _report(7, started, 600, "RSK identity, semisimple ranks above d, d=3 dual-oracle tables")
 

@@ -25,7 +25,8 @@ def test_bad_budget_override_is_an_error(monkeypatch, raw):
 
 def test_env_budget_limits_weyl_enumeration(monkeypatch):
     monkeypatch.setenv("LIEPAR_BUDGET", "10")
-    with pytest.raises(BudgetError):
-        generate_weyl(build_root_system("B3"))  # |W| = 48 > 10
+    with pytest.raises(BudgetError, match=r"^\|W\| = 48 exceeds budget 10; "
+                                          r"pass a length bound or set LIEPAR_BUDGET to raise it$"):
+        generate_weyl(build_root_system("B3"))
     monkeypatch.delenv("LIEPAR_BUDGET")
     assert len(generate_weyl(build_root_system("B3"))) == 48

@@ -1,9 +1,10 @@
+import functools
 import math
 
 import pytest
 
-from liepar import schurweyl
-from liepar.errors import BudgetError, LieparError
+from liepar import _linalg, intform, schurweyl
+from liepar.errors import BudgetError, InvariantError, LieparError
 from liepar.intform import rank_and_radical
 from liepar.schurweyl import (
     conjugate,
@@ -15,10 +16,10 @@ from liepar.schurweyl import (
     simple_dimension,
     simple_dims_table,
     specht_gram,
-    specht_radical_bruteforce,
     standard_multiplicities,
     standard_tableaux,
 )
+from specht_oracle import specht_radical_bruteforce
 
 
 def test_partitions_and_conjugate():
@@ -172,7 +173,86 @@ def test_column_group_is_built_once_per_shape():
         specht_gram(lam)
     info = schurweyl._column_group.cache_info()
     assert info.misses == len(partitions(6))
-    assert info.hits == 2 * sum(hook_length_count(lam) for lam in partitions(6)) - info.misses
+    assert info.hits == info.misses
     group = schurweyl._column_group((3, 2, 1))
     assert isinstance(group, tuple) and all(isinstance(column, tuple) for column in group)
     assert [len(column) for column in group] == [6, 2, 1]
+
+
+@functools.cache
+def _gram(lam):
+    return specht_gram(lam)
+
+
+_BAREISS = _linalg._bareiss
+_BAREISS_MEMO = {}
+
+
+def _bareiss_once(matrix):
+    # the Gram matrices of d = 8 take most of a second of Bareiss; run each once
+    key = tuple(map(tuple, matrix))
+    if key not in _BAREISS_MEMO:
+        _BAREISS_MEMO[key] = _BAREISS(matrix)
+    return _BAREISS_MEMO[key]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_specht_gram_pairs_polytabloids(d):
+    for lam in partitions(d):
+        gram = _gram(lam)
+        vectors = [polytabloid(lam, t) for t in gram.basis]
+        for i, u in enumerate(vectors):
+            for j in range(i, len(vectors)):
+                v = vectors[j]
+                paired = sum(c * v.get(key, 0) for key, c in u.items())
+                assert gram.form.matrix[i][j] == paired, (lam, i, j)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_closed_form_determinant_is_the_last_bareiss_pivot(d):
+    for lam in partitions(d):
+        gram = _gram(lam)
+        rank, pivot = _bareiss_once(gram.form.matrix)
+        assert rank == gram.size == hook_length_count(lam)
+        numerator, denominator = schurweyl._gram_determinant_factors(lam, gram.basis)
+        assert abs(math.prod(numerator)) == abs(pivot) * abs(math.prod(denominator)), lam
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_simple_dimension_is_the_rank_of_rank_and_radical(p, monkeypatch):
+    monkeypatch.setattr(schurweyl, "specht_gram", _gram)
+    monkeypatch.setattr(_linalg, "_bareiss", _bareiss_once)
+    for d in range(1, 9):
+        for lam in partitions(d):
+            if is_p_regular(lam, p):
+                expected = rank_and_radical(_gram(lam).form, p).rank_fp
+                assert simple_dimension(lam, p) == expected, lam
+
+
+def test_specht_ranks_need_no_elimination_over_z(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("elimination over Z on the Specht path")
+
+    assert not hasattr(schurweyl, "rank_and_radical")
+    monkeypatch.setattr(_linalg, "_bareiss", refuse)
+    monkeypatch.setattr(intform, "rank_and_radical", refuse)
+    assert schurweyl.simple_dims_table(7, 3) == [1, 1, 6, 6, 13, 13, 15, 15, 20]
+
+
+def test_doubling_loop_refuses_a_singular_or_perturbed_matrix():
+    # G^(2,1) has determinant 3, so one divisor 3 mod 3 and F_3 rank 1
+    assert schurweyl._specht_rank_mod_p(((2, 1), (1, 2)), 3, 2, 1) == 1
+    # determinant 9: the second divisor has valuation 2, beyond the bound k = 1
+    with pytest.raises(InvariantError, match="mod 3\\*\\*2 finds 1 divisors, not 2"):
+        schurweyl._specht_rank_mod_p(((2, 1), (1, 5)), 3, 2, 1)
+    # determinant 1: both divisors found, but their valuations sum to 0
+    with pytest.raises(InvariantError, match="sum to 0, not to v_3\\(det\\) = 1"):
+        schurweyl._specht_rank_mod_p(((2, 1), (1, 1)), 3, 2, 1)
+    # singular: the loop stops at precision p**(k+1) however large k is
+    lam = (3, 2, 1)
+    gram = [list(row) for row in _gram(lam).form.matrix]
+    for row in gram:
+        row[-1] = 0
+    gram[-1] = [0] * len(gram)
+    with pytest.raises(InvariantError, match="mod 3\\*\\*41 finds 15 divisors, not 16"):
+        schurweyl._specht_rank_mod_p(gram, 3, 16, 40)

@@ -29,6 +29,7 @@ import sys
 from liepar.characters import decompose_weight_multiset, weight_multiplicities
 from liepar.errors import InvariantError
 from liepar.rootsys import build_root_system
+from liepar.schurweyl import _specht_rank_mod_p, specht_gram
 
 a2 = build_root_system("A2")
 negative = dict(weight_multiplicities(a2, (1, 1)).weight_mults)
@@ -40,6 +41,14 @@ for multiset in ({(1, 0): 1, (0, 1): 1}, negative):
         print("raised")
     else:
         print("accepted")
+
+gram = specht_gram((2, 1)).form.matrix  # determinant 3
+try:
+    _specht_rank_mod_p(gram, 3, 2, 2)  # claims v_3(det) = 2
+except InvariantError:
+    print("raised")
+else:
+    print("accepted")
 print(sys.flags.optimize)
 """
 
@@ -50,4 +59,4 @@ def test_invariant_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised", "1"]
+    assert proc.stdout.split() == ["raised", "raised", "raised", "1"]
