@@ -7,13 +7,27 @@ Over Q there is one elimination, the Gauss-Jordan `rref_q`; inverse,
 solve, rank and kernel are read off its result.  Fraction-free Bareiss,
 the Smith normal form, the p-local Smith form and elimination mod p are
 separate on purpose: they are the independent rank checks.
+`integer_rows` is the one check that a matrix read from a file holds ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import LieparError
+
 IntMatrix = list[list[int]]
+
+
+def integer_rows(value, what: str) -> list[tuple[int, ...]]:
+    """An input file's list of integer lists, or a domain error naming the field.
+
+    JSON booleans and floats are refused, not read as ints.
+    """
+    if not isinstance(value, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in value):
+        raise LieparError(f'"{what}" must be a list of integer lists, got {str(value)[:40]}')
+    return [tuple(row) for row in value]
 
 
 def _copy_int(matrix) -> IntMatrix:

@@ -4,14 +4,14 @@ The rank of the modular reduction of a stratum's form is the multiplicity
 of the corresponding summand; a decomposition report aggregates these per
 stratum and flags whether every form is nondegenerate mod p.
 
-`rank_and_radical` computes every rank of a form by two independent
-routes and cross-checks them.  Over Q, fraction-free (Bareiss) elimination
-is checked against the Smith normal form.  Over F_p, one elimination mod p
-gives rank and radical, and it is checked against the p-local Smith form:
-elimination mod p**(k+1), where k is the p-adic valuation of the last
-Bareiss pivot.  Specht Gram matrices do not come here: their rank over Q
-and the valuation of their determinant are known in closed form, and
-`schurweyl.simple_dimension` checks its own elimination against them.
+Every F_p rank in the package, of an intersection form read from a file
+or of a Specht Gram matrix, comes from `rank_mod_p`, which computes it by
+two independent routes and cross-checks them: the p-local Smith form and
+one elimination mod p.  The caller supplies the rank over Q and the
+p-adic valuation k of a nonzero minor of that size.  `rank_and_radical`
+takes both from fraction-free (Bareiss) elimination and reads the radical
+off the elimination mod p; `schurweyl.simple_dimension` takes them from
+closed forms.
 """
 
 from __future__ import annotations
@@ -90,57 +90,72 @@ class IntegerSymmetricForm:
     def from_dict(cls, data: dict) -> "IntegerSymmetricForm":
         if not isinstance(data, dict) or "rows" not in data:
             raise LieparError(f'a form is a JSON object with "rows", got {str(data)[:40]}')
-        rows = data["rows"]
+        rows = _linalg.integer_rows(data["rows"], "rows")
         if "n" in data and len(rows) != data["n"]:
             raise LieparError("declared size does not match row count")
-        return cls(tuple(tuple(r) for r in rows), str(data.get("label", "")))
+        return cls(tuple(rows), str(data.get("label", "")))
+
+
+def rank_mod_p(matrix, p: int, rank: int, k: int) -> tuple[list[int], _linalg.IntMatrix, list[int]]:
+    """Checked F_p rank of an integer matrix: (p-local valuations, rref mod p, pivots).
+
+    `rank` is the rank over Q and k the p-adic valuation of a nonzero
+    rank x rank minor, so no Smith divisor has valuation above k.  The
+    p-local Smith form runs mod p**min(e, k+1) for e = 2, 4, 8, ... until
+    it finds `rank` divisors; mod p**(k+1) it must.  Their valuations sum
+    to that of the gcd of the rank x rank minors: at most k, and exactly k
+    when the matrix is square and nonsingular, the minor then being the
+    determinant.  One elimination mod p must find as many pivots as there
+    are divisors prime to p.  A failed check raises InvariantError.
+    """
+    e = 2
+    while True:
+        precision = min(e, k + 1)
+        valuations = _linalg.local_smith_valuations(matrix, p, precision - 1)
+        if len(valuations) == rank:
+            break
+        if precision == k + 1:
+            raise InvariantError(f"p-local Smith form mod {p}**{k + 1} finds "
+                                 f"{len(valuations)} divisors, not {rank}")
+        e *= 2
+    exact = rank == len(matrix) and all(len(row) == rank for row in matrix)
+    if sum(valuations) > k or (exact and sum(valuations) != k):
+        raise InvariantError(f"p-local Smith valuations sum to {sum(valuations)}, not to "
+                             f"{'' if exact else 'at most '}{k}, the valuation of a "
+                             f"nonzero {rank} x {rank} minor")
+    rref, pivots = _linalg.modp_echelon(matrix, p)
+    if len(pivots) != valuations.count(0):
+        raise InvariantError("elimination rank mod p disagrees with p-local Smith form")
+    return valuations, rref, pivots
 
 
 @dataclass(frozen=True)
 class RankResult:
-    """Ranks of a form over Q and F_p, its radical mod p and its elementary divisors.
+    """Ranks of a form over Q and F_p, its radical mod p and its p-local divisors.
 
-    Without a prime, `elementary_divisors` are the nonzero Smith divisors.
-    With a prime p, they are the p-parts p**v of those divisors, ascending:
-    a divisor is prime to p exactly when its p-part is 1, so `rank_fp` is the
-    number of ones.
+    `elementary_divisors` are the p-parts p**v of the nonzero Smith
+    divisors, ascending: a divisor is prime to p exactly when its p-part is
+    1, so `rank_fp` is the number of ones.
     """
 
     rank_q: int
-    rank_fp: int | None
+    rank_fp: int
     radical_basis: tuple[tuple[int, ...], ...]
     elementary_divisors: tuple[int, ...]
 
 
-def rank_and_radical(form: IntegerSymmetricForm, p: int | None = None) -> RankResult:
+def rank_and_radical(form: IntegerSymmetricForm, p: int) -> RankResult:
     """Rank over Q, rank over F_p and an echelonized radical basis mod p.
 
-    The Bareiss rank over Q is checked against the number of Smith divisors
-    when p is None, and against the number of p-local Smith divisors
-    otherwise.  Those local divisors come from elimination mod p**(k+1),
-    where k is the p-adic valuation of the last Bareiss pivot (a nonzero
-    r x r minor), so their valuations must sum to at most k.  The F_p rank
-    and the radical come from one elimination mod p; the rank must equal
-    the number of local divisors of valuation 0.
+    The rank over Q and the last pivot, a nonzero minor of that size, come
+    from Bareiss elimination; `rank_mod_p` checks the F_p rank against the
+    p-local Smith form, and the radical is read off its elimination mod p.
     """
+    check_prime(p)
     rows = [list(r) for r in form.matrix]
     rank_q, minor = _linalg._bareiss(rows)
-    if p is None:
-        divisors = tuple(_linalg.smith_normal_form(rows))
-        if len(divisors) != rank_q:
-            raise InvariantError("Smith rank disagrees with Bareiss rank")
-        return RankResult(rank_q, None, (), divisors)
-    check_prime(p)
-    k = _linalg.p_valuation(minor, p)
-    valuations = _linalg.local_smith_valuations(rows, p, k)
-    if len(valuations) != rank_q:
-        raise InvariantError("p-local Smith rank disagrees with Bareiss rank")
-    if sum(valuations) > k:
-        raise InvariantError("p-local Smith valuations exceed those of a nonzero minor")
-    rref, pivots = _linalg.modp_echelon(rows, p)
+    valuations, rref, pivots = rank_mod_p(rows, p, rank_q, _linalg.p_valuation(minor, p))
     rank_fp = len(pivots)
-    if rank_fp != valuations.count(0):
-        raise InvariantError("elimination rank mod p disagrees with p-local Smith form")
     radical = tuple(tuple(v) for v in _linalg.echelon_kernel(rref, pivots, form.size, p))
     if len(radical) != form.size - rank_fp:
         raise InvariantError("radical dimension inconsistent with rank")
@@ -210,6 +225,6 @@ def load_forms(path: str) -> list[IntegerSymmetricForm]:
         data = json.load(fh)
     if isinstance(data, dict) and "forms" in data:
         data = data["forms"]
-    if isinstance(data, dict):
+    if not isinstance(data, list):
         data = [data]
     return [IntegerSymmetricForm.from_dict(d) for d in data]

@@ -8,10 +8,10 @@ Jordan-type combinatorics of GL_n nilpotent orbits.
 A Gram matrix comes from polytabloids stored as sets of integer-coded
 tabloids.  Its rank over Q is f^lambda and the p-adic valuation of its
 determinant has a closed form (James and Murphy), so a simple dimension
-needs no elimination over Z: the p-local Smith form runs at doubling
-precision, its valuations must sum to that of the determinant, and one
-elimination mod p must agree with it.  `polytabloid` is the readable
-tuple-keyed expansion the tests check the Gram matrices against.
+needs no elimination over Z: both go to `intform.rank_mod_p`, the checked
+F_p rank that intersection forms read from files use too.  `polytabloid`
+is the readable tuple-keyed expansion the tests check the Gram matrices
+against.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import permutations
 from . import _linalg
 from .config import SPECHT_BUDGET, effective_budget
 from .errors import BudgetError, InvariantError, LieparError
-from .intform import IntegerSymmetricForm, check_prime
+from .intform import IntegerSymmetricForm, check_prime, rank_mod_p
 
 Partition = tuple[int, ...]
 
@@ -53,7 +53,7 @@ def partitions(d: int) -> list[Partition]:
 
 def conjugate(lam: Partition) -> Partition:
     lam = check_partition(lam)
-    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
+    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0] if lam else 0))
 
 
 def is_p_regular(lam: Partition, p: int) -> bool:
@@ -189,12 +189,12 @@ def polytabloid(lam: Partition, tableau) -> dict[tuple, int]:
     return {k: v for k, v in coeffs.items() if v}
 
 
-def check_specht_budget(d: int, budget: int | None = None) -> None:
+def check_specht_budget(d: int) -> None:
     """Raise BudgetError when Specht modules of S_d exceed the budget.
 
     Callers check d before they enumerate the partitions of d.
     """
-    limit = budget if budget is not None else effective_budget(SPECHT_BUDGET)
+    limit = effective_budget(SPECHT_BUDGET)
     if d > limit:
         raise BudgetError(f"|lambda| = {d} exceeds Specht budget {limit}; set LIEPAR_BUDGET to raise it")
 
@@ -223,7 +223,7 @@ def _signed_tabloids(tableau, per_column, width: int) -> tuple[frozenset[int], f
     return frozenset(positive), frozenset(negative)
 
 
-def specht_gram(lam: Partition, budget: int | None = None) -> GramMatrix:
+def specht_gram(lam: Partition) -> GramMatrix:
     """Gram matrix of the standard polytabloids under the tabloid pairing.
 
     With e_t = P_t - N_t as sets of tabloids (see `_signed_tabloids`),
@@ -231,7 +231,7 @@ def specht_gram(lam: Partition, budget: int | None = None) -> GramMatrix:
     `polytabloid` is the readable expansion that the tests pair against.
     """
     lam = check_partition(lam)
-    check_specht_budget(sum(lam), budget)
+    check_specht_budget(sum(lam))
     basis = standard_tableaux(lam)
     per_column = _column_group(lam)
     width = max(1, (len(lam) - 1).bit_length())
@@ -276,42 +276,14 @@ def _gram_determinant_factors(lam: Partition, basis) -> tuple[list[int], list[in
     return numerator, denominator
 
 
-def _specht_rank_mod_p(matrix, p: int, f: int, k: int) -> int:
-    """F_p rank of a Gram matrix of rank f whose determinant has p-adic valuation k.
-
-    The p-local Smith form runs at precision p**min(e, k+1) for e = 2, 4,
-    8, ... until it finds f divisors; at precision p**(k+1) it must, since
-    no divisor of a nonsingular matrix has valuation above k.  It starts at
-    p**2 because mod p the matrix is singular unless k = 0.  The valuations
-    found must sum to k exactly, and one elimination mod p must find as
-    many pivots as there are divisors prime to p.
-    """
-    e = 2
-    while True:
-        precision = min(e, k + 1)
-        valuations = _linalg.local_smith_valuations(matrix, p, precision - 1)
-        if len(valuations) == f:
-            break
-        if precision == k + 1:
-            raise InvariantError(f"p-local Smith form mod {p}**{k + 1} finds "
-                                 f"{len(valuations)} divisors, not {f}")
-        e *= 2
-    if sum(valuations) != k:
-        raise InvariantError(f"p-local Smith valuations sum to {sum(valuations)}, "
-                             f"not to v_{p}(det) = {k}")
-    rank_fp = len(_linalg.modp_echelon(matrix, p)[1])
-    if rank_fp != valuations.count(0):
-        raise InvariantError("elimination rank mod p disagrees with p-local Smith form")
-    return rank_fp
-
-
 def simple_dimension(lam: Partition, p: int) -> int:
     """dim of the simple head of the Specht module in characteristic p.
 
     Computed as the rank of the Gram matrix over F_p; defined only for
     p-regular partitions.  Its rank over Q is f^lambda and the p-adic
     valuation of its determinant comes from the closed form, so no
-    elimination over Z is needed (`_specht_rank_mod_p`).
+    elimination over Z is needed: `intform.rank_mod_p` checks the F_p rank
+    against them.
     """
     lam = check_partition(lam)
     check_prime(p)
@@ -325,7 +297,7 @@ def simple_dimension(lam: Partition, p: int) -> int:
     numerator, denominator = _gram_determinant_factors(lam, gram.basis)
     k = (sum(_linalg.p_valuation(a, p) for a in numerator)
          - sum(_linalg.p_valuation(b, p) for b in denominator))
-    return _specht_rank_mod_p(gram.form.matrix, p, f, k)
+    return len(rank_mod_p(gram.form.matrix, p, f, k)[2])
 
 
 def simple_dimensions(d: int, p: int) -> dict[Partition, int]:
@@ -373,6 +345,8 @@ class NilpotentOrbitData:
 def nilpotent_orbit_data(lam, n: int) -> NilpotentOrbitData:
     """Orbit dimension, conjugate partition and reductive centralizer type."""
     lam = check_partition(lam)
+    if n < 1:
+        raise LieparError(f"n must be a positive integer, got {n}")
     if sum(lam) != n:
         raise LieparError(f"partition {lam} is not a partition of {n}")
     conj = conjugate(lam)

@@ -127,14 +127,6 @@ def _maximal(cones) -> list[ConeKey]:
     return [c for c in cones if frozenset(c) in keep]
 
 
-def _integer_rows(value, what: str) -> list[tuple[int, ...]]:
-    """A fan file's list of integer lists, or a domain error naming the field."""
-    if not isinstance(value, list) or not all(
-            isinstance(row, list) and all(type(x) is int for x in row) for row in value):
-        raise LieparError(f'"{what}" must be a list of integer lists, got {str(value)[:40]}')
-    return [tuple(row) for row in value]
-
-
 @dataclass(frozen=True)
 class Fan:
     """A fan: primitive rays and cones (ray-index tuples) closed under faces.
@@ -209,11 +201,11 @@ class Fan:
         rank = data["rank"]
         if type(rank) is not int or rank < 1:
             raise LieparError(f"fan rank must be a positive integer, got {rank!r}")
-        rays = _integer_rows(data["rays"], "rays")
+        rays = _linalg.integer_rows(data["rays"], "rays")
         for ray in rays:
             if len(ray) != rank:
                 raise LieparError(f"ray {list(ray)} does not have {rank} coordinates")
-        cones = [tuple(sorted(c)) for c in _integer_rows(data["cones"], "cones")]
+        cones = [tuple(sorted(c)) for c in _linalg.integer_rows(data["cones"], "cones")]
         for cone in cones:
             if any(not 0 <= i < len(rays) for i in cone):
                 raise LieparError(f"cone {list(cone)} names a ray outside 0..{len(rays) - 1}")

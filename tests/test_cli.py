@@ -171,6 +171,13 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("toric", "--fan", "{quadrant}", "--tau", "{orthant}"), "fan has rank 2 but tau has rank 3"),
     (("toric", "--fan", "{quadrant}", "--tau", "{orthant}", "--paving"),
      "fan has rank 2 but tau has rank 3"),
+    (("intform", "--in", "{float_entry}", "--p", "2"), '"rows" must be a list of integer lists'),
+    (("intform", "--in", "{bool_entry}", "--p", "2"), '"rows" must be a list of integer lists'),
+    (("intform", "--in", "{scalar_rows}", "--p", "2"), '"rows" must be a list of integer lists'),
+    (("intform", "--in", "{scalar_row}", "--p", "2"), '"rows" must be a list of integer lists'),
+    (("intform", "--in", "{text_entry}", "--p", "2"), '"rows" must be a list of integer lists'),
+    (("intform", "--in", "{scalar_file}", "--p", "2"), '"rows"'),
+    (("nilpotent", "--partition", ",", "--n", "0"), "n must be a positive integer"),
 ])
 def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, message):
     files = {
@@ -184,6 +191,13 @@ def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, messag
         "repeated_ray": _write(tmp_path / "twice.json", {**QUADRANT, "cones": [[0, 0]]}),
         "orthant": _write(tmp_path / "orthant.json", {
             "rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "cones": [[0, 1, 2]]}),
+        # a JSON 1.5 or true is not an integer, though int() would take it
+        "float_entry": _write(tmp_path / "float.json", {"rows": [[1.5]]}),
+        "bool_entry": _write(tmp_path / "bool.json", {"rows": [[True]]}),
+        "scalar_rows": _write(tmp_path / "scalar.json", {"rows": 5}),
+        "scalar_row": _write(tmp_path / "row.json", {"rows": [5]}),
+        "text_entry": _write(tmp_path / "text_entry.json", {"rows": [["a"]]}),
+        "scalar_file": _write(tmp_path / "five.json", 5),
     }
     (tmp_path / "fan.txt").write_text("rank 2\n")
     code, out, err = run(capsys, *(a.format(**files) for a in argv))

@@ -6,7 +6,7 @@ import pytest
 
 from liepar import _linalg
 from liepar._linalg import modp_rank, smith_normal_form
-from liepar.errors import LieparError
+from liepar.errors import InvariantError, LieparError
 from liepar.intform import (
     PRIME_LIMIT,
     DecompositionReport,
@@ -16,8 +16,10 @@ from liepar.intform import (
     is_prime,
     load_forms,
     rank_and_radical,
+    rank_mod_p,
 )
 from liepar.rootsys import build_root_system
+from liepar.schurweyl import specht_gram
 
 
 def test_form_validation():
@@ -57,9 +59,12 @@ def test_zero_matrix():
         assert res.rank_q == 0 and res.rank_fp == 0
 
 
-def test_rank_without_prime():
-    res = rank_and_radical(IntegerSymmetricForm(((2, 0), (0, 4)),))
-    assert res.rank_q == 2 and res.rank_fp is None
+def test_rank_needs_a_prime():
+    form = IntegerSymmetricForm(((2, 0), (0, 4)),)
+    with pytest.raises(TypeError):
+        rank_and_radical(form)
+    res = rank_and_radical(form, 2)
+    assert res.rank_q == 2 and res.rank_fp == 0 and res.elementary_divisors == (2, 4)
 
 
 def test_non_prime_rejected():
@@ -96,9 +101,9 @@ def test_bad_primes_are_divisors_of_elementary_divisors():
     for _ in range(50):
         n = rng.randint(1, 5)
         form = IntegerSymmetricForm(random_symmetric(rng, n))
-        res = rank_and_radical(form)
+        divisors = smith_normal_form(form.matrix)
         bad = set()
-        for d in res.elementary_divisors:
+        for d in divisors:
             f = 2
             v = d
             while f * f <= v:
@@ -110,8 +115,9 @@ def test_bad_primes_are_divisors_of_elementary_divisors():
             if v > 1:
                 bad.add(v)
         for p in (2, 3, 5, 7, 11):
-            drop = rank_and_radical(form, p).rank_fp < res.rank_q
-            assert drop == (p in bad)
+            res = rank_and_radical(form, p)
+            assert res.rank_q == len(divisors)
+            assert (res.rank_fp < res.rank_q) == (p in bad)
 
 
 def random_unimodular(rng, n):
@@ -185,23 +191,45 @@ def test_p_local_divisors_are_p_parts_of_smith_divisors():
     rng = random.Random(11)
     for _ in range(100):
         form = IntegerSymmetricForm(random_symmetric(rng, rng.randint(1, 6)))
-        divisors = rank_and_radical(form).elementary_divisors
+        divisors = smith_normal_form(form.matrix)
         for p in (2, 3, 5, 7):
             parts = tuple(p ** _linalg.p_valuation(d, p) for d in divisors)
             assert rank_and_radical(form, p).elementary_divisors == parts
 
 
 @pytest.mark.parametrize("matrix,tamper,message", [
-    (((2, 1), (1, 2)), lambda vals: vals[:-1], "disagrees with Bareiss rank"),
-    (((2, 1), (1, 2)), lambda vals: [v + 1 for v in vals], "exceed those of a nonzero minor"),
+    (((2, 1), (1, 2)), lambda vals: vals[:-1], "finds 1 divisors, not 2"),
+    (((2, 1), (1, 2)), lambda vals: [v + 1 for v in vals], "sum to 3, not to 1,"),
     # the last Bareiss pivot is 9, so k = 2 leaves room for one more valuation
     (((9, 3), (3, 1)), lambda vals: [v + 1 for v in vals], "disagrees with p-local Smith form"),
+    # nonsingular, so the valuations must sum to v_3(det) = 2 exactly: a sum of
+    # 1 with the one unit divisor that elimination mod 3 also finds is refused
+    (((1, 0), (0, 9)), lambda vals: [min(v, 1) for v in vals], "sum to 1, not to 2,"),
 ])
 def test_rank_cross_checks_raise(monkeypatch, matrix, tamper, message):
     local = _linalg.local_smith_valuations
     monkeypatch.setattr(_linalg, "local_smith_valuations", lambda *a: tamper(local(*a)))
     with pytest.raises(AssertionError, match=message):
         rank_and_radical(IntegerSymmetricForm(matrix), 3)
+
+
+def test_doubling_loop_refuses_a_singular_or_perturbed_matrix():
+    # G^(2,1) has determinant 3, so one divisor 3 mod 3 and F_3 rank 1
+    valuations, rref, pivots = rank_mod_p(((2, 1), (1, 2)), 3, 2, 1)
+    assert valuations == [0, 1] and rref == [[1, 2], [0, 0]] and pivots == [0]
+    # determinant 9: the second divisor has valuation 2, beyond the bound k = 1
+    with pytest.raises(InvariantError, match=r"mod 3\*\*2 finds 1 divisors, not 2"):
+        rank_mod_p(((2, 1), (1, 5)), 3, 2, 1)
+    # determinant 1: both divisors found, but their valuations sum to 0
+    with pytest.raises(InvariantError, match="sum to 0, not to 1, the valuation of a nonzero 2 x 2"):
+        rank_mod_p(((2, 1), (1, 1)), 3, 2, 1)
+    # singular: the loop stops at precision p**(k+1) however large k is
+    gram = [list(row) for row in specht_gram((3, 2, 1)).form.matrix]
+    for row in gram:
+        row[-1] = 0
+    gram[-1] = [0] * len(gram)
+    with pytest.raises(InvariantError, match=r"mod 3\*\*41 finds 15 divisors, not 16"):
+        rank_mod_p(gram, 3, 16, 40)
 
 
 def test_is_prime_agrees_with_trial_division_below_1e5():

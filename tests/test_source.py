@@ -24,12 +24,46 @@ def test_no_assert_in_library(path):
     assert not lines, f"{path.name}: assert on lines {lines}; raise InvariantError instead"
 
 
+CHECKED_RANK_KERNELS = {"local_smith_valuations", "modp_echelon"}
+
+
+def _kernel_uses(node, function=None):
+    """(enclosing function, name) of each name, attribute or import of a checked-rank kernel."""
+    if isinstance(node, ast.FunctionDef):
+        function = node.name
+    if isinstance(node, ast.Attribute):
+        named = {node.attr}
+    elif isinstance(node, ast.Name):
+        named = {node.id}
+    elif isinstance(node, ast.alias):
+        named = {node.name, node.asname}
+    else:
+        named = set()
+    uses = [(function, name) for name in named & CHECKED_RANK_KERNELS]
+    for child in ast.iter_child_nodes(node):
+        uses += _kernel_uses(child, function)
+    return uses
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "_linalg.py"],
+                         ids=lambda p: p.relative_to(LIBRARY).as_posix())
+def test_one_checked_rank(path):
+    # every F_p rank is cross-checked by intform.rank_mod_p; a second caller
+    # of its two kernels, which live in _linalg, would be a second check to keep
+    uses = _kernel_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    if path.name == "intform.py":
+        assert {function for function, _ in uses} == {"rank_mod_p"}, uses
+    else:
+        assert not uses, f"{path.name} uses {uses}; call intform.rank_mod_p instead"
+
+
 OPTIMIZED_CHECKS = """
 import sys
 from liepar.characters import decompose_weight_multiset, weight_multiplicities
 from liepar.errors import InvariantError
+from liepar.intform import rank_mod_p
 from liepar.rootsys import build_root_system
-from liepar.schurweyl import _specht_rank_mod_p, specht_gram
+from liepar.schurweyl import specht_gram
 
 a2 = build_root_system("A2")
 negative = dict(weight_multiplicities(a2, (1, 1)).weight_mults)
@@ -44,7 +78,7 @@ for multiset in ({(1, 0): 1, (0, 1): 1}, negative):
 
 gram = specht_gram((2, 1)).form.matrix  # determinant 3
 try:
-    _specht_rank_mod_p(gram, 3, 2, 2)  # claims v_3(det) = 2
+    rank_mod_p(gram, 3, 2, 2)  # claims v_3(det) = 2
 except InvariantError:
     print("raised")
 else:
