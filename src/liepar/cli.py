@@ -7,19 +7,39 @@ after every budget and index check has passed.  Exit codes: 0 success,
 1 domain error, 2 usage error (a bad option or a bad LIEPAR_BUDGET), 3 a
 failed invariant check, which can come after part of a streamed document;
 a reader that closes the pipe early ends the command quietly with 1.
+A subcommand's modules run only when that subcommand runs: each is bound
+here as a lazy module whose body runs at the first read of an attribute.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 
-from . import characters, golden, intform, schurweyl, torsion, toricpave, weyl
 from .config import budget_override
 from .errors import ConfigError, InvariantError, LieparError
 from .rootsys import build_root_system
+
+
+def _lazy(name: str):
+    """The module liepar.<name>, registered in sys.modules with its body left
+    to run at the first attribute read; a module already there is returned."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+characters, golden, intform, schurweyl, torsion, toricpave, weyl = map(
+    _lazy, ("characters", "golden", "intform", "schurweyl", "torsion", "toricpave", "weyl"))
 
 _DESCRIPTIONS = {
     "rootsys": "root system data: roots, coroots, minuscule weights, dual Coxeter number, fundamental group",

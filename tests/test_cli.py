@@ -466,3 +466,66 @@ def test_invariant_failure_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "char", "--type", "A2", "--tensor", "w1,w2")
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: invariant failed: ")
+
+
+
+SUBCOMMAND_MODULES = ("characters", "golden", "intform", "schurweyl", "torsion", "toricpave", "weyl")
+
+# Prints, after each stage, those of the modules named in argv whose bodies
+# have run.  A lazy module is of a subclass of ModuleType until the first
+# read of one of its attributes, and the check reads none.
+BODIES_RUN = """
+import contextlib, io, json, sys, types
+import liepar.cli
+
+def ran():
+    return [n for n in sys.argv[1:] if type(sys.modules.get("liepar." + n)) is types.ModuleType]
+
+stages = {"import": ran()}
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        liepar.cli.main(["--help"])
+    except SystemExit:
+        pass
+    stages["--help"] = ran()
+    liepar.cli.main(["rootsys", "--type", "A1"])
+    stages["rootsys"] = ran()
+    liepar.cli.main(["torsion", "--type", "A1"])
+    stages["torsion"] = ran()
+print(json.dumps(stages))
+"""
+
+
+def test_subcommand_modules_run_only_when_their_subcommand_runs():
+    proc = subprocess.run([sys.executable, "-c", BODIES_RUN, *SUBCOMMAND_MODULES], capture_output=True,
+                          text=True, env=_env_without_budget(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    stages = json.loads(proc.stdout)
+    assert stages["import"] == stages["--help"] == stages["rootsys"] == []
+    assert stages["torsion"] == ["torsion"]  # the check sees a body that has run
+
+
+# argv: a module name, and which of it and liepar.cli is imported first
+SAME_MODULE = """
+import importlib, sys
+name, first = sys.argv[1:]
+if first == "module":
+    module = importlib.import_module("liepar." + name)
+    import liepar.cli
+else:
+    import liepar.cli
+    module = importlib.import_module("liepar." + name)
+import liepar
+assert getattr(liepar.cli, name) is module is sys.modules["liepar." + name] is getattr(liepar, name)
+vars(module)  # runs the body, in place
+assert getattr(liepar.cli, name) is module is sys.modules["liepar." + name]
+"""
+
+
+@pytest.mark.parametrize("first", ["module", "cli"])
+@pytest.mark.parametrize("name", SUBCOMMAND_MODULES)
+def test_cli_binds_the_one_module_object(name, first):
+    assert getattr(cli, name) is sys.modules[f"liepar.{name}"]
+    proc = subprocess.run([sys.executable, "-c", SAME_MODULE, name, first], capture_output=True,
+                          text=True, env=_env_without_budget(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
