@@ -287,6 +287,86 @@ def in_row_lattice(hnf: list[list[int]], vector) -> bool:
     return not any(v)
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) > 0 and x*a + y*b = g, for a, b not both 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def hermite_insert(hnf, pivots: list[int], vector) -> tuple[list[list[int]], list[int]]:
+    """Row HNF and pivot columns of the lattice spanned by `hnf` and `vector`.
+
+    `hnf` is a row Hermite normal form as `row_hermite` returns it and
+    `pivots` its pivot columns; neither is changed, and the result equals
+    `row_hermite(hnf + [vector])`.  The vector is merged into the row of
+    each pivot it meets, by division when that row's pivot divides it and
+    by an extended-gcd step otherwise; what is left of it, if anything,
+    becomes a new row.  Rows from the first one changed on are then reduced
+    above their pivots.  A vector already in the lattice gives back copies
+    equal to `hnf` and `pivots`.
+    """
+    rows = list(hnf)
+    cols = list(pivots)
+    v = list(map(int, vector))
+    first = len(rows)  # index of the first row changed or inserted
+    k = 0  # index of the first row whose pivot is at column c or later
+    for c in range(len(v)):
+        at_pivot = k < len(cols) and cols[k] == c
+        if v[c]:
+            if not at_pivot:
+                rows.insert(k, v if v[c] > 0 else [-x for x in v])
+                cols.insert(k, c)
+                first = min(first, k)
+                break
+            row = rows[k]
+            a, b = row[c], v[c]
+            if b % a:
+                g, x, y = _xgcd(a, b)
+                rows[k] = [x * r + y * s for r, s in zip(row, v)]
+                v = [(a // g) * s - (b // g) * r for r, s in zip(row, v)]
+                first = min(first, k)
+            else:
+                q = b // a
+                v = [s - q * r for r, s in zip(row, v)]
+        k += at_pivot
+    for k in range(first, len(rows)):
+        c, pivot = cols[k], rows[k]
+        for i in range(k):
+            q = rows[i][c] // pivot[c]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
+    return rows, cols
+
+
+def in_hermite_lattice(hnf, pivots: list[int], vector) -> bool:
+    """Membership of an integer vector in the lattice with row HNF `hnf` and
+    pivot columns `pivots`, as `in_row_lattice` but without searching rows
+    for their pivots.
+
+    Columns are read left to right.  A nonzero entry in a column without a
+    pivot is final once the rows with earlier pivots are subtracted, since
+    every later row vanishes there, so the test fails at that column.
+    """
+    v = vector
+    k, rank = 0, len(pivots)
+    for c in range(len(v)):
+        if k < rank and pivots[k] == c:
+            row = hnf[k]
+            k += 1
+            if v[c]:
+                q, r = divmod(v[c], row[c])
+                if r:
+                    return False
+                v = [a - q * b for a, b in zip(v, row)]
+        elif v[c]:
+            return False
+    return True
+
+
 def rref_q(matrix, cols: int | None = None) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q by Gauss-Jordan; returns (rref, pivot columns).
 

@@ -118,33 +118,48 @@ def torsion_primes_subsystem_oracle(
     own lattice, for if an earlier K spanned it, K with g added would span
     the lattice before C + (g,).  Distinct lattices spanned by roots hold
     distinct subsystems, since each is spanned by its subsystem.
+
+    A subsystem is kept as an int bitmask over the sorted positive roots,
+    so reading its bits in order gives the sorted subsystem.  A generator
+    is a positive root or the negative of one, so whether it lies in a
+    lattice is one bit test of that lattice's mask.  Each lattice keeps its
+    row HNF and pivot columns; a child lattice inserts its one new generator
+    into its parent's HNF (`_linalg.hermite_insert`), starts from the
+    parent's mask with the generator's bit set, and tests only the roots
+    outside that mask (`_linalg.in_hermite_lattice`).  The certificate
+    check keeps its own path (`row_hermite`, `in_row_lattice`).
     """
     exhaustive = rs.rank <= SUBSYSTEM_RANK_GUARD
     generators = _oracle_generators(rs, exhaustive)
     max_size = rs.rank if exhaustive else len(generators)
-    pos = rs.positive_roots
+    pos = sorted(rs.positive_roots)
+    bit = {r: 1 << i for i, r in enumerate(pos)}
+    # a generator is a positive root or the negative of one
+    gen_bits = [bit.get(g) or bit[tuple(-x for x in g)] for g in generators]
     seen_lattices: set[tuple] = set()
     primes: set[int] = set()
     certificates: list[SubsystemCertificate] = []
-    # (last generator index, HNF) of each combination of the current size
-    # that first spans its lattice; size 0 spans the zero lattice
-    level: list[tuple[int, list[list[int]]]] = [(-1, [])]
+    # (last generator index, HNF, pivot columns, subsystem mask) of each
+    # combination of the current size that first spans its lattice; size 0
+    # spans the zero lattice
+    level: list[tuple[int, list[list[int]], list[int], int]] = [(-1, [], [], 0)]
     for _ in range(max_size):
         extended = []
-        for last, parent in level:
+        for last, parent, pivots, parent_mask in level:
             for j in range(last + 1, len(generators)):
-                generator = generators[j]
-                if _linalg.in_row_lattice(parent, generator):
+                if parent_mask & gen_bits[j]:
                     continue
-                hnf = _linalg.row_hermite(parent + [list(generator)])
-                key = tuple(tuple(row) for row in hnf)
+                hnf, cols = _linalg.hermite_insert(parent, pivots, generators[j])
+                key = tuple(map(tuple, hnf))
                 if key in seen_lattices:
                     continue
                 seen_lattices.add(key)
-                extended.append((j, hnf))
-                subsystem = tuple(
-                    sorted(r for r in pos if _linalg.in_row_lattice(hnf, r))
-                )
+                mask = parent_mask | gen_bits[j]
+                for i, r in enumerate(pos):
+                    if not mask >> i & 1 and _linalg.in_hermite_lattice(hnf, cols, r):
+                        mask |= 1 << i
+                extended.append((j, hnf, cols, mask))
+                subsystem = tuple(r for i, r in enumerate(pos) if mask >> i & 1)
                 for d in _coroot_quotient_divisors(rs, subsystem):
                     for p in _primes_dividing([d]):
                         if p not in primes:

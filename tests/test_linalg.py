@@ -154,3 +154,64 @@ def test_echelon_kernel_is_the_kernel_mod_p():
             assert _linalg.modp_rank(basis, p) == len(basis)
             for v in basis:
                 assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in matrix)
+
+
+def _pivots(hnf):
+    return [next(j for j, x in enumerate(row) if x) for row in hnf]
+
+
+def _combination(rng, rows, cols):
+    coeffs = [rng.randint(-3, 3) for _ in rows]
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(cols)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hermite_insert_matches_row_hermite(seed):
+    """Inserting a vector into an HNF gives the HNF of the rows with the
+    vector appended, on zero, rank-deficient and negative inputs, and for
+    zero, repeated, scaled, member and random vectors; a member of the
+    lattice gives back the HNF and pivots unchanged."""
+    rng = random.Random(seed)
+    for matrix in _matrices(seed):
+        cols = _cols(matrix)
+        if not cols:
+            continue
+        hnf = _linalg.row_hermite(matrix)
+        pivots = _pivots(hnf)
+        vectors = [[0] * cols, *matrix, [6 * x for x in matrix[0]],
+                   _combination(rng, matrix, cols), [rng.randint(-9, 9) for _ in range(cols)]]
+        for v in vectors:
+            before = ([list(row) for row in hnf], list(pivots))
+            out, out_pivots = _linalg.hermite_insert(hnf, pivots, v)
+            assert out == _linalg.row_hermite(matrix + [v])
+            assert out_pivots == _pivots(out)
+            assert (hnf, pivots) == before
+            if _linalg.in_row_lattice(hnf, v):
+                assert (out, out_pivots) == (hnf, pivots)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hermite_insert_one_row_at_a_time(seed):
+    # the oracle's use: every lattice grown from the zero lattice
+    for matrix in _matrices(seed):
+        hnf, pivots = [], []
+        for k, row in enumerate(matrix):
+            hnf, pivots = _linalg.hermite_insert(hnf, pivots, row)
+            assert hnf == _linalg.row_hermite(matrix[:k + 1])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_in_hermite_lattice_matches_in_row_lattice(seed):
+    rng = random.Random(seed)
+    for matrix in _matrices(seed):
+        cols = _cols(matrix)
+        if not cols:
+            continue
+        hnf = _linalg.row_hermite(matrix)
+        pivots = _pivots(hnf)
+        for _ in range(10):
+            for v in (_combination(rng, matrix, cols),
+                      [rng.randint(-4, 4) for _ in range(cols)],
+                      [x + rng.randint(-1, 1) for x in _combination(rng, matrix, cols)]):
+                assert (_linalg.in_hermite_lattice(hnf, pivots, v)
+                        == _linalg.in_row_lattice(hnf, v))

@@ -79,7 +79,9 @@ def sweep_oracle(rs):
 
 
 SWEEP_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
-               "G2", "F4", "A5", "D5", "A2xG2", "B2xA3", "E6", "E7", "E8"]
+               "G2", "F4", "A5", "D5", "A2xG2", "B2xA3", "E6", "E7", "E8",
+               # reducible above rank 5: each factor's lowest root is a generator
+               "B3xB3", "G2xG2xA2"]
 
 
 @pytest.mark.parametrize("label", SWEEP_TYPES)
@@ -89,7 +91,36 @@ def test_oracle_walk_equals_combination_sweep(label):
 
 
 def test_oracle_walk_builds_fewer_lattices_than_combinations(monkeypatch):
-    rs = build_root_system("B4")
+    """One HNF extension per first-spanning combination and generator
+    outside its lattice, far fewer than the combinations of at most `rank`
+    positive roots; the walk calls neither `row_hermite` nor
+    `in_row_lattice`."""
+    calls = []
+    insert = _linalg.hermite_insert
+
+    def counting(hnf, pivots, vector):
+        calls.append(1)
+        return insert(hnf, pivots, vector)
+
+    def forbidden(*args):
+        raise AssertionError("the walk keeps its own HNFs")
+
+    monkeypatch.setattr(_linalg, "hermite_insert", counting)
+    monkeypatch.setattr(_linalg, "row_hermite", forbidden)
+    monkeypatch.setattr(_linalg, "in_row_lattice", forbidden)
+    for label, extensions, combinations_count in [("B4", 699, 2516), ("B5", 6121, 68405)]:
+        rs = build_root_system(label)
+        calls.clear()
+        primes, _ = torsion_primes_subsystem_oracle(rs)
+        assert primes == (2,)
+        assert combinations_count == sum(
+            comb(len(rs.positive_roots), k) for k in range(1, rs.rank + 1))
+        assert len(calls) == extensions
+
+
+def test_certificate_check_keeps_its_own_hnf(monkeypatch):
+    rs = build_root_system("B3")
+    _, certs = torsion_primes_subsystem_oracle(rs)
     calls = []
     hermite = _linalg.row_hermite
 
@@ -98,11 +129,8 @@ def test_oracle_walk_builds_fewer_lattices_than_combinations(monkeypatch):
         return hermite(matrix)
 
     monkeypatch.setattr(_linalg, "row_hermite", counting)
-    primes, _ = torsion_primes_subsystem_oracle(rs)
-    assert primes == (2,)
-    combinations_count = sum(comb(len(rs.positive_roots), k) for k in range(1, rs.rank + 1))
-    assert combinations_count == 2516
-    assert len(calls) < combinations_count
+    assert all(cert.verify(rs) for cert in certs)
+    assert len(calls) == len(certs) > 0
 
 
 def test_oracle_b3_certificate_is_triple_a1():
