@@ -9,10 +9,14 @@ and the dominance order / orbit dimension combinatorics for affine
 Grassmannian orbits.
 
 All arithmetic is exact: Python big integers and fractions throughout.
-Weights are tuples of integers in fundamental-weight coordinates.
+Weights are tuples of integers in fundamental-weight coordinates.  A
+`Character` is its decomposition into irreducibles, highest weight ->
+multiplicity; a weight multiset is a mapping weight -> multiplicity.
 
 Weight systems and Weyl dimensions are computed once per process, keyed by
-root system and highest weight, and handed out read-only.
+root system and highest weight, and handed out read-only.  Every weight
+system is held to the weight budget of `config` when it is asked for, and
+the generation search to the two certificate bounds there.
 """
 
 from __future__ import annotations
@@ -26,15 +30,13 @@ from math import comb
 from operator import add
 from types import MappingProxyType
 
-from .config import WEIGHT_BUDGET, effective_budget
+from .config import CERTIFICATE_EXPANSIONS, CERTIFICATE_WORD_LENGTH, WEIGHT_BUDGET, check_budget
 from .errors import BudgetError, InvariantError, LieparError
-from .rootsys import RootSystem, Weight, WeightVector
+from .rootsys import RootSystem, Weight
 from .weyl import orbit
 
 
 def _coords(weight) -> Weight:
-    if isinstance(weight, WeightVector):
-        return weight.coords
     return tuple(int(c) for c in weight)
 
 
@@ -143,19 +145,14 @@ def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
     return mults
 
 
-def _check_budget(what: str, dim: int, budget: int | None) -> int:
-    """Refuse a multiset of dimension `dim` over `budget` or the weight budget;
-    return that limit."""
-    limit = budget if budget is not None else effective_budget(WEIGHT_BUDGET)
-    if dim > limit:
-        raise BudgetError(
-            f"{what} of dimension {dim} exceeds budget {limit}; set LIEPAR_BUDGET to raise it")
-    return limit
+def weight_multiplicities(rs: RootSystem, weight) -> Mapping[Weight, int]:
+    """The weight multiset of V(lambda) (Freudenthal + Weyl orbits), read-only.
 
-
-def _full_weight_multiset(rs: RootSystem, weight, budget: int | None = None) -> Mapping[Weight, int]:
+    Its dimension is held to the weight budget on every call, cached or not.
+    """
     lam = _coords(weight)
-    _check_budget("weight system", weyl_dimension(rs, lam), budget)
+    dim = weyl_dimension(rs, lam)
+    check_budget(WEIGHT_BUDGET, dim, f"weight system of dimension {dim}")
     return _weight_system(rs, lam)
 
 
@@ -172,52 +169,21 @@ def _weight_system(rs: RootSystem, lam: Weight) -> Mapping[Weight, int]:
 
 @dataclass(frozen=True)
 class Character:
-    """A character: decomposition into irreducibles and/or a weight multiset."""
+    """A character, as the multiplicity of each irreducible V(lambda) in it."""
 
     system: RootSystem
-    dominant_mults: Mapping[Weight, int] | None = None
-    weight_mults: Mapping[Weight, int] | None = None
+    dominant_mults: Mapping[Weight, int]
 
     def __post_init__(self):
-        # read-only views of private copies, so a character never changes
-        for name in ("dominant_mults", "weight_mults"):
-            mults = getattr(self, name)
-            if mults is not None:
-                object.__setattr__(self, name, MappingProxyType(dict(mults)))
-
-    @classmethod
-    def from_dominant(cls, rs: RootSystem, mults: Mapping[Weight, int]) -> "Character":
-        return cls(rs, dominant_mults=mults)
+        # a read-only view of a private copy, so a character never changes
+        object.__setattr__(self, "dominant_mults", MappingProxyType(dict(self.dominant_mults)))
 
     def dimension(self) -> int:
-        if self.dominant_mults is not None:
-            return sum(m * weyl_dimension(self.system, w) for w, m in self.dominant_mults.items())
-        if self.weight_mults is None:
-            raise InvariantError("character carries neither representation")
-        return sum(self.weight_mults.values())
-
-    def is_consistent(self) -> bool:
-        """When both representations are carried, do they describe one character?"""
-        if self.dominant_mults is None or self.weight_mults is None:
-            return True
-        expanded: dict[Weight, int] = {}
-        for lam, m in self.dominant_mults.items():
-            for w, c in _full_weight_multiset(self.system, lam).items():
-                expanded[w] = expanded.get(w, 0) + m * c
-        return expanded == {w: m for w, m in self.weight_mults.items() if m}
+        return sum(m * weyl_dimension(self.system, w) for w, m in self.dominant_mults.items())
 
     def sorted_dominant(self) -> list[tuple[Weight, int]]:
-        if self.dominant_mults is None:
-            raise InvariantError("character has no irreducible decomposition")
         return sorted(self.dominant_mults.items(), reverse=True,
                       key=lambda kv: (sum(self.system.weight_root_coords(kv[0])), kv[0]))
-
-
-def weight_multiplicities(rs: RootSystem, weight, budget: int | None = None) -> Character:
-    """Full weight multiset of V(lambda) (Freudenthal + Weyl orbits)."""
-    lam = _check_dominant(_coords(weight))
-    return Character(rs, dominant_mults={lam: 1},
-                     weight_mults=_full_weight_multiset(rs, lam, budget))
 
 
 def _brauer_klimyk(rs: RootSystem, shift: Weight, multiset: Mapping[Weight, int]) -> dict[Weight, int]:
@@ -238,7 +204,7 @@ def _brauer_klimyk(rs: RootSystem, shift: Weight, multiset: Mapping[Weight, int]
     return result
 
 
-def tensor_decompose(rs: RootSystem, left, right, budget: int | None = None) -> Character:
+def tensor_decompose(rs: RootSystem, left, right) -> Character:
     """Decomposition of V(lambda) (x) V(mu) into irreducibles (Klimyk).
 
     Iterates over the weight multiset of the smaller-dimension factor; the
@@ -247,7 +213,7 @@ def tensor_decompose(rs: RootSystem, left, right, budget: int | None = None) -> 
     lam, mu = _check_dominant(_coords(left)), _check_dominant(_coords(right))
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
-    return Character.from_dominant(rs, _brauer_klimyk(rs, lam, _full_weight_multiset(rs, mu, budget)))
+    return Character(rs, _brauer_klimyk(rs, lam, weight_multiplicities(rs, mu)))
 
 
 def decompose_weight_multiset(rs: RootSystem, multiset: dict[Weight, int]) -> dict[Weight, int]:
@@ -261,8 +227,7 @@ def decompose_weight_multiset(rs: RootSystem, multiset: dict[Weight, int]) -> di
     return _brauer_klimyk(rs, (0,) * rs.rank, rem)
 
 
-def exterior_power_decompose(rs: RootSystem, weight, power: int,
-                             budget: int | None = None) -> Character:
+def exterior_power_decompose(rs: RootSystem, weight, power: int) -> Character:
     """Decomposition of Lambda^k V(lambda) by Brauer's formula.  Its weight
     multiset, the t^k coefficient of prod_nu (1 + t e^nu)^m(nu), is built one
     weight at a time in layers up to min(k, dim-k): the weights of V sum to 0,
@@ -273,17 +238,15 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int,
         raise LieparError("exterior power must be nonnegative")
     zero = (0,) * rs.rank
     if power == 0:
-        return Character.from_dominant(rs, {zero: 1})
+        return Character(rs, {zero: 1})
     dim = weyl_dimension(rs, lam)
     if power > dim:
-        return Character.from_dominant(rs, {})
-    limit = _check_budget("weight system", dim, budget)
+        return Character(rs, {})
+    check_budget(WEIGHT_BUDGET, dim, f"weight system of dimension {dim}")
     depth, size = min(power, dim - power), 1
     for i in range(depth):  # size runs through binomial(dim, i + 1), increasing
         size = size * (dim - i) // (i + 1)
-        if size > limit:
-            raise BudgetError(f"exterior power of dimension binomial({dim}, {power}) exceeds budget "
-                              f"{limit}; set LIEPAR_BUDGET to raise it")
+        check_budget(WEIGHT_BUDGET, size, f"exterior power of dimension binomial({dim}, {power})")
     layers: list[dict[Weight, int]] = [{zero: 1}] + [{} for _ in range(depth)]
     for nu, m in _weight_system(rs, lam).items():
         for j in range(depth, 0, -1):  # downwards, so layers[j - i] is still the old one
@@ -296,7 +259,7 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int,
     top = layers[depth]
     if depth < power:
         top = {tuple(-a for a in u): n for u, n in top.items()}
-    character = Character.from_dominant(rs, decompose_weight_multiset(rs, top))
+    character = Character(rs, decompose_weight_multiset(rs, top))
     if character.dimension() != size:
         raise InvariantError("exterior power does not have dimension binomial(dim, power)")
     return character
@@ -374,14 +337,15 @@ def word_multiplicity(rs: RootSystem, word, target) -> int:
     return current.get(_coords(target), 0)
 
 
-def generation_certificate(rs: RootSystem, max_word_length: int = 8,
-                           max_expansions: int = 4000) -> GenerationCertificate:
+def generation_certificate(rs: RootSystem) -> GenerationCertificate:
     """Find, for every fundamental weight, a tensor word over the generators
     whose characteristic-zero decomposition contains it.
 
     Bounded breadth-first search, expanding discovered summands in order of
-    (word length, dimension).  Raises BudgetError naming the fundamental
-    weights that could not be certified within the budget.
+    (word length, dimension), over words of at most CERTIFICATE_WORD_LENGTH
+    letters and at most CERTIFICATE_EXPANSIONS tensor products.  Raises
+    BudgetError naming the fundamental weights that could not be certified
+    within those bounds.
     """
     gens = generator_weights(rs)
     targets = {tuple(1 if j == i else 0 for j in range(rs.rank)): i + 1 for i in range(rs.rank)}
@@ -393,14 +357,14 @@ def generation_certificate(rs: RootSystem, max_word_length: int = 8,
     expansions = 0
     while heap and not all(t in discovered for t in targets):
         length, _, lam = heapq.heappop(heap)
-        if length >= max_word_length:
+        if length >= CERTIFICATE_WORD_LENGTH:
             continue
         word = discovered[lam]
         if len(word) != length:
             continue  # stale heap entry
         for g in gens:
             expansions += 1
-            if expansions > max_expansions:
+            if expansions > CERTIFICATE_EXPANSIONS:
                 heap = []
                 break
             piece = tensor_decompose(rs, lam, g)

@@ -180,7 +180,7 @@ def _cmd_rootsys(args) -> str:
         doc["h_dual"] = rs.dual_coxeter_number()
         doc["minimal_orbit_dimension"] = rs.minimal_orbit_dimension()
     elif args.emit == "fundamental-group":
-        doc["fundamental_group"] = list(rs.fundamental_group().divisors)
+        doc["fundamental_group"] = list(rs.fundamental_group())
     else:  # json document of the whole system
         doc.update(rs.to_dict())
     return _emit(doc, args.format, rows)

@@ -1,13 +1,21 @@
-"""Enumeration budgets, overridable through the LIEPAR_BUDGET env variable."""
+"""Budgets and search limits, in one place.
+
+This is the only module that reads the environment: the enumeration
+budgets below are overridden by the LIEPAR_BUDGET variable, read through
+`effective_budget` and enforced through `check_budget`.  The generation
+certificate search is bounded by two fixed constants.
+"""
 
 import os
 
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
 
 WEYL_BUDGET = 10**7      # maximum number of Weyl group elements to enumerate
 WEIGHT_BUDGET = 10**6    # maximum dimension for a full weight multiset
 SPECHT_BUDGET = 8        # maximum |lambda| for Specht-module Gram matrices
 SUBSYSTEM_RANK_GUARD = 5 # maximum rank for exhaustive subsystem enumeration
+CERTIFICATE_WORD_LENGTH = 8   # longest tensor word the generation search expands
+CERTIFICATE_EXPANSIONS = 4000 # tensor products the generation search may take
 
 
 def budget_override() -> int | None:
@@ -32,3 +40,11 @@ def effective_budget(default: int) -> int:
     """Return `default`, or the LIEPAR_BUDGET override when set."""
     override = budget_override()
     return default if override is None else override
+
+
+def check_budget(default: int, size: int, what: str) -> int:
+    """Refuse `what`, of size `size`, over the effective budget; return that budget."""
+    limit = effective_budget(default)
+    if size > limit:
+        raise BudgetError(f"{what} exceeds budget {limit}; set LIEPAR_BUDGET to raise it")
+    return limit

@@ -146,8 +146,8 @@ def _run_table(table: dict) -> list[GoldenOutcome]:
     return out
 
 
-def run_golden(fixtures_dir: str | None = None, tables=TABLE_NAMES) -> GoldenReport:
+def run_golden(fixtures_dir: str | None = None) -> GoldenReport:
     outcomes: list[GoldenOutcome] = []
-    for name in tables:
+    for name in TABLE_NAMES:
         outcomes.extend(_run_table(load_table(name, fixtures_dir)))
     return GoldenReport(tuple(outcomes))

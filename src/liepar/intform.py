@@ -17,7 +17,7 @@ closed forms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import _linalg
 from .errors import InvariantError, LieparError
@@ -180,22 +180,9 @@ class DecompositionReport:
     decomposition_theorem_holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "decomposition_theorem_holds": self.decomposition_theorem_holds,
-            "strata": [
-                {
-                    "label": s.label,
-                    "size": s.size,
-                    "rank_q": s.rank_q,
-                    "rank_fp": s.rank_fp,
-                    "multiplicity": s.multiplicity,
-                    "radical_dimension": s.radical_dimension,
-                    "nondegenerate": s.nondegenerate,
-                }
-                for s in self.strata
-            ],
-        }
+        report = asdict(self)
+        report["strata"] = list(report["strata"])  # asdict keeps the tuple, a TSV header would show it
+        return report
 
 
 def decomposition_report(forms, p: int) -> DecompositionReport:

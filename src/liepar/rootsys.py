@@ -36,7 +36,6 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
@@ -148,28 +147,30 @@ class RootSystem:
             offset += rank
         self.cartan: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in cartan)
         self._d6 = tuple(lengths)
-        self._cartan_inv = tuple(
-            tuple(row) for row in _linalg.frac_matrix_inverse([list(r) for r in self.cartan])
-        )
-        self._enumerate_roots()
-        self._coroot_cache = {r: self._coroot(r) for r in self.positive_roots}
+        weights = self._enumerate_roots()
+        self._coroot_cache = {r: self._coroot(r, weights[r]) for r in self.positive_roots}
 
     # -- construction -----------------------------------------------------
 
-    def _enumerate_roots(self) -> None:
+    def _enumerate_roots(self) -> dict[RootCoords, Weight]:
+        """Close the simple roots under the simple reflections; return each
+        root's weight coordinates.  A root travels with them, and their j-th
+        entry is its pairing with the j-th simple coroot, so s_j moves the
+        root by that entry and its weight by that multiple of cartan[j]."""
+        cartan = self.cartan
         simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
-        seen = set(simple)
-        queue = list(simple)
+        seen = dict(zip(simple, cartan))
+        queue = list(seen.items())
         while queue:
-            root = queue.pop()
-            for j in range(self.rank):
-                pairing = sum(root[i] * self.cartan[i][j] for i in range(self.rank))
-                new = list(root)
-                new[j] -= pairing
-                t = tuple(new)
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
+            root, weight = queue.pop()
+            for j, c in enumerate(weight):
+                if c:
+                    new = list(root)
+                    new[j] -= c
+                    t = tuple(new)
+                    if t not in seen:
+                        seen[t] = tuple([w - c * a for w, a in zip(weight, cartan[j])])
+                        queue.append((t, seen[t]))
         positive = sorted(
             (r for r in seen if all(c >= 0 for c in r)),
             key=lambda r: (sum(r), r),
@@ -178,6 +179,11 @@ class RootSystem:
         self.roots: tuple[RootCoords, ...] = tuple(positive) + tuple(
             tuple(-c for c in r) for r in positive
         )
+        return seen
+
+    @functools.cached_property
+    def _cartan_inv(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(tuple, _linalg.frac_matrix_inverse([list(r) for r in self.cartan])))
 
     # -- basic pairings ----------------------------------------------------
 
@@ -206,9 +212,10 @@ class RootSystem:
         """(alpha, alpha) for alpha in root coordinates."""
         return Fraction(self._norm6(root), 6)
 
-    def _coroot(self, root: RootCoords) -> RootCoords:
-        """Simple-coroot coordinates of alpha-check = 2 alpha/(alpha, alpha)."""
-        norm6 = self._norm6(root)
+    def _coroot(self, root: RootCoords, weight: Weight) -> RootCoords:
+        """Simple-coroot coordinates of alpha-check = 2 alpha/(alpha, alpha),
+        alpha given in root and in weight coordinates."""
+        norm6 = self.form6(root, weight)
         coords = []
         for i in range(self.rank):
             c, rem = divmod(2 * root[i] * self._d6[i], norm6)
@@ -219,14 +226,10 @@ class RootSystem:
 
     def coroot(self, root: RootCoords) -> RootCoords:
         if all(c >= 0 for c in root):
-            return self._coroot_cache.get(root) or self._coroot(root)
+            return self._coroot_cache.get(root) or self._coroot(root, self.root_weight_coords(root))
         pos = tuple(-c for c in root)
-        return tuple(-c for c in self._coroot_cache.get(pos) or self._coroot(pos))
-
-    def pairing(self, weight, root: RootCoords) -> int:
-        """<weight, alpha-check> for a weight and a root of the system."""
-        co = self.coroot(root)
-        return sum(int(weight[i]) * co[i] for i in range(self.rank))
+        return tuple(-c for c in self._coroot_cache.get(pos)
+                     or self._coroot(pos, self.root_weight_coords(pos)))
 
     # -- derived data -------------------------------------------------------
 
@@ -305,9 +308,10 @@ class RootSystem:
                 maxima[i] = max(maxima[i], co[i])
         return tuple(i + 1 for i in range(self.rank) if maxima[i] == 1)
 
-    def fundamental_group(self) -> "AbelianInvariants":
-        """Weight lattice modulo root lattice, as elementary divisors > 1."""
-        return AbelianInvariants(tuple(_linalg.elementary_divisors([list(r) for r in self.cartan])))
+    def fundamental_group(self) -> tuple[int, ...]:
+        """Weight lattice modulo root lattice, as its elementary divisors > 1
+        in divisibility order."""
+        return tuple(_linalg.elementary_divisors([list(r) for r in self.cartan]))
 
     # -- serialization ------------------------------------------------------
 
@@ -342,36 +346,6 @@ class RootSystem:
 
     def __hash__(self) -> int:
         return hash(self.factors)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """A weight in fundamental-weight coordinates attached to its system."""
-
-    coords: Weight
-    system: RootSystem
-
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-    def pairing(self, root: RootCoords) -> int:
-        return self.system.pairing(self.coords, root)
-
-
-@dataclass(frozen=True)
-class AbelianInvariants:
-    """Elementary divisors > 1 of a finite abelian group, in divisibility order."""
-
-    divisors: tuple[int, ...]
-
-    def order(self) -> int:
-        n = 1
-        for d in self.divisors:
-            n *= d
-        return n
-
-    def __iter__(self):
-        return iter(self.divisors)
 
 
 def build_root_system(type_label) -> RootSystem:

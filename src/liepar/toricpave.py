@@ -482,17 +482,18 @@ def _generic_point(fan: Fan, pl: PLFunction, seed: int) -> tuple[Fraction, ...]:
     raise LieparError("could not find a generic point in 1000 draws")
 
 
-def paving(fan: Fan, tau: Fan, seed: int = 0,
-           support: PLFunction | None = None) -> PavingResult:
+def paving(fan: Fan, tau: Fan, seed: int = 0) -> PavingResult:
     """T-stable affine paving of the fiber over the fixed point of tau.
 
     Requires `fan` to be a refinement of the full-dimensional cone tau with
-    a strictly convex support function.  The paving is certified: cells must
-    exactly partition the cones not contained in any wall of tau.
+    a strictly convex support function, which is found and verified here.
+    The paving is certified: cells must exactly partition the cones not
+    contained in any wall of tau.  Past those checks, a tie across a wall at
+    the generic point or a failed partition is a failed invariant.
     """
     if not _refines(fan, tau):
         raise LieparError("fan does not refine tau with equal support")
-    pl = support if support is not None else strictly_convex_support(fan)
+    pl = strictly_convex_support(fan)
     x0 = _generic_point(fan, pl, seed)
     maxes = fan.maximal_cones()
     values = {key: pl.value(key, x0) for key in maxes}
@@ -504,7 +505,7 @@ def paving(fan: Fan, tau: Fan, seed: int = 0,
         elif values[b] > values[a]:
             positive_walls[a].append(wall)
         else:
-            raise LieparError("generic point produced a tie across a wall")
+            raise InvariantError("generic point produced a tie across a wall")
 
     tau_cone = _tau_cone(tau)
     relevant = tuple(sorted(c for c in fan.cones
@@ -522,12 +523,12 @@ def paving(fan: Fan, tau: Fan, seed: int = 0,
         cells.append(cell)
         for member in members:
             if member in covered:
-                raise LieparError(
+                raise InvariantError(
                     f"cone {member} lies in two cells ({covered[member]} and {sigma})"
                 )
             covered[member] = sigma
     if set(covered) != set(relevant):
-        raise LieparError("paving cells do not partition the cones of the fiber")
+        raise InvariantError("paving cells do not partition the cones of the fiber")
     polynomial = CellPolynomial.from_exponents(2 * c.complex_dimension for c in cells)
     return PavingResult(tuple(cells), polynomial, seed, x0, relevant)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import _linalg
 from .config import SUBSYSTEM_RANK_GUARD
 from .errors import LieparError
-from .rootsys import AbelianInvariants, RootSystem
+from .rootsys import RootSystem
 
 PrimeSet = tuple[int, ...]
 
@@ -193,8 +193,9 @@ def minimal_orbit_parity_primes(rs: RootSystem) -> PrimeSet:
     return _MINIMAL_ORBIT_TABLE[family]
 
 
-def long_simple_fundamental_group(rs: RootSystem) -> AbelianInvariants:
-    """Weight/root lattice quotient of the subsystem generated by long simple roots.
+def long_simple_fundamental_group(rs: RootSystem) -> tuple[int, ...]:
+    """Weight/root lattice quotient of the subsystem generated by long simple
+    roots, as its elementary divisors > 1.
 
     Simple roots J generate the parabolic subsystem Phi_J, whose base is J
     itself (Bourbaki, Lie groups VI §1.7), so the Cartan matrix of the
@@ -205,7 +206,7 @@ def long_simple_fundamental_group(rs: RootSystem) -> AbelianInvariants:
     norms = [rs.root_norm(tuple(int(j == i) for j in range(rs.rank))) for i in range(rs.rank)]
     long = [i for i, n in enumerate(norms) if n == max(norms)]
     cartan = [[rs.cartan[i][j] for j in long] for i in long]
-    return AbelianInvariants(tuple(_linalg.elementary_divisors(cartan)))
+    return tuple(_linalg.elementary_divisors(cartan))
 
 
 @dataclass(frozen=True)

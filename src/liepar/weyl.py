@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .config import WEYL_BUDGET, effective_budget
+from .config import WEYL_BUDGET, check_budget, effective_budget
 from .errors import BudgetError, LieparError, NotMinimalError
 from .rootsys import RootSystem, Weight, _height_product
 
@@ -185,14 +185,13 @@ def _elements(rs: RootSystem, start: Weight, gens, keep=None,
                 yield WeylElement(tuple(word), key, len(word), rs)
 
 
-def generate_weyl(rs: RootSystem, length_bound: int | None = None,
-                  budget: int | None = None) -> list[WeylElement]:
+def generate_weyl(rs: RootSystem, length_bound: int | None = None) -> list[WeylElement]:
     """All Weyl elements (up to `length_bound`), each with a reduced word.
 
     Raises BudgetError when the enumeration would exceed the element budget;
     E7/E8 need an explicit length bound.
     """
-    limit = budget if budget is not None else effective_budget(WEYL_BUDGET)
+    limit = effective_budget(WEYL_BUDGET)
     if length_bound is None and rs.weyl_order() > limit:
         raise BudgetError(
             f"|W| = {rs.weyl_order()} exceeds budget {limit}; "
@@ -228,8 +227,7 @@ def _rho_off(rs: RootSystem, J: frozenset[int]) -> Weight:
     return tuple(0 if k in J else 1 for k in range(rs.rank))
 
 
-def iter_double_quotient_reps(rs: RootSystem, I, J,
-                              budget: int | None = None) -> Iterator[WeylElement]:
+def iter_double_quotient_reps(rs: RootSystem, I, J) -> Iterator[WeylElement]:
     """Minimal-length double coset representatives, lazily in (length, word) order.
 
     I and J are iterables of 0-based simple indices.  The representatives
@@ -238,21 +236,16 @@ def iter_double_quotient_reps(rs: RootSystem, I, J,
     budget are checked here, before the first representative.
     """
     I, J = _simple_indices(rs, I), _simple_indices(rs, J)
-    limit = budget if budget is not None else effective_budget(WEYL_BUDGET)
     cosets = _height_product(r for r in rs.positive_roots
                              if any(c for k, c in enumerate(r) if k not in J))
-    if cosets > limit:
-        raise BudgetError(
-            f"|W/W_J| = {cosets} exceeds budget {limit}; set LIEPAR_BUDGET to raise it"
-        )
+    check_budget(WEYL_BUDGET, cosets, f"|W/W_J| = {cosets}")
     return _elements(rs, _rho_off(rs, J), range(rs.rank),
                      keep=lambda nu: not any(nu[i] < 0 for i in I))
 
 
-def double_quotient_reps(rs: RootSystem, I, J,
-                         budget: int | None = None) -> list[WeylElement]:
+def double_quotient_reps(rs: RootSystem, I, J) -> list[WeylElement]:
     """The list of `iter_double_quotient_reps`."""
-    return list(iter_double_quotient_reps(rs, I, J, budget))
+    return list(iter_double_quotient_reps(rs, I, J))
 
 
 @dataclass(frozen=True)

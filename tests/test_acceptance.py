@@ -176,9 +176,8 @@ def test_criterion_8_toric_pavings():
                                           [[0, 1, 2], [1, 2, 3]])
     fixtures.append(("square", dprime, tau, (1, 0, 1)))
     for name, dprime, tau, expected in fixtures:
-        support = toricpave.strictly_convex_support(dprime)
         for seed in range(20):
-            result = toricpave.paving(dprime, tau, seed=seed, support=support)
+            result = toricpave.paving(dprime, tau, seed=seed)
             assert result.polynomial.coeffs == expected, (name, seed)
             assert result.is_even(), name
             members = [m for cell in result.cells for m in cell.member_cones]

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from liepar import cli, schurweyl, weyl
+from liepar import cli, schurweyl, toricpave, weyl
 from liepar.characters import GenerationCertificate
 from liepar.errors import InvariantError
 from liepar.golden import TABLE_NAMES, load_table, run_golden
@@ -71,6 +72,16 @@ def test_intform_report(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["strata"][0]["multiplicity"] == 0
     assert doc["decomposition_theorem_holds"] is False
+
+
+def test_intform_tsv_and_text_headers_leave_out_the_strata(capsys, tmp_path):
+    path = tmp_path / "forms.json"
+    path.write_text(json.dumps([{"label": "s", "n": 1, "rows": [[-2]]}]))
+    _, tsv, _ = run(capsys, "intform", "--in", str(path), "--p", "3", "--format", "tsv")
+    assert tsv == ("# decomposition_theorem_holds=True\n# prime=3\n# seed=0\n# subcommand=intform\n"
+                   "s\t1\t1\t1\t1\t0\n")
+    _, text, _ = run(capsys, "intform", "--in", str(path), "--p", "3", "--format", "text")
+    assert text == "decomposition_theorem_holds: True\nprime: 3\nseed: 0\nsubcommand: intform\n"
 
 
 def test_weyl_reps_tsv(capsys):
@@ -469,6 +480,20 @@ def test_invariant_failure_exits_3(capsys, monkeypatch):
 
 
 
+def test_paving_tie_at_the_generic_point_exits_3(capsys, monkeypatch, tmp_path):
+    # the chain fan on (1, 0), (1, 1), (1, 2) refining the cone on (1, 0), (1, 2)
+    fan = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "cones": [[0, 1], [1, 2]]}
+    tau = {"rank": 2, "rays": [[1, 0], [1, 2]], "cones": [[0, 1]]}
+    # (1, 1) spans the wall between the two cones, where their covectors agree
+    monkeypatch.setattr(toricpave, "_generic_point", lambda fan, pl, seed: (Fraction(1), Fraction(1)))
+    with pytest.raises(InvariantError, match="^generic point produced a tie across a wall$"):
+        toricpave.paving(toricpave.Fan.from_dict(fan), toricpave.Fan.from_dict(tau))
+    code, out, err = run(capsys, "toric", "--fan", _write(tmp_path / "fan.json", fan),
+                         "--tau", _write(tmp_path / "tau.json", tau), "--paving")
+    assert (code, out) == (3, "")
+    assert err == "error: invariant failed: generic point produced a tie across a wall\n"
+
+
 SUBCOMMAND_MODULES = ("characters", "golden", "intform", "schurweyl", "torsion", "toricpave", "weyl")
 
 # Prints, after each stage, those of the modules named in argv whose bodies
@@ -503,6 +528,28 @@ def test_subcommand_modules_run_only_when_their_subcommand_runs():
     stages = json.loads(proc.stdout)
     assert stages["import"] == stages["--help"] == stages["rootsys"] == []
     assert stages["torsion"] == ["torsion"]  # the check sees a body that has run
+
+
+DATACLASSES_LOADED = """
+import contextlib, io, sys
+if sys.argv[1:] == ["rootsys"]:
+    import liepar.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        liepar.cli.main(["rootsys", "--type", "A1"])
+print("dataclasses" in sys.modules)
+"""
+
+
+def test_rootsys_command_does_not_import_dataclasses():
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-c", DATACLASSES_LOADED, *argv], capture_output=True,
+                              text=True, env=_env_without_budget(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    if loaded() == ["True"]:
+        pytest.skip("the bare interpreter already loads dataclasses")
+    assert loaded("rootsys") == ["False"]
 
 
 # argv: a module name, and which of it and liepar.cli is imported first

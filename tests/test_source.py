@@ -57,6 +57,23 @@ def test_one_checked_rank(path):
         assert not uses, f"{path.name} uses {uses}; call intform.rank_mod_p instead"
 
 
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(LIBRARY).as_posix())
+def test_only_config_reads_the_environment(path):
+    # every setting comes through config, so its variables are all in one place
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+             or isinstance(node, ast.Name) and node.id in ENVIRONMENT_READERS
+             or isinstance(node, ast.alias) and node.name in ENVIRONMENT_READERS]
+    if path.name == "config.py":
+        assert lines, "config.py no longer reads LIEPAR_BUDGET"
+    else:
+        assert not lines, f"{path.name}: environment read on lines {lines}; go through config"
+
+
 OPTIMIZED_CHECKS = """
 import sys
 from liepar.characters import decompose_weight_multiset, weight_multiplicities
@@ -66,7 +83,7 @@ from liepar.rootsys import build_root_system
 from liepar.schurweyl import specht_gram
 
 a2 = build_root_system("A2")
-negative = dict(weight_multiplicities(a2, (1, 1)).weight_mults)
+negative = dict(weight_multiplicities(a2, (1, 1)))
 negative[(0, 0)] -= 1  # V(w1 + w2) minus the trivial character
 for multiset in ({(1, 0): 1, (0, 1): 1}, negative):
     try:

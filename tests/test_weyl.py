@@ -48,11 +48,12 @@ def test_generate_matches_order_formula(label):
         assert len(w.word) == w.length
 
 
-def test_budget():
+def test_budget(monkeypatch):
     e7 = build_root_system("E7")
+    monkeypatch.setenv("LIEPAR_BUDGET", "1000")
     with pytest.raises(BudgetError):
-        generate_weyl(e7, budget=1000)
-    sliced = generate_weyl(e7, length_bound=3, budget=1000)
+        generate_weyl(e7)
+    sliced = generate_weyl(e7, length_bound=3)
     # 1 + 7 + lengths 2 and 3
     assert max(w.length for w in sliced) == 3
     assert len({w.key for w in sliced}) == len(sliced)
@@ -345,9 +346,11 @@ def test_orbit_walk_of_e6_stays_small():
     assert peak < 3 * 2**20
 
 
-def test_iter_double_quotient_reps_checks_before_the_first_rep():
+def test_iter_double_quotient_reps_checks_before_the_first_rep(monkeypatch):
     rs = build_root_system("E8")
-    with pytest.raises(BudgetError, match="LIEPAR_BUDGET"):
+    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
+    with pytest.raises(BudgetError, match=r"^\|W/W_J\| = 696729600 exceeds budget 10000000; "
+                                          r"set LIEPAR_BUDGET to raise it$"):
         iter_double_quotient_reps(rs, (), ())
     with pytest.raises(LieparError, match="out of range"):
         iter_double_quotient_reps(rs, (8,), ())
