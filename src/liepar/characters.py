@@ -54,8 +54,7 @@ def weyl_dimension(rs: RootSystem, weight) -> int:
 @functools.cache
 def _weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     num = den = 1
-    for root in rs.positive_roots:
-        co = rs.coroot(root)
+    for co in rs.positive_coroots:
         num *= sum((lam[i] + 1) * co[i] for i in range(rs.rank))
         den *= sum(co)
     if num % den != 0:
@@ -105,10 +104,7 @@ def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
     lam = _check_dominant(_coords(weight))
     rank = rs.rank
     # (root coords, weight coords, 6 (alpha, alpha)) of each positive root
-    pos = []
-    for r in rs.positive_roots:
-        aw = rs.root_weight_coords(r)
-        pos.append((r, aw, rs.form6(r, aw)))
+    pos = list(zip(rs.positive_roots, rs._positive_weights, rs._positive_norm6))
     depth = {lam: (0,) * rank}  # dominant mu -> root coordinates of lambda - mu
     frontier = [lam]
     while frontier:
@@ -276,11 +272,7 @@ def dominance_leq(rs: RootSystem, lower, upper) -> bool:
 def orbit_dimension(rs: RootSystem, weight) -> int:
     """Dimension of the orbit attached to a dominant (co)weight: <lambda, 2 rho-check>."""
     lam = _check_dominant(_coords(weight))
-    total = 0
-    for root in rs.positive_roots:
-        co = rs.coroot(root)
-        total += sum(lam[i] * co[i] for i in range(rs.rank))
-    return total
+    return sum(lam[i] * co[i] for co in rs.positive_coroots for i in range(rs.rank))
 
 
 # -- generation certificates -------------------------------------------------

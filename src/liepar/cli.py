@@ -172,8 +172,8 @@ def _cmd_rootsys(args) -> str:
         doc["roots"] = [list(r) for r in rs.roots]
         rows = [(",".join(map(str, r)),) for r in rs.roots]
     elif args.emit == "coroots":
-        doc["coroots"] = [list(rs.coroot(r)) for r in rs.positive_roots]
-        rows = [(",".join(map(str, rs.coroot(r))),) for r in rs.positive_roots]
+        doc["coroots"] = [list(co) for co in rs.positive_coroots]
+        rows = [(",".join(map(str, co)),) for co in rs.positive_coroots]
     elif args.emit == "minuscule":
         doc["minuscule"] = list(rs.minuscule_weights())
     elif args.emit == "h-dual":

@@ -72,77 +72,56 @@ def _diff(expected, actual) -> str:
     return f"expected {expected!r}, computed {actual!r}"
 
 
-def _check_decomposition_row(row: dict) -> list[GoldenOutcome]:
+def _decomposition_checks(row: dict) -> list[tuple]:
     if row["op"] == "exterior_family":
-        out = []
-        for member in row["members"]:
-            out.extend(_check_decomposition_row(member))
-        return out
+        return [check for member in row["members"] for check in _decomposition_checks(member)]
     rs = build_root_system(row["type"])
-    expected = {tuple(wt): mult for wt, mult in row["expected"]}
     if row["op"] == "tensor":
         label = f"{row['type']} tensor {row['left']} x {row['right']}"
         ch = characters.tensor_decompose(rs, tuple(row["left"]), tuple(row["right"]))
     else:
         label = f"{row['type']} exterior {row['weight']}^{row['power']}"
         ch = characters.exterior_power_decompose(rs, tuple(row["weight"]), row["power"])
-    actual = ch.dominant_mults
-    ok = actual == expected
-    return [GoldenOutcome("decompositions", label, ok, "" if ok else _diff(expected, actual))]
+    return [(label, {tuple(wt): mult for wt, mult in row["expected"]}, ch.dominant_mults)]
 
 
-def _run_table(table: dict) -> list[GoldenOutcome]:
-    kind = table["kind"]
-    name = table["id"]
-    out: list[GoldenOutcome] = []
+def _row_checks(kind: str, row: dict) -> list[tuple]:
+    """(row label, expected, computed) for each value a golden row pins."""
+    if kind == "decompositions":
+        return _decomposition_checks(row)
+    if kind == "schur_dims":
+        return [(f"d={row['d']} p={row['p']}", sorted(row["dims"]),
+                 schurweyl.simple_dims_table(row["d"], row["p"]))]
+    rs = build_root_system(row["type"])
     if kind == "torsion_primes":
-        for row in table["rows"]:
-            rs = build_root_system(row["type"])
-            actual = list(torsion.torsion_primes_fast(rs))
-            ok = actual == row["primes"]
-            out.append(GoldenOutcome(name, row["type"], ok,
-                                     "" if ok else _diff(row["primes"], actual)))
-    elif kind == "minimal_orbit":
-        for row in table["rows"]:
-            rs = build_root_system(row["type"])
+        expected, actual = row["primes"], list(torsion.torsion_primes_fast(rs))
+    elif kind == "tilting_bounds":
+        expected, actual = row["threshold"], torsion.tilting_generation_bound(rs).threshold
+    else:
+        if kind == "minimal_orbit":
             actual = {
                 "h_dual": rs.dual_coxeter_number(),
                 "dimension": rs.minimal_orbit_dimension(),
                 "primes": list(torsion.minimal_orbit_parity_primes(rs)),
             }
-            expected = {k: row[k] for k in ("h_dual", "dimension", "primes")}
-            ok = actual == expected
-            out.append(GoldenOutcome(name, row["type"], ok,
-                                     "" if ok else _diff(expected, actual)))
-    elif kind == "tilting_bounds":
-        for row in table["rows"]:
-            rs = build_root_system(row["type"])
-            actual = torsion.tilting_generation_bound(rs).threshold
-            ok = actual == row["threshold"]
-            out.append(GoldenOutcome(name, row["type"], ok,
-                                     "" if ok else _diff(row["threshold"], actual)))
-    elif kind == "weights":
-        for row in table["rows"]:
-            rs = build_root_system(row["type"])
+        else:
             actual = {
                 "minuscule": list(rs.minuscule_weights()),
                 "highest_short_root": list(rs.highest_short_root()),
             }
-            expected = {k: row[k] for k in ("minuscule", "highest_short_root")}
-            ok = actual == expected
-            out.append(GoldenOutcome(name, row["type"], ok,
-                                     "" if ok else _diff(expected, actual)))
-    elif kind == "decompositions":
-        for row in table["rows"]:
-            out.extend(_check_decomposition_row(row))
-    elif kind == "schur_dims":
-        for row in table["rows"]:
-            actual = schurweyl.simple_dims_table(row["d"], row["p"])
-            ok = actual == sorted(row["dims"])
-            out.append(GoldenOutcome(name, f"d={row['d']} p={row['p']}", ok,
-                                     "" if ok else _diff(sorted(row["dims"]), actual)))
-    else:
+        expected = {k: row[k] for k in actual}
+    return [(row["type"], expected, actual)]
+
+
+def _run_table(table: dict) -> list[GoldenOutcome]:
+    kind = table["kind"]
+    if kind not in TABLE_NAMES:  # each table's kind is its name
         raise LieparError(f"unknown golden table kind {kind!r}")
+    out = []
+    for row in table["rows"]:
+        for label, expected, actual in _row_checks(kind, row):
+            ok = actual == expected
+            out.append(GoldenOutcome(table["id"], label, ok, "" if ok else _diff(expected, actual)))
     return out
 
 

@@ -150,6 +150,7 @@ def rank_and_radical(form: IntegerSymmetricForm, p: int) -> RankResult:
     The rank over Q and the last pivot, a nonzero minor of that size, come
     from Bareiss elimination; `rank_mod_p` checks the F_p rank against the
     p-local Smith form, and the radical is read off its elimination mod p.
+    Each radical vector v is checked to satisfy G v = 0 mod p.
     """
     check_prime(p)
     rows = [list(r) for r in form.matrix]
@@ -157,8 +158,9 @@ def rank_and_radical(form: IntegerSymmetricForm, p: int) -> RankResult:
     valuations, rref, pivots = rank_mod_p(rows, p, rank_q, _linalg.p_valuation(minor, p))
     rank_fp = len(pivots)
     radical = tuple(tuple(v) for v in _linalg.echelon_kernel(rref, pivots, form.size, p))
-    if len(radical) != form.size - rank_fp:
-        raise InvariantError("radical dimension inconsistent with rank")
+    for v in radical:
+        if any(sum(g * x for g, x in zip(row, v)) % p for row in form.matrix):
+            raise InvariantError(f"radical vector {v} is not in the kernel of the form mod {p}")
     return RankResult(rank_q, rank_fp, radical, tuple(p**v for v in valuations))
 
 

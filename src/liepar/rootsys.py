@@ -5,7 +5,8 @@ carry every lattice-level invariant used downstream: the full root list in
 simple-root coordinates, coroots in simple-coroot coordinates, highest and
 highest short roots, coroot coefficients of the highest root, the dual
 Coxeter number, minuscule fundamental weights and the weight/root lattice
-quotient.
+quotient.  Each root's weight coordinates, norm and coroot are computed once,
+when the system is built, and every later question reads those tables.
 
 Coordinate conventions
 ----------------------
@@ -39,7 +40,7 @@ import re
 from fractions import Fraction
 
 from . import _linalg
-from .errors import InvalidTypeError, InvariantError, ReducibleError
+from .errors import InvalidTypeError, InvariantError, LieparError, ReducibleError
 
 Weight = tuple[int, ...]
 RootCoords = tuple[int, ...]
@@ -147,8 +148,18 @@ class RootSystem:
             offset += rank
         self.cartan: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in cartan)
         self._d6 = tuple(lengths)
+        # per positive root, in the order of positive_roots: its weight
+        # coordinates, 6 (alpha, alpha) and its coroot; a negative root's are
+        # the negated weight and coroot and the same norm
         weights = self._enumerate_roots()
-        self._coroot_cache = {r: self._coroot(r, weights[r]) for r in self.positive_roots}
+        self._positive_weights = tuple(weights[r] for r in self.positive_roots)
+        self._positive_norm6 = tuple(
+            self.form6(r, w) for r, w in zip(self.positive_roots, self._positive_weights))
+        self.positive_coroots: tuple[RootCoords, ...] = tuple(
+            self._coroot(r, n) for r, n in zip(self.positive_roots, self._positive_norm6))
+        negated = [tuple(-c for c in co) for co in self.positive_coroots]
+        self._coroots = dict(zip(self.roots, self.positive_coroots + tuple(negated)))
+        self._norm6 = dict(zip(self.roots, self._positive_norm6 * 2))
 
     # -- construction -----------------------------------------------------
 
@@ -205,17 +216,9 @@ class RootSystem:
         coordinates, using (alpha_j, omega_i) = d_j delta_ij."""
         return sum(root[j] * self._d6[j] * weight[j] for j in range(self.rank))
 
-    def _norm6(self, root: RootCoords) -> int:
-        return self.form6(root, self.root_weight_coords(root))
-
-    def root_norm(self, root: RootCoords) -> Fraction:
-        """(alpha, alpha) for alpha in root coordinates."""
-        return Fraction(self._norm6(root), 6)
-
-    def _coroot(self, root: RootCoords, weight: Weight) -> RootCoords:
+    def _coroot(self, root: RootCoords, norm6: int) -> RootCoords:
         """Simple-coroot coordinates of alpha-check = 2 alpha/(alpha, alpha),
-        alpha given in root and in weight coordinates."""
-        norm6 = self.form6(root, weight)
+        given alpha in root coordinates and 6 (alpha, alpha)."""
         coords = []
         for i in range(self.rank):
             c, rem = divmod(2 * root[i] * self._d6[i], norm6)
@@ -224,12 +227,19 @@ class RootSystem:
             coords.append(c)
         return tuple(coords)
 
+    def _root_entry(self, table: dict, root):
+        entry = table.get(tuple(root))
+        if entry is None:
+            raise LieparError(f"{tuple(root)} is not a root of {self.type_name()}")
+        return entry
+
+    def root_norm(self, root: RootCoords) -> Fraction:
+        """(alpha, alpha) for a root alpha in root coordinates."""
+        return Fraction(self._root_entry(self._norm6, root), 6)
+
     def coroot(self, root: RootCoords) -> RootCoords:
-        if all(c >= 0 for c in root):
-            return self._coroot_cache.get(root) or self._coroot(root, self.root_weight_coords(root))
-        pos = tuple(-c for c in root)
-        return tuple(-c for c in self._coroot_cache.get(pos)
-                     or self._coroot(pos, self.root_weight_coords(pos)))
+        """Simple-coroot coordinates of the coroot of a root."""
+        return self._root_entry(self._coroots, root)
 
     # -- derived data -------------------------------------------------------
 
@@ -261,15 +271,15 @@ class RootSystem:
         theta = self.positive_roots[-1]
         if not all(all(a >= b for a, b in zip(theta, r)) for r in self.positive_roots):
             raise InvariantError("highest root must dominate every positive root")
-        return self.root_weight_coords(theta)
+        return self._positive_weights[-1]
 
     def highest_short_root(self) -> Weight:
         """The dominant short root (equals the highest root when simply laced)."""
         self._require_irreducible()
-        min_norm = min(self._norm6(r) for r in self.positive_roots)
-        short = [r for r in self.positive_roots if self._norm6(r) == min_norm]
-        top = max(short, key=lambda r: (sum(r), r))
-        w = self.root_weight_coords(top)
+        # positive_roots ascend in (height, coords), so the last short one is highest
+        short = min(self._positive_norm6)
+        top = max(i for i, n in enumerate(self._positive_norm6) if n == short)
+        w = self._positive_weights[top]
         if any(c < 0 for c in w):
             raise InvariantError("highest short root must be dominant")
         return w
@@ -280,7 +290,7 @@ class RootSystem:
         Returns (coefficients, max coefficient).
         """
         self._require_irreducible()
-        co = self.coroot(self.positive_roots[-1])
+        co = self.positive_coroots[-1]
         return co, max(co)
 
     def dual_coxeter_number(self) -> int:
@@ -301,12 +311,8 @@ class RootSystem:
     def minuscule_weights(self) -> tuple[int, ...]:
         """1-based indices i with <w_i, alpha-check> <= 1 for all positive roots."""
         self._require_irreducible()
-        maxima = [0] * self.rank
-        for root in self.positive_roots:
-            co = self.coroot(root)
-            for i in range(self.rank):
-                maxima[i] = max(maxima[i], co[i])
-        return tuple(i + 1 for i in range(self.rank) if maxima[i] == 1)
+        maxima = map(max, zip(*self.positive_coroots))
+        return tuple(i + 1 for i, m in enumerate(maxima) if m == 1)
 
     def fundamental_group(self) -> tuple[int, ...]:
         """Weight lattice modulo root lattice, as its elementary divisors > 1

@@ -11,7 +11,7 @@ determinant has a closed form (James and Murphy), so a simple dimension
 needs no elimination over Z: both go to `intform.rank_mod_p`, the checked
 F_p rank that intersection forms read from files use too.  `polytabloid`
 is the readable tuple-keyed expansion the tests check the Gram matrices
-against.
+against, with its own column signs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 from . import _linalg
 from .config import SPECHT_BUDGET, effective_budget
@@ -129,10 +129,6 @@ class GramMatrix:
         return self.form.size
 
 
-def _tabloid_key(tableau) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(row)) for row in tableau)
-
-
 @functools.cache
 def _column_group(lam: Partition) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
     """The signed permutations of each column of a tableau of shape lambda.
@@ -165,15 +161,20 @@ def _column_group(lam: Partition) -> tuple[tuple[tuple[tuple[int, ...], int], ..
 
 
 def polytabloid(lam: Partition, tableau) -> dict[tuple, int]:
-    """Expansion of the polytabloid of `tableau` in the tabloid basis."""
+    """Expansion of the polytabloid of `tableau` in the tabloid basis.
+
+    The readable oracle for `specht_gram`: it signs each column permutation
+    by its inversion count, so it shares no sign with `_column_group`.
+    """
     lam = check_partition(lam)
     conj = conjugate(lam)
-    per_column = _column_group(lam)
+    per_column = [[(perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
+                   for perm in permutations(range(height))] for height in conj]
     coeffs: dict[tuple, int] = {}
 
     def rec(col: int, current: list[list[int]], sign: int):
         if col == len(conj):
-            key = _tabloid_key(current)
+            key = tuple(tuple(sorted(row)) for row in current)
             coeffs[key] = coeffs.get(key, 0) + sign
             return
         height = conj[col]

@@ -261,12 +261,6 @@ class CellPolynomial:
     def evaluate(self, x: int) -> int:
         return sum(c * x**k for k, c in enumerate(self.coeffs))
 
-    def __add__(self, other: "CellPolynomial") -> "CellPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0] * (n - len(other.coeffs))
-        return CellPolynomial(tuple(x + y for x, y in zip(a, b)))
-
     @classmethod
     def from_exponents(cls, exponents) -> "CellPolynomial":
         exps = list(exponents)

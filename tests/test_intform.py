@@ -213,6 +213,22 @@ def test_rank_cross_checks_raise(monkeypatch, matrix, tamper, message):
         rank_and_radical(IntegerSymmetricForm(matrix), 3)
 
 
+def test_radical_vectors_are_checked_against_the_form(monkeypatch):
+    # diag(2, 1) mod 2 has radical e_1; moving one vector off the kernel must be refused
+    kernel = _linalg.echelon_kernel
+
+    def corrupt(*args):
+        basis = kernel(*args)
+        basis[0][-1] += 1
+        return basis
+
+    form = IntegerSymmetricForm(((2, 0), (0, 1)))
+    assert rank_and_radical(form, 2).radical_basis == ((1, 0),)
+    monkeypatch.setattr(_linalg, "echelon_kernel", corrupt)
+    with pytest.raises(InvariantError, match=r"radical vector \(1, 1\) is not in the kernel"):
+        rank_and_radical(form, 2)
+
+
 def test_doubling_loop_refuses_a_singular_or_perturbed_matrix():
     # G^(2,1) has determinant 3, so one divisor 3 mod 3 and F_3 rank 1
     valuations, rref, pivots = rank_mod_p(((2, 1), (1, 2)), 3, 2, 1)

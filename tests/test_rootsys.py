@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from liepar._linalg import elementary_divisors
-from liepar.errors import InvalidTypeError, ReducibleError
+from liepar.errors import InvalidTypeError, LieparError, ReducibleError
 from liepar.rootsys import RootSystem, build_root_system
 
 ALL_TYPES = (
@@ -100,6 +101,31 @@ def test_reflections_permute_roots(label):
             pairing = sum(w[k] * co[k] for k in range(rs.rank))
             image.add(tuple(beta[k] - pairing * alpha[k] for k in range(rs.rank)))
         assert image == roots
+
+
+@pytest.mark.parametrize("label", ALL_TYPES + ["A60"])
+def test_root_tables_match_two_alpha_over_norm(label):
+    # the tables built once per system against the per-call path they
+    # replaced: alpha-check_i = c_i (alpha_i, alpha_i)/(alpha, alpha) for
+    # alpha = sum c_i alpha_i, norms from root_weight_coords and form6
+    rs = build_root_system(label)
+    simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
+    simple6 = [rs.form6(a, rs.root_weight_coords(a)) for a in simple]
+    assert rs.positive_coroots == tuple(map(rs.coroot, rs.positive_roots))
+    # A60 has 3660 roots: its negative ones are left to the rank <= 8 types
+    for alpha in rs.positive_roots if rs.rank > 8 else rs.roots:
+        norm6 = rs.form6(alpha, rs.root_weight_coords(alpha))
+        assert rs.root_norm(alpha) == Fraction(norm6, 6)
+        assert rs.coroot(alpha) == tuple(Fraction(c * n, norm6) for c, n in zip(alpha, simple6))
+
+
+@pytest.mark.parametrize("vector", [(0, 0), (2, 0), (1, 2), (1, 1, 0), [1, 2]])
+def test_coroot_and_norm_of_a_non_root_raise(vector):
+    rs = build_root_system("A2")
+    with pytest.raises(LieparError, match="is not a root of A2"):
+        rs.coroot(vector)
+    with pytest.raises(LieparError, match="is not a root of A2"):
+        rs.root_norm(vector)
 
 
 def test_invalid_labels():

@@ -57,6 +57,20 @@ def test_one_checked_rank(path):
         assert not uses, f"{path.name} uses {uses}; call intform.rank_mod_p instead"
 
 
+def _names_in(function, tree):
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_gram_oracle_keeps_its_own_signs():
+    # polytabloid is the oracle of specht_gram; reading the signed column
+    # permutations of specht_gram would let a sign bug there pass both
+    tree = ast.parse((LIBRARY / "schurweyl.py").read_text(encoding="utf-8"))
+    assert "_column_group" in _names_in("specht_gram", tree)
+    assert "_column_group" not in _names_in("polytabloid", tree)
+
+
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 

@@ -19,6 +19,12 @@ from liepar.weyl import (
 )
 
 
+def summed(polynomials):
+    """Coefficient-wise sum of cell polynomials."""
+    columns = itertools.zip_longest(*(p.coeffs for p in polynomials), fillvalue=0)
+    return CellPolynomial(tuple(map(sum, columns)))
+
+
 def by_word(rs):
     return {w.word: w for w in generate_weyl(rs)}
 
@@ -230,9 +236,7 @@ def test_stratum_poincare_examples():
 
     e = identity(a2)
     assert stratum_poincare(a2, (), {1}, e).coeffs == (1,)
-    total = CellPolynomial((0,))
-    for w in double_quotient_reps(a2, (), {1}):
-        total = total + stratum_poincare(a2, (), {1}, w)
+    total = summed(stratum_poincare(a2, (), {1}, w) for w in double_quotient_reps(a2, (), {1}))
     assert total.coeffs == (1, 1, 1)
     assert total.evaluate(1) == 3
 
@@ -254,14 +258,8 @@ def test_stratum_poincare_rejects_nonminimal():
 def test_stratum_polynomials_sum_to_quotient(label, I, J):
     # the I-stratum cells partition the J-quotient cells, for any parabolic I
     rs = build_root_system(label)
-    total = CellPolynomial((0,))
-    for w in double_quotient_reps(rs, I, J):
-        total = total + stratum_poincare(rs, I, J, w)
-    quotient = CellPolynomial((0,))
-    for x in double_quotient_reps(rs, (), J):
-        poly = [0] * (x.length + 1)
-        poly[x.length] = 1
-        quotient = quotient + CellPolynomial(tuple(poly))
+    total = summed(stratum_poincare(rs, I, J, w) for w in double_quotient_reps(rs, I, J))
+    quotient = CellPolynomial.from_exponents(x.length for x in double_quotient_reps(rs, (), J))
     assert total.coeffs == quotient.coeffs
 
 
