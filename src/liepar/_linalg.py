@@ -242,7 +242,6 @@ def row_hermite(matrix) -> list[list[int]]:
     if not m:
         return []
     cols = len(m[0])
-    basis: list[list[int]] = []
     r = 0
     for c in range(cols):
         # gcd-reduce column c over rows >= r
@@ -269,8 +268,7 @@ def row_hermite(matrix) -> list[list[int]]:
         r += 1
         if r == len(m):
             break
-    basis = [row for row in m[:r]]
-    return basis
+    return m[:r]
 
 
 def in_row_lattice(hnf: list[list[int]], vector) -> bool:

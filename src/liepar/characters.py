@@ -22,7 +22,6 @@ the generation search to the two certificate bounds there.
 from __future__ import annotations
 
 import functools
-import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -333,37 +332,35 @@ def generation_certificate(rs: RootSystem) -> GenerationCertificate:
     """Find, for every fundamental weight, a tensor word over the generators
     whose characteristic-zero decomposition contains it.
 
-    Bounded breadth-first search, expanding discovered summands in order of
-    (word length, dimension), over words of at most CERTIFICATE_WORD_LENGTH
-    letters and at most CERTIFICATE_EXPANSIONS tensor products.  Raises
-    BudgetError naming the fundamental weights that could not be certified
-    within those bounds.
+    Bounded breadth-first search, expanding the discovered summands one word
+    length at a time, each length in order of (dimension, weight), over
+    words of at most CERTIFICATE_WORD_LENGTH letters and at most
+    CERTIFICATE_EXPANSIONS tensor products.  Raises BudgetError naming the
+    fundamental weights that could not be certified within those bounds.
     """
     gens = generator_weights(rs)
     targets = {tuple(1 if j == i else 0 for j in range(rs.rank)): i + 1 for i in range(rs.rank)}
-    discovered: dict[Weight, tuple[Weight, ...]] = {}
-    heap: list[tuple[int, int, Weight]] = []
-    for g in gens:
-        discovered[g] = (g,)
-        heapq.heappush(heap, (1, weyl_dimension(rs, g), g))
+
+    def order(w: Weight) -> tuple[int, Weight]:
+        return weyl_dimension(rs, w), w
+
+    discovered: dict[Weight, tuple[Weight, ...]] = {g: (g,) for g in gens}
+    level = gens  # the words of one length, sorted by (dimension, weight)
     expansions = 0
-    while heap and not all(t in discovered for t in targets):
-        length, _, lam = heapq.heappop(heap)
-        if length >= CERTIFICATE_WORD_LENGTH:
-            continue
-        word = discovered[lam]
-        if len(word) != length:
-            continue  # stale heap entry
-        for g in gens:
-            expansions += 1
-            if expansions > CERTIFICATE_EXPANSIONS:
-                heap = []
+    for _ in range(CERTIFICATE_WORD_LENGTH - 1):
+        found: list[Weight] = []
+        for lam in level:
+            if all(t in discovered for t in targets):
                 break
-            piece = tensor_decompose(rs, lam, g)
-            for nu in sorted(piece.dominant_mults, key=lambda w: (weyl_dimension(rs, w), w)):
-                if nu not in discovered:
-                    discovered[nu] = word + (g,)
-                    heapq.heappush(heap, (length + 1, weyl_dimension(rs, nu), nu))
+            for g in gens:
+                if expansions == CERTIFICATE_EXPANSIONS:
+                    break
+                expansions += 1
+                for nu in sorted(tensor_decompose(rs, lam, g).dominant_mults, key=order):
+                    if nu not in discovered:
+                        discovered[nu] = discovered[lam] + (g,)
+                        found.append(nu)
+        level = sorted(found, key=order)
     missing = [idx for t, idx in targets.items() if t not in discovered]
     if missing:
         raise BudgetError(

@@ -83,9 +83,6 @@ class IntegerSymmetricForm:
     def size(self) -> int:
         return len(self.matrix)
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "n": self.size, "rows": [list(r) for r in self.matrix]}
-
     @classmethod
     def from_dict(cls, data: dict) -> "IntegerSymmetricForm":
         if not isinstance(data, dict) or "rows" not in data:

@@ -6,7 +6,8 @@ simple-module dimensions as ranks of the modular reduction, and the
 Jordan-type combinatorics of GL_n nilpotent orbits.
 
 A Gram matrix comes from polytabloids stored as sets of integer-coded
-tabloids.  Its rank over Q is f^lambda and the p-adic valuation of its
+tabloids, signed by one table of column permutations per column height.
+Its rank over Q is f^lambda and the p-adic valuation of its
 determinant has a closed form (James and Murphy), so a simple dimension
 needs no elimination over Z: both go to `intform.rank_mod_p`, the checked
 F_p rank that intersection forms read from files use too.  `polytabloid`
@@ -130,41 +131,26 @@ class GramMatrix:
 
 
 @functools.cache
-def _column_group(lam: Partition) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
-    """The signed permutations of each column of a tableau of shape lambda.
+def _signed_permutations(height: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The permutations of range(height), each with its sign, as (perm, sign).
 
-    Entry j lists (perm, sign) over the permutations of column j, perm[i]
-    being the row whose entry moves to row i.  Built once per shape and
-    shared, hence tuples.
+    perm[i] is the row whose entry moves to row i.  Built by insertion:
+    putting n at place i of a permutation of range(n) puts it in front of
+    n - i smaller entries, so the sign flips n - i times.  Built once per
+    height and shared by every column of that height, hence tuples.
     """
-    conj = conjugate(lam)
-    per_column = []
-    for j, height in enumerate(conj):
-        perms = []
-        for perm in permutations(range(height)):
-            sign = 1
-            seen = [False] * height
-            for start in range(height):
-                if seen[start]:
-                    continue
-                length = 0
-                k = start
-                while not seen[k]:
-                    seen[k] = True
-                    k = perm[k]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-            perms.append((perm, sign))
-        per_column.append(tuple(perms))
-    return tuple(per_column)
+    table = [((), 1)]
+    for n in range(height):
+        table = [(perm[:i] + (n,) + perm[i:], -sign if (n - i) % 2 else sign)
+                 for perm, sign in table for i in range(n + 1)]
+    return tuple(table)
 
 
 def polytabloid(lam: Partition, tableau) -> dict[tuple, int]:
     """Expansion of the polytabloid of `tableau` in the tabloid basis.
 
     The readable oracle for `specht_gram`: it signs each column permutation
-    by its inversion count, so it shares no sign with `_column_group`.
+    by its inversion count, so it shares no sign with `_signed_permutations`.
     """
     lam = check_partition(lam)
     conj = conjugate(lam)
@@ -229,12 +215,13 @@ def specht_gram(lam: Partition) -> GramMatrix:
 
     With e_t = P_t - N_t as sets of tabloids (see `_signed_tabloids`),
     <e_s, e_t> = |P_s & P_t| + |N_s & N_t| - |P_s & N_t| - |N_s & P_t|.
+    Columns of equal height share one `_signed_permutations` table.
     `polytabloid` is the readable expansion that the tests pair against.
     """
     lam = check_partition(lam)
     check_specht_budget(sum(lam))
     basis = standard_tableaux(lam)
-    per_column = _column_group(lam)
+    per_column = [_signed_permutations(height) for height in conjugate(lam)]
     width = max(1, (len(lam) - 1).bit_length())
     vectors = [_signed_tabloids(t, per_column, width) for t in basis]
     size = len(basis)

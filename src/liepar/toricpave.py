@@ -231,8 +231,6 @@ class FanReport:
 
 
 def _cone_is_smooth(fan: Fan, key: ConeKey) -> bool:
-    if not key:
-        return True
     if len(key) != fan.dim(key):
         return False
     divisors = _linalg.smith_normal_form([list(r) for r in fan.cone_rays(key)])

@@ -189,6 +189,15 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("intform", "--in", "{text_entry}", "--p", "2"), '"rows" must be a list of integer lists'),
     (("intform", "--in", "{scalar_file}", "--p", "2"), '"rows"'),
     (("nilpotent", "--partition", ",", "--n", "0"), "n must be a positive integer"),
+    (("char", "--type", "A2"), "char needs one of --tensor, --exterior, --certify-generation"),
+    (("toric", "--fan", "{quadrant}", "--paving"), "--paving requires --tau"),
+    (("toric", "--fan", "{rank_zero}"), "fan rank must be a positive integer, got 0"),
+    (("toric", "--fan", "{rank_text}"), "fan rank must be a positive integer, got '2'"),
+    (("toric", "--fan", "{overlapping}"), "cones (0, 1) and (1, 2) do not meet in a common face"),
+    (("toric", "--fan", "{quadrant}", "--tau", "{two_cones}"),
+     "tau must consist of a single full-dimensional cone"),
+    (("toric", "--fan", "{quadrant}", "--tau", "{one_ray}", "--paving"),
+     "tau must consist of a single full-dimensional cone"),
 ])
 def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, message):
     files = {
@@ -209,6 +218,14 @@ def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, messag
         "scalar_row": _write(tmp_path / "row.json", {"rows": [5]}),
         "text_entry": _write(tmp_path / "text_entry.json", {"rows": [["a"]]}),
         "scalar_file": _write(tmp_path / "five.json", 5),
+        "rank_zero": _write(tmp_path / "rank0.json", {"rank": 0, "rays": [], "cones": []}),
+        "rank_text": _write(tmp_path / "rank_text.json", {**QUADRANT, "rank": "2"}),
+        # the cone on (0, 1) and (1, 1) lies inside the quadrant
+        "overlapping": _write(tmp_path / "overlap.json", {
+            "rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1], [1, 2]]}),
+        "two_cones": _write(tmp_path / "two_cones.json", {
+            "rank": 2, "rays": [[1, 0], [0, 1], [-1, 0]], "cones": [[0, 1], [1, 2]]}),
+        "one_ray": _write(tmp_path / "one_ray.json", {"rank": 2, "rays": [[1, 0]], "cones": [[0]]}),
     }
     (tmp_path / "fan.txt").write_text("rank 2\n")
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
@@ -222,6 +239,27 @@ def test_rootsys_emits(capsys):
     code, out, _ = run(capsys, "rootsys", "--type", "G2", "--emit", "h-dual")
     doc = json.loads(out)
     assert doc["h_dual"] == 4 and doc["minimal_orbit_dimension"] == 6
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "E6", "A2xB2"])
+def test_rootsys_emits_the_library_tables(capsys, label):
+    rs = build_root_system(label)
+    for emit, key, expected in [("roots", "roots", [list(r) for r in rs.roots]),
+                                ("coroots", "coroots", [list(co) for co in rs.positive_coroots]),
+                                ("fundamental-group", "fundamental_group", list(rs.fundamental_group()))]:
+        code, out, _ = run(capsys, "rootsys", "--type", label, "--emit", emit)
+        assert code == 0 and json.loads(out)[key] == expected
+
+
+def test_schurweyl_emits_the_gram_matrices(capsys):
+    code, out, _ = run(capsys, "schurweyl", "--d", "5", "--emit", "gram")
+    assert code == 0
+    grams = json.loads(out)["grams"]
+    assert [tuple(g["partition"]) for g in grams] == schurweyl.partitions(5)
+    for g in grams:
+        form = schurweyl.specht_gram(tuple(g["partition"])).form
+        assert g["size"] == form.size
+        assert g["matrix"] == [list(row) for row in form.matrix]
 
 
 def test_schurweyl_dims(capsys):
@@ -275,6 +313,27 @@ def test_toric_paving(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["poincare"] == [1, 0, 1]
     assert doc["even"] is True and doc["seed"] == 7
+
+
+def test_toric_paving_cells_partition_the_relevant_cones(capsys, tmp_path):
+    # the positive orthant star-subdivided along (1, 1, 1)
+    fan = toricpave.star_subdivision(
+        toricpave.Fan.from_dict({"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                 "cones": [[0, 1, 2]]}), (1, 1, 1))
+    tau = {"rank": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "cones": [[0, 1, 2]]}
+    fan_path = _write(tmp_path / "fan.json", fan.to_dict())
+    tau_path = _write(tmp_path / "tau.json", tau)
+    code, out, _ = run(capsys, "toric", "--fan", fan_path, "--tau", tau_path,
+                       "--paving", "--emit", "cells")
+    assert code == 0
+    doc = json.loads(out)
+    members = [tuple(m) for cell in doc["cells"] for m in cell["members"]]
+    result = toricpave.paving(fan, toricpave.Fan.from_dict(tau))
+    assert len(members) == len(set(members)) == doc["relevant_cone_count"]
+    assert set(members) == set(result.relevant_cones)
+    assert doc["cell_count"] == len(doc["cells"]) == len(fan.maximal_cones())
+    assert [(tuple(c["sigma"]), tuple(c["gamma"]), c["complex_dimension"]) for c in doc["cells"]] == [
+        (c.sigma, c.gamma, c.complex_dimension) for c in result.cells]
 
 
 def test_domain_error_exit_1(capsys):

@@ -164,17 +164,17 @@ def test_regular_orbit_dimension_formula():
         assert d.centralizer_factors == (1,)
 
 
-def test_column_group_is_built_once_per_shape():
-    schurweyl._column_group.cache_clear()
+def test_signed_permutations_are_built_once_per_height():
+    schurweyl._signed_permutations.cache_clear()
     for lam in partitions(6):
         specht_gram(lam)
         specht_gram(lam)
-    info = schurweyl._column_group.cache_info()
-    assert info.misses == len(partitions(6))
-    assert info.hits == info.misses
-    group = schurweyl._column_group((3, 2, 1))
-    assert isinstance(group, tuple) and all(isinstance(column, tuple) for column in group)
-    assert [len(column) for column in group] == [6, 2, 1]
+    assert schurweyl._signed_permutations.cache_info().misses == 6
+    for height in range(1, 7):
+        table = schurweyl._signed_permutations(height)
+        assert isinstance(table, tuple) and len(table) == math.factorial(height)
+        assert len({perm for perm, _ in table}) == len(table)
+    assert schurweyl._signed_permutations.cache_info().misses == 6
 
 
 @functools.cache

@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,8 +68,40 @@ def test_gram_oracle_keeps_its_own_signs():
     # polytabloid is the oracle of specht_gram; reading the signed column
     # permutations of specht_gram would let a sign bug there pass both
     tree = ast.parse((LIBRARY / "schurweyl.py").read_text(encoding="utf-8"))
-    assert "_column_group" in _names_in("specht_gram", tree)
-    assert "_column_group" not in _names_in("polytabloid", tree)
+    assert "_signed_permutations" in _names_in("specht_gram", tree)
+    assert "_signed_permutations" not in _names_in("polytabloid", tree)
+
+
+def _references(node) -> Counter:
+    """How often each name, attribute or imported name occurs under `node`."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def _unreferenced_private(trees) -> list[str]:
+    """Private module-level functions and methods that no tree names outside their own body."""
+    everywhere = sum(map(_references, trees), Counter())
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            for f in [node] + (node.body if isinstance(node, ast.ClassDef) else []):
+                if (isinstance(f, ast.FunctionDef) and f.name.startswith("_")
+                        and not f.name.endswith("__")
+                        and everywhere[f.name] == _references(f)[f.name]):
+                    unused.append(f.name)
+    return unused
+
+
+def test_every_private_function_is_used():
+    # a private helper is reachable only from the library; one it never names is dead code
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
+    assert _unreferenced_private(trees) == []
+
+
+def test_unused_private_helper_is_found():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    helper = ast.parse("def _helper(n):\n    return _helper(n - 1) if n else 0\n")
+    assert _unreferenced_private(trees + [helper]) == ["_helper"]
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
