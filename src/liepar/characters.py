@@ -177,8 +177,9 @@ class Character:
         return sum(m * weyl_dimension(self.system, w) for w, m in self.dominant_mults.items())
 
     def sorted_dominant(self) -> list[tuple[Weight, int]]:
+        """Highest <lambda, 2 rho-check> (twice the height) first, ties by weight."""
         return sorted(self.dominant_mults.items(), reverse=True,
-                      key=lambda kv: (sum(self.system.weight_root_coords(kv[0])), kv[0]))
+                      key=lambda kv: (orbit_dimension(self.system, kv[0]), kv[0]))
 
 
 def _brauer_klimyk(rs: RootSystem, shift: Weight, multiset: Mapping[Weight, int]) -> dict[Weight, int]:

@@ -9,19 +9,21 @@ each maximal cone with its positive walls to get gamma(sigma), and collect
 the cones sandwiched between gamma(sigma) and sigma.  The cell attached to
 sigma has complex dimension equal to the codimension of gamma(sigma).
 
-All geometry is exact: rays are primitive integer vectors and every
-membership or wall test runs over the rationals.
+All geometry is exact and runs over the integers: rays, span equations and
+facet normals are primitive integer vectors, so every membership or wall
+test is an integer dot product.  Rationals appear only in the linear program
+that finds a support function and in the covectors and heights it returns.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from types import MappingProxyType
 
 from . import _linalg
@@ -33,17 +35,18 @@ ConeKey = tuple[int, ...]  # sorted ray indices; () is the zero cone
 
 
 def _primitive(vector) -> Ray:
-    v = [int(x) for x in vector]
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    scale = lcm(*(x.denominator for x in vector))
+    v = [x.numerator * (scale // x.denominator) for x in vector]
+    g = gcd(*v)
     if g == 0:
         raise LieparError("zero vector is not a ray")
     return tuple(x // g for x in v)
 
 
-def _dot(u, v) -> Fraction:
-    return sum(Fraction(a) * b for a, b in zip(u, v))
+def _dot(u, v):
+    """An int for integer vectors, a Fraction when either has Fractions."""
+    return sum(map(mul, u, v))
 
 
 class Cone:
@@ -59,62 +62,56 @@ class Cone:
         self.ambient_dim = ambient_dim
 
     @functools.cached_property
-    def dim(self) -> int:
-        return _linalg.frac_rank(self.rays)
+    def _equations(self) -> tuple[Ray, ...]:
+        """Primitive integer equations of the span of the rays."""
+        return tuple(map(_primitive, _linalg.nullspace_q(self.rays, self.ambient_dim)))
 
     @functools.cached_property
-    def _hrep(self) -> tuple[list, tuple, tuple[tuple[int, ...], ...]]:
-        """(equations of the span, facet normals, ray positions on each facet).
+    def dim(self) -> int:
+        return self.ambient_dim - len(self._equations)
+
+    @functools.cached_property
+    def _hrep(self) -> tuple[tuple[Ray, ...], tuple[tuple[int, ...], ...]]:
+        """(inward primitive facet normals, ray positions on each facet).
 
         A (dim-1)-subset of rays spans a candidate hyperplane of the span
-        when the kernel it leaves there is a line; its normal is a facet
-        normal when the rays all lie on one side.
+        when the kernel it leaves there is a line; its normal, which lies in
+        the span, is a facet normal when the rays all lie on one side.  The
+        primitive inward normal names the facet, however many subsets find it.
         """
-        n = self.ambient_dim
-        equations = _linalg.nullspace_q(self.rays, n)
-        normals, facets, seen = [], [], set()
+        facets: dict[Ray, tuple[int, ...]] = {}
         for subset in itertools.combinations(self.rays, self.dim - 1) if self.dim else ():
-            kernel = _linalg.nullspace_q(list(subset) + equations, n)
+            kernel = _linalg.nullspace_q(subset + self._equations, self.ambient_dim)
             if len(kernel) != 1:
                 continue
-            u = kernel[0]
+            u = _primitive(kernel[0])
             values = [_dot(u, r) for r in self.rays]
             if all(v <= 0 for v in values):
-                u, values = [-x for x in u], [-v for v in values]
+                u, values = tuple(-x for x in u), [-v for v in values]
             elif not all(v >= 0 for v in values):
                 continue
-            key = _normal_key(u)
-            if key not in seen:
-                seen.add(key)
-                normals.append(u)
-                facets.append(tuple(p for p, v in enumerate(values) if v == 0))
-        return equations, tuple(normals), tuple(facets)
+            facets.setdefault(u, tuple(p for p, v in enumerate(values) if v == 0))
+        return tuple(facets), tuple(facets.values())
 
     def contains(self, point) -> bool:
-        equations, normals, _ = self._hrep
-        if any(_dot(eq, point) != 0 for eq in equations):
+        if any(_dot(eq, point) for eq in self._equations):
             return False
-        return all(_dot(u, point) >= 0 for u in normals)
+        return all(_dot(u, point) >= 0 for u in self._hrep[0])
 
     def facet_ray_sets(self) -> tuple[tuple[Ray, ...], ...]:
         """Generating rays of each facet (codimension-1 face)."""
-        return tuple(tuple(self.rays[p] for p in f) for f in self._hrep[2])
+        return tuple(tuple(self.rays[p] for p in f) for f in self._hrep[1])
 
     def faces(self) -> set[tuple[Ray, ...]]:
         """Every face, as its rays in cone order: the cone, () and each
         intersection of facets."""
-        facets = [frozenset(f) for f in self._hrep[2]]
+        facets = [frozenset(f) for f in self._hrep[1]]
         found = {frozenset(range(len(self.rays))), frozenset()}
         layer = set(facets)
         while layer:
             found |= layer
             layer = {f & g for f in layer for g in facets} - found
         return {tuple(self.rays[p] for p in sorted(face)) for face in found}
-
-
-def _normal_key(u) -> tuple:
-    nz = next(x for x in u if x != 0)
-    return tuple(x / abs(nz) for x in u)
 
 
 def _maximal(cones) -> list[ConeKey]:
@@ -163,7 +160,7 @@ class Fan:
 
     def facets(self, key: ConeKey) -> tuple[ConeKey, ...]:
         """The facets of a cone, as ray-index tuples."""
-        return tuple(tuple(key[p] for p in f) for f in self.cone(key)._hrep[2])
+        return tuple(tuple(key[p] for p in f) for f in self.cone(key)._hrep[1])
 
     @functools.cached_property
     def _maximal_cones(self) -> tuple[ConeKey, ...]:
@@ -216,10 +213,6 @@ class Fan:
         if missing:
             raise LieparError(f"cone list is not closed under faces near {sorted(missing)}")
         return fan
-
-    @classmethod
-    def from_json(cls, text: str) -> "Fan":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -283,7 +276,7 @@ def _tau_cone(tau: Fan) -> Cone:
 
 def _on_tau_wall(tau_cone: Cone, rays) -> bool:
     """Whether rays that lie in tau lie together on one facet of tau."""
-    return any(all(_dot(u, r) == 0 for r in rays) for u in tau_cone._hrep[1])
+    return any(all(_dot(u, r) == 0 for r in rays) for u in tau_cone._hrep[0])
 
 
 def _refines(fan: Fan, tau: Fan) -> bool:
@@ -319,8 +312,7 @@ def star_subdivision(fan: Fan, ray) -> Fan:
             new_max.append(cone.rays)
             continue
         # the new ray lies in the cone, so off a facet exactly when off its hyperplane
-        _, normals, facets = cone._hrep
-        for u, facet in zip(normals, facets):
+        for u, facet in zip(*cone._hrep):
             if _dot(u, new_ray) != 0:
                 new_max.append(tuple(cone.rays[p] for p in facet) + (new_ray,))
     rays = list(dict.fromkeys([r for c in new_max for r in c]))
@@ -334,9 +326,6 @@ class PLFunction:
 
     heights: tuple[Fraction, ...]               # one value per ray
     covectors: dict[ConeKey, tuple[Fraction, ...]]  # per maximal cone
-
-    def value(self, cone_key: ConeKey, point) -> Fraction:
-        return _dot(self.covectors[cone_key], point)
 
 
 def _interior_walls(fan: Fan) -> list[tuple[ConeKey, ConeKey, ConeKey]]:
@@ -427,17 +416,17 @@ def strictly_convex_support(fan: Fan) -> PLFunction:
 
 
 def verify_support_function(fan: Fan, pl: PLFunction) -> None:
-    """Exact continuity and strict wall convexity checks; raises on failure."""
+    """Exact linearity and strict wall convexity checks; raises on failure.
+
+    Each covector must take the heights of the rays of its cone.  Two cones
+    on a wall share its rays, so this also makes the function continuous.
+    """
     for key, m in pl.covectors.items():
         for i in key:
             if _dot(m, fan.rays[i]) != pl.heights[i]:
                 raise InfeasibleError("support function is not linear on a cone")
     for a, b, wall in _interior_walls(fan):
-        ma, mb = pl.covectors[a], pl.covectors[b]
-        for r in fan.cone_rays(wall):
-            if _dot(ma, r) != _dot(mb, r):
-                raise InfeasibleError("support function discontinuous across a wall")
-        for source, m in ((b, ma), (a, mb)):
+        for source, m in ((b, pl.covectors[a]), (a, pl.covectors[b])):
             for i in source:
                 if i not in wall and _dot(m, fan.rays[i]) >= pl.heights[i]:
                     raise InfeasibleError("support function not strictly convex across a wall")
@@ -458,23 +447,20 @@ class PavingResult:
     cells: tuple[PavingCell, ...]
     polynomial: CellPolynomial
     seed: int
-    generic_point: tuple[Fraction, ...]
+    generic_point: tuple[int, ...]
     relevant_cones: tuple[ConeKey, ...]
 
     def is_even(self) -> bool:
         return all(c == 0 for k, c in enumerate(self.polynomial.coeffs) if k % 2 == 1)
 
 
-def _generic_point(fan: Fan, pl: PLFunction, seed: int) -> tuple[Fraction, ...]:
+def _generic_point(fan: Fan, pl: PLFunction, seed: int) -> tuple[int, ...]:
     rng = random.Random(seed)
     maxes = fan.maximal_cones()
     for _ in range(1000):
         coeffs = [rng.randint(1, 97) for _ in fan.rays]
-        point = tuple(
-            Fraction(sum(c * r[j] for c, r in zip(coeffs, fan.rays)))
-            for j in range(fan.rank)
-        )
-        values = [pl.value(key, point) for key in maxes]
+        point = tuple(sum(c * r[j] for c, r in zip(coeffs, fan.rays)) for j in range(fan.rank))
+        values = [_dot(pl.covectors[key], point) for key in maxes]
         if len(set(values)) == len(values):
             return point
     raise LieparError("could not find a generic point in 1000 draws")
@@ -494,7 +480,7 @@ def paving(fan: Fan, tau: Fan, seed: int = 0) -> PavingResult:
     pl = strictly_convex_support(fan)
     x0 = _generic_point(fan, pl, seed)
     maxes = fan.maximal_cones()
-    values = {key: pl.value(key, x0) for key in maxes}
+    values = {key: _dot(pl.covectors[key], x0) for key in maxes}
 
     positive_walls: dict[ConeKey, list[ConeKey]] = {key: [] for key in maxes}
     for a, b, wall in _interior_walls(fan):

@@ -198,6 +198,11 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
      "tau must consist of a single full-dimensional cone"),
     (("toric", "--fan", "{quadrant}", "--tau", "{one_ray}", "--paving"),
      "tau must consist of a single full-dimensional cone"),
+    (("toric", "--fan", "{quadrant}", "--subdivide", "0,0"), "zero vector is not a ray"),
+    (("char", "--type", "A2", "--tensor", "w1"), "--tensor expects two comma-separated weights"),
+    (("char", "--type", "A2", "--tensor", "x1,w1"), "cannot parse weight term 'x1'"),
+    (("char", "--type", "A2", "--tensor", "w3,w1"), "fundamental index 3 out of range 1..2"),
+    (("char", "--type", "A2", "--exterior", "w1^-1"), "exterior power must be nonnegative"),
 ])
 def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, message):
     files = {
@@ -334,6 +339,46 @@ def test_toric_paving_cells_partition_the_relevant_cones(capsys, tmp_path):
     assert doc["cell_count"] == len(doc["cells"]) == len(fan.maximal_cones())
     assert [(tuple(c["sigma"]), tuple(c["gamma"]), c["complex_dimension"]) for c in doc["cells"]] == [
         (c.sigma, c.gamma, c.complex_dimension) for c in result.cells]
+
+
+@pytest.mark.parametrize("fan", [
+    # the second cone reaches the ray (-1, 1) outside the quadrant
+    {"rank": 2, "rays": [[1, 0], [0, 1], [-1, 1]], "cones": [[0, 1], [1, 2]]},
+    # the ray (0, 1) is a maximal cone of dimension 1
+    {"rank": 2, "rays": [[1, 0], [1, 1], [0, 1]], "cones": [[0, 1], [2]]},
+], ids=["ray-outside-tau", "lower-dimensional-cone"])
+def test_toric_fan_that_does_not_refine_tau(capsys, tmp_path, fan):
+    argv = ("toric", "--fan", _write(tmp_path / "fan.json", fan),
+            "--tau", _write(tmp_path / "tau.json", QUADRANT))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["refines_tau"] is False
+    code, out, err = run(capsys, *argv, "--paving")
+    assert code == 1 and out == ""
+    assert err == "error: fan does not refine tau with equal support\n"
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("source", None, "golden table torsion_primes is missing its source description"),
+    ("id", "torsion", "golden table torsion_primes has mismatched id 'torsion'"),
+    ("kind", "torsion", "unknown golden table kind 'torsion'"),
+])
+def test_golden_malformed_fixture_is_one_line_domain_error(capsys, tmp_path, field, value, message):
+    for name in TABLE_NAMES:
+        table = load_table(name)
+        if name == "torsion_primes":  # the table replayed first
+            table[field] = value
+        _write(tmp_path / f"{name}.json", table)
+    code, out, err = run(capsys, "golden", "--fixtures", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_intform_reads_forms_under_a_forms_key(capsys, tmp_path):
+    forms = [{"label": "a", "n": 2, "rows": [[2, -1], [-1, 2]]}, {"label": "s", "n": 1, "rows": [[-2]]}]
+    plain = run(capsys, "intform", "--in", _write(tmp_path / "list.json", forms), "--p", "3")
+    wrapped = run(capsys, "intform", "--in", _write(tmp_path / "forms.json", {"forms": forms}), "--p", "3")
+    assert plain[0] == 0 and json.loads(plain[1])["strata"]
+    assert wrapped == plain
 
 
 def test_domain_error_exit_1(capsys):

@@ -58,8 +58,10 @@ def test_one_checked_rank(path):
         assert not uses, f"{path.name} uses {uses}; call intform.rank_mod_p instead"
 
 
-def _names_in(function, tree):
-    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+def _names_in(definition, tree):
+    """Names and attributes read in one module-level function or class."""
+    node = next(n for n in tree.body
+                if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == definition)
     return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
 
@@ -70,6 +72,15 @@ def test_gram_oracle_keeps_its_own_signs():
     tree = ast.parse((LIBRARY / "schurweyl.py").read_text(encoding="utf-8"))
     assert "_signed_permutations" in _names_in("specht_gram", tree)
     assert "_signed_permutations" not in _names_in("polytabloid", tree)
+
+
+@pytest.mark.parametrize("definition", ["Cone", "Fan", "_primitive", "_dot", "_on_tau_wall", "_refines",
+                                        "validate_fan", "star_subdivision"])
+def test_cone_geometry_stays_in_integers(definition):
+    # rays, span equations and facet normals are primitive integer vectors;
+    # Fractions belong only to the support-function LP and its answer
+    tree = ast.parse((LIBRARY / "toricpave.py").read_text(encoding="utf-8"))
+    assert "Fraction" not in _names_in(definition, tree)
 
 
 def _references(node) -> Counter:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -312,3 +313,50 @@ def test_fan_tables_are_read_only_and_ignored_by_equality():
     assert all(isinstance(owners, tuple) for owners in dprime.walls.values())
     # the same Cone object each time, its facets found once
     assert dprime.cone((0, 1)) is dprime.cone((0, 1))
+
+
+@pytest.mark.parametrize("apex", [1, -1])
+def test_cube_cone_has_one_primitive_inward_normal_per_facet(apex):
+    # each facet of the cube holds four rays, so four triples of rays find
+    # it; over the lower cube the kernel vectors found point outward
+    rays = [(a, b, c, apex) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    cone = Cone(rays, 4)
+    normals, facets = cone._hrep
+    assert cone.dim == 4 and len(normals) == len(set(normals)) == 6
+    assert all(len(f) == 4 for f in facets)
+    for u in normals:
+        assert all(type(x) is int for x in u) and math.gcd(*u) == 1
+        assert all(sum(a * b for a, b in zip(u, r)) >= 0 for r in rays)
+    assert sorted(normals) == sorted(
+        tuple(s * (j == i) for j in range(3)) + (apex,) for i in range(3) for s in (1, -1))
+    assert cone.contains((0, 0, 0, apex)) and not cone.contains((2, 0, 0, apex))
+
+
+def test_redundant_generator_lies_on_the_facets_through_it():
+    # e1 + e2 generates nothing new: the cone is the positive orthant
+    e = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    rays = (e[0], (1, 1, 0, 0), e[1], e[2], e[3])
+    cone = Cone(rays, 4)
+    assert cone.dim == 4
+    assert len(cone.facet_ray_sets()) == 4
+    assert len(cone.faces()) == 16
+    assert (e[0], (1, 1, 0, 0), e[1]) in cone.faces()
+    assert all(type(x) is int for eq in Cone(rays[:3], 4)._equations for x in eq)
+    assert Cone(rays[:3], 4).dim == 2
+
+
+def test_verify_refuses_a_covector_off_the_heights():
+    dprime, _ = a_n_fixture(1)
+    pl = strictly_convex_support(dprime)
+    first, second = dprime.maximal_cones()
+    # the first covector moved off its cone's outer ray
+    m = pl.covectors[first]
+    moved = {**pl.covectors, first: (m[0] + 1, m[1])}
+    with pytest.raises(InfeasibleError, match="^support function is not linear on a cone$"):
+        verify_support_function(dprime, PLFunction(pl.heights, moved))
+    # a covector that disagrees with its neighbour on the shared wall ray
+    # is off that ray's height, so a discontinuous function is refused too
+    (i,) = set(first) & set(second)
+    shifted = {**pl.covectors, second: tuple(x + y for x, y in zip(pl.covectors[second], dprime.rays[i]))}
+    with pytest.raises(InfeasibleError, match="^support function is not linear on a cone$"):
+        verify_support_function(dprime, PLFunction(pl.heights, shifted))
