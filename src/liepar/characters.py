@@ -300,7 +300,6 @@ class CertificateEntry:
 
 @dataclass(frozen=True)
 class GenerationCertificate:
-    type_name: str
     generators: tuple[Weight, ...]
     entries: tuple[CertificateEntry, ...]
 
@@ -375,4 +374,4 @@ def generation_certificate(rs: RootSystem) -> GenerationCertificate:
         if mult <= 0:
             raise InvariantError(f"certificate word for w{idx} has multiplicity {mult}")
         entries.append(CertificateEntry(idx, word, mult))
-    return GenerationCertificate(rs.type_name(), tuple(gens), tuple(entries))
+    return GenerationCertificate(tuple(gens), tuple(entries))

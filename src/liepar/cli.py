@@ -4,9 +4,10 @@ Every subcommand prints a deterministic document (JSON by default, TSV or
 text on request) whose header carries the seed in use, so reruns with fixed
 inputs are byte-identical.  `weyl` writes its rows as they are enumerated,
 after every budget and index check has passed.  Exit codes: 0 success,
-1 domain error, 2 usage error (a bad option or a bad LIEPAR_BUDGET), 3 a
-failed invariant check, which can come after part of a streamed document;
-a reader that closes the pipe early ends the command quietly with 1.
+1 domain error, 2 usage error (a bad option, two operations at once or a
+bad LIEPAR_BUDGET), 3 a failed invariant check, which can come after part
+of a streamed document; a reader that closes the pipe early ends the
+command quietly with 1.
 A subcommand's modules run only when that subcommand runs: each is bound
 here as a lazy module whose body runs at the first read of an attribute.
 """
@@ -61,10 +62,11 @@ def _weight_label(wt) -> str:
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     """Parse 'w8', '2w1+w3' into fundamental-weight coordinates."""
+    terms = [term for term in text.replace(" ", "").split("+") if term]
+    if not terms:
+        raise LieparError(f"weight {text!r} has no term: expected e.g. w1 or 2w1+w3")
     coords = [0] * rank
-    for term in text.replace(" ", "").split("+"):
-        if not term:
-            continue
+    for term in terms:
         if "w" not in term:
             raise LieparError(f"cannot parse weight term {term!r}")
         coeff, _, idx = term.partition("w")
@@ -234,9 +236,9 @@ def _cmd_torsion(args) -> str:
             for c in certs
         ]
     doc["minimal_orbit_primes"] = list(torsion.minimal_orbit_parity_primes(rs)) if rs.is_irreducible() else None
-    bound = torsion.tilting_generation_bound(rs, improved=args.improved_bounds) if rs.is_irreducible() else None
-    if bound is not None:
-        doc["tilting_bound"] = bound.describe()
+    if rs.is_irreducible():
+        bound = torsion.tilting_generation_bound(rs, improved=args.improved_bounds)
+        doc["tilting_bound"] = "any p" if bound <= 1 else f"p > {bound}"
     rows = [(p,) for p in (doc["primes"] or [])]
     return _emit(doc, args.format, rows)
 
@@ -291,8 +293,7 @@ def _cmd_char(args) -> str:
 
 def _cmd_intform(args) -> str:
     forms = intform.load_forms(args.infile)
-    report = intform.decomposition_report(forms, args.p)
-    doc = _document("intform", **report.to_dict())
+    doc = _document("intform", **intform.decomposition_report(forms, args.p))
     rows = [
         (s["label"], s["size"], s["rank_q"], s["rank_fp"], s["multiplicity"], s["radical_dimension"])
         for s in doc["strata"]
@@ -328,8 +329,7 @@ def _cmd_schurweyl(args) -> str:
 
 def _cmd_nilpotent(args) -> str:
     lam = _parse_ints(args.partition, "partition")
-    data = schurweyl.nilpotent_orbit_data(lam, args.n)
-    doc = _document("nilpotent", **data.to_dict())
+    doc = _document("nilpotent", **schurweyl.nilpotent_orbit_data(lam, args.n))
     return _emit(doc, args.format, [(doc["dimension"], doc["centralizer"])])
 
 
@@ -356,18 +356,13 @@ def _cmd_toric(args) -> str:
                  "complex_dimension": c.complex_dimension}
                 for c in result.cells
             ]
-        rows = [(str(toricpave.CellPolynomial(tuple(doc["poincare"]))),)]
-        return _emit(doc, args.format, rows)
+        return _emit(doc, args.format, [(str(result.polynomial),)])
     if args.subdivide:
         ray = _parse_ints(args.subdivide, "ray")
         new_fan = toricpave.star_subdivision(fan, ray)
         doc["fan"] = new_fan.to_dict()
         return _emit(doc, args.format)
-    report = toricpave.validate_fan(fan, tau=tau)
-    doc["simplicial"] = report.simplicial
-    doc["smooth"] = report.smooth
-    doc["complete"] = report.complete
-    doc["refines_tau"] = report.refines_tau
+    doc.update(toricpave.validate_fan(fan, tau=tau))
     poset = toricpave.orbit_poset(fan)
     doc["cones"] = [list(c) for c in poset.cones]
     doc["orbit_dimensions"] = list(poset.orbit_dimensions)
@@ -420,9 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("char", _cmd_char)
     p.add_argument("--type", required=True)
-    p.add_argument("--tensor", help="two weights, e.g. w8,w8")
-    p.add_argument("--exterior", help="weight and power, e.g. w4^2")
-    p.add_argument("--certify-generation", action="store_true")
+    operation = p.add_mutually_exclusive_group()
+    operation.add_argument("--tensor", help="two weights, e.g. w8,w8")
+    operation.add_argument("--exterior", help="weight and power, e.g. w4^2")
+    operation.add_argument("--certify-generation", action="store_true")
     p.add_argument("--emit", choices=("decomposition",), default="decomposition")
 
     p = add("intform", _cmd_intform)
@@ -442,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("toric", _cmd_toric)
     p.add_argument("--fan", required=True, help="fan JSON: {rank, rays, cones}")
     p.add_argument("--tau", help="ambient cone fan JSON")
-    p.add_argument("--paving", action="store_true")
-    p.add_argument("--subdivide", help="ray to star-subdivide along, e.g. 1,1")
+    operation = p.add_mutually_exclusive_group()
+    operation.add_argument("--paving", action="store_true")
+    operation.add_argument("--subdivide", help="ray to star-subdivide along, e.g. 1,1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--emit", choices=("cells", "poincare"), default="poincare")
 

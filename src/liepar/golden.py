@@ -96,7 +96,7 @@ def _row_checks(kind: str, row: dict) -> list[tuple]:
     if kind == "torsion_primes":
         expected, actual = row["primes"], list(torsion.torsion_primes_fast(rs))
     elif kind == "tilting_bounds":
-        expected, actual = row["threshold"], torsion.tilting_generation_bound(rs).threshold
+        expected, actual = row["threshold"], torsion.tilting_generation_bound(rs)
     else:
         if kind == "minimal_orbit":
             actual = {

@@ -1,8 +1,9 @@
 """Exact rank/radical calculus for symmetric integer forms over Q and F_p.
 
 The rank of the modular reduction of a stratum's form is the multiplicity
-of the corresponding summand; a decomposition report aggregates these per
-stratum and flags whether every form is nondegenerate mod p.
+of the corresponding summand.  `decomposition_report` collects these per
+stratum, with whether every form is nondegenerate mod p, as the plain
+document that `liepar intform` prints.
 
 Every F_p rank in the package, of an intersection form read from a file
 or of a Specht Gram matrix, comes from `rank_mod_p`, which computes it by
@@ -17,7 +18,7 @@ closed forms.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import _linalg
 from .errors import InvariantError, LieparError
@@ -161,48 +162,24 @@ def rank_and_radical(form: IntegerSymmetricForm, p: int) -> RankResult:
     return RankResult(rank_q, rank_fp, radical, tuple(p**v for v in valuations))
 
 
-@dataclass(frozen=True)
-class StratumEntry:
-    label: str
-    size: int
-    rank_q: int
-    rank_fp: int
-    multiplicity: int
-    radical_dimension: int
-    nondegenerate: bool
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    prime: int
-    strata: tuple[StratumEntry, ...]
-    decomposition_theorem_holds: bool
-
-    def to_dict(self) -> dict:
-        report = asdict(self)
-        report["strata"] = list(report["strata"])  # asdict keeps the tuple, a TSV header would show it
-        return report
-
-
-def decomposition_report(forms, p: int) -> DecompositionReport:
-    """Per-stratum multiplicities; the global flag needs every form nondegenerate mod p."""
+def decomposition_report(forms, p: int) -> dict:
+    """The report document: per-stratum ranks and multiplicities, and whether
+    the Decomposition Theorem holds, which needs every form nondegenerate mod p."""
     check_prime(p)
-    entries = []
+    strata = []
     for form in forms:
         res = rank_and_radical(form, p)
-        entries.append(
-            StratumEntry(
-                label=form.label,
-                size=form.size,
-                rank_q=res.rank_q,
-                rank_fp=res.rank_fp,
-                multiplicity=res.rank_fp,
-                radical_dimension=form.size - res.rank_fp,
-                nondegenerate=res.rank_fp == form.size,
-            )
-        )
-    holds = all(e.nondegenerate for e in entries)
-    return DecompositionReport(p, tuple(entries), holds)
+        strata.append({
+            "label": form.label,
+            "size": form.size,
+            "rank_q": res.rank_q,
+            "rank_fp": res.rank_fp,
+            "multiplicity": res.rank_fp,
+            "radical_dimension": form.size - res.rank_fp,
+            "nondegenerate": res.rank_fp == form.size,
+        })
+    return {"prime": p, "strata": strata,
+            "decomposition_theorem_holds": all(s["nondegenerate"] for s in strata)}
 
 
 def load_forms(path: str) -> list[IntegerSymmetricForm]:

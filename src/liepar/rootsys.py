@@ -34,7 +34,6 @@ G_2      alpha_1 short (a[2][1] = -3)
 from __future__ import annotations
 
 import functools
-import json
 import math
 import re
 from fractions import Fraction
@@ -327,22 +326,6 @@ class RootSystem:
             "cartan": [list(r) for r in self.cartan],
             "roots": [list(r) for r in self.roots],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RootSystem":
-        rs = cls(data["type_label"])
-        if "cartan" in data and [list(r) for r in rs.cartan] != data["cartan"]:
-            raise InvalidTypeError("cartan matrix in document does not match type label")
-        if "roots" in data and sorted(map(tuple, data["roots"])) != sorted(rs.roots):
-            raise InvalidTypeError("root list in document does not match type label")
-        return rs
-
-    @classmethod
-    def from_json(cls, text: str) -> "RootSystem":
-        return cls.from_dict(json.loads(text))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type_name()!r})"

@@ -3,7 +3,8 @@
 Standard multiplicities f^lambda (hook lengths and direct enumeration),
 integral Gram matrices of Specht modules in the standard-polytabloid basis,
 simple-module dimensions as ranks of the modular reduction, and the
-Jordan-type combinatorics of GL_n nilpotent orbits.
+Jordan-type combinatorics of GL_n nilpotent orbits, returned as the
+document that `liepar nilpotent` prints.
 
 A Gram matrix comes from polytabloids stored as sets of integer-coded
 tabloids, signed by one table of column permutations per column height.
@@ -310,28 +311,10 @@ def simple_dims_table(d: int, p: int) -> list[int]:
     return sorted(simple_dimensions(d, p).values())
 
 
-@dataclass(frozen=True)
-class NilpotentOrbitData:
-    """Jordan-type combinatorics of a GL_n nilpotent orbit."""
-
-    partition: Partition
-    conjugate: Partition
-    dimension: int
-    centralizer_factors: tuple[int, ...]  # GL_{r_1} x ... x GL_{r_m}
-    resolution_source: str
-
-    def to_dict(self) -> dict:
-        return {
-            "partition": list(self.partition),
-            "conjugate": list(self.conjugate),
-            "dimension": self.dimension,
-            "centralizer": " x ".join(f"GL{r}" for r in self.centralizer_factors),
-            "resolution_source": self.resolution_source,
-        }
-
-
-def nilpotent_orbit_data(lam, n: int) -> NilpotentOrbitData:
-    """Orbit dimension, conjugate partition and reductive centralizer type."""
+def nilpotent_orbit_data(lam, n: int) -> dict:
+    """The orbit document: partition, conjugate partition, orbit dimension,
+    reductive centralizer type GL_{r_1} x ... x GL_{r_m} and the cotangent
+    bundle whose moment map resolves the orbit closure."""
     lam = check_partition(lam)
     if n < 1:
         raise LieparError(f"n must be a positive integer, got {n}")
@@ -339,12 +322,11 @@ def nilpotent_orbit_data(lam, n: int) -> NilpotentOrbitData:
         raise LieparError(f"partition {lam} is not a partition of {n}")
     conj = conjugate(lam)
     dimension = n * n - sum(c * c for c in conj)
-    factors = []
-    seen = []
-    for part in lam:
-        if part in seen:
-            continue
-        seen.append(part)
-        factors.append(lam.count(part))
-    source = "T*(GL%d/P_(%s))" % (n, ",".join(map(str, conj)))
-    return NilpotentOrbitData(lam, conj, dimension, tuple(factors), source)
+    factors = [lam.count(part) for part in dict.fromkeys(lam)]
+    return {
+        "partition": list(lam),
+        "conjugate": list(conj),
+        "dimension": dimension,
+        "centralizer": " x ".join(f"GL{r}" for r in factors),
+        "resolution_source": "T*(GL%d/P_(%s))" % (n, ",".join(map(str, conj))),
+    }

@@ -215,14 +215,6 @@ class Fan:
         return fan
 
 
-@dataclass(frozen=True)
-class FanReport:
-    simplicial: bool
-    smooth: bool
-    complete: bool
-    refines_tau: bool | None
-
-
 def _cone_is_smooth(fan: Fan, key: ConeKey) -> bool:
     if len(key) != fan.dim(key):
         return False
@@ -230,8 +222,9 @@ def _cone_is_smooth(fan: Fan, key: ConeKey) -> bool:
     return all(d == 1 for d in divisors)
 
 
-def validate_fan(fan: Fan, tau: "Fan | None" = None) -> FanReport:
-    """Structural report: simplicial, smooth, complete, refinement of tau.
+def validate_fan(fan: Fan, tau: "Fan | None" = None) -> dict:
+    """Structural report {simplicial, smooth, complete, refines_tau}, the
+    last None without tau.
 
     Also checks the fan axioms (faces present, pairwise intersections are
     common faces) and raises on malformed input.
@@ -254,11 +247,12 @@ def validate_fan(fan: Fan, tau: "Fan | None" = None) -> FanReport:
         for r in fan.rays:
             if ca.contains(r) and cb.contains(r) and not inter.contains(r):
                 raise LieparError(f"cones {a} and {b} do not meet in a common face")
-    simplicial = all(len(c) == fan.dim(c) for c in fan.maximal_cones())
-    smooth = all(_cone_is_smooth(fan, c) for c in fan.maximal_cones())
-    complete = _is_complete(fan)
-    refines = _refines(fan, tau) if tau is not None else None
-    return FanReport(simplicial, smooth, complete, refines)
+    return {
+        "simplicial": all(len(c) == fan.dim(c) for c in fan.maximal_cones()),
+        "smooth": all(_cone_is_smooth(fan, c) for c in fan.maximal_cones()),
+        "complete": _is_complete(fan),
+        "refines_tau": _refines(fan, tau) if tau is not None else None,
+    }
 
 
 def _is_complete(fan: Fan) -> bool:
@@ -418,9 +412,16 @@ def strictly_convex_support(fan: Fan) -> PLFunction:
 def verify_support_function(fan: Fan, pl: PLFunction) -> None:
     """Exact linearity and strict wall convexity checks; raises on failure.
 
-    Each covector must take the heights of the rays of its cone.  Two cones
-    on a wall share its rays, so this also makes the function continuous.
+    The function must give one height per ray and one covector per maximal
+    cone, and each covector must take the heights of the rays of its cone.
+    Two cones on a wall share its rays, so this also makes the function
+    continuous.
     """
+    if len(pl.heights) != len(fan.rays):
+        raise InfeasibleError(f"support function has {len(pl.heights)} heights "
+                              f"for {len(fan.rays)} rays")
+    if pl.covectors.keys() != set(fan.maximal_cones()):
+        raise InfeasibleError("support function covectors do not match the maximal cones of the fan")
     for key, m in pl.covectors.items():
         for i in key:
             if _dot(m, fan.rays[i]) != pl.heights[i]:
@@ -446,7 +447,6 @@ class PavingCell:
 class PavingResult:
     cells: tuple[PavingCell, ...]
     polynomial: CellPolynomial
-    seed: int
     generic_point: tuple[int, ...]
     relevant_cones: tuple[ConeKey, ...]
 
@@ -514,7 +514,7 @@ def paving(fan: Fan, tau: Fan, seed: int = 0) -> PavingResult:
     if set(covered) != set(relevant):
         raise InvariantError("paving cells do not partition the cones of the fiber")
     polynomial = CellPolynomial.from_exponents(2 * c.complex_dimension for c in cells)
-    return PavingResult(tuple(cells), polynomial, seed, x0, relevant)
+    return PavingResult(tuple(cells), polynomial, x0, relevant)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 The fast criterion reads primes off the coroot coefficients of the highest
 root; the oracle enumerates Z-closed subsystems and takes Smith normal
 forms of coroot-lattice quotients, producing re-checkable certificates.
-The minimal-orbit parity list and the tilting generation bounds are served
-as data tables with computable cross-checks.
+The minimal-orbit parity list and the tilting generation bounds, the
+threshold t of "p > t" as an int, are served as data tables with
+computable cross-checks.
 """
 
 from __future__ import annotations
@@ -209,37 +210,20 @@ def long_simple_fundamental_group(rs: RootSystem) -> tuple[int, ...]:
     return tuple(_linalg.elementary_divisors(cartan))
 
 
-@dataclass(frozen=True)
-class TiltingBound:
-    """Predicate 'p > threshold' under which tensor generation is asserted."""
-
-    type_name: str
-    threshold: int
-    improved: bool = False
-
-    def admits(self, p: int) -> bool:
-        return p > self.threshold
-
-    def describe(self) -> str:
-        return "any p" if self.threshold <= 1 else f"p > {self.threshold}"
-
-
-def tilting_generation_bound(rs: RootSystem, improved: bool = False) -> TiltingBound:
-    """Generation bound per type; `improved` lowers B/D to p > 2 (off by default)."""
+def tilting_generation_bound(rs: RootSystem, improved: bool = False) -> int:
+    """The threshold t of the generation bound "p > t" of the type; `improved`
+    lowers B and D to t = 2 (off by default)."""
     if not rs.is_irreducible():
         raise LieparError("generation bounds require an irreducible type")
     family, rank = rs.factors[0]
     if family == "A":
-        threshold = 1
-    elif family == "B":
-        threshold = 2 if improved else rank - 1
-    elif family == "D":
-        threshold = 2 if improved else rank - 2
-    elif family == "C":
-        threshold = rank
-    elif family == "E":
-        threshold = {6: 3, 7: 19, 8: 31}[rank]
-    else:  # F4, G2
-        threshold = 3
-    used_improved = improved and family in ("B", "D")
-    return TiltingBound(rs.type_name(), threshold, used_improved)
+        return 1
+    if family == "B":
+        return 2 if improved else rank - 1
+    if family == "D":
+        return 2 if improved else rank - 2
+    if family == "C":
+        return rank
+    if family == "E":
+        return {6: 3, 7: 19, 8: 31}[rank]
+    return 3  # F4, G2

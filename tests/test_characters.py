@@ -333,6 +333,14 @@ def test_generation_certificates_small():
     assert all(e.multiplicity > 0 for e in cert.entries)
 
 
+def test_certificate_with_a_tampered_multiplicity_fails_verification():
+    g2 = build_root_system("G2")
+    cert = ch.generation_certificate(g2)
+    first, *rest = cert.entries
+    tampered = ch.CertificateEntry(first.fundamental_index, first.word, first.multiplicity + 1)
+    assert not ch.GenerationCertificate(cert.generators, (tampered, *rest)).verify(g2)
+
+
 def test_word_multiplicity_matches_exterior_inclusion():
     # Lambda^2 V(w1) of E6 is V(w3), and the square contains it once
     e6 = build_root_system("E6")

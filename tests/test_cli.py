@@ -203,6 +203,8 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("char", "--type", "A2", "--tensor", "x1,w1"), "cannot parse weight term 'x1'"),
     (("char", "--type", "A2", "--tensor", "w3,w1"), "fundamental index 3 out of range 1..2"),
     (("char", "--type", "A2", "--exterior", "w1^-1"), "exterior power must be nonnegative"),
+    (("char", "--type", "A2", "--tensor", "w1,"), "weight '' has no term"),
+    (("char", "--type", "A2", "--exterior", "^2"), "weight '' has no term"),
 ])
 def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, message):
     files = {
@@ -236,6 +238,97 @@ def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, messag
     code, out, err = run(capsys, *(a.format(**files) for a in argv))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("char", "--type", "A2", "--tensor", "w1,w1", "--exterior", "w1^2"),
+    ("char", "--type", "A2", "--tensor", "w1,w1", "--certify-generation"),
+    ("char", "--type", "A2", "--exterior", "w1^2", "--certify-generation"),
+    ("toric", "--fan", "{quadrant}", "--tau", "{quadrant}", "--paving", "--subdivide", "1,1"),
+])
+def test_conflicting_operations_are_usage_errors(capsys, tmp_path, argv):
+    quadrant = _write(tmp_path / "quadrant.json", QUADRANT)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(quadrant=quadrant) for a in argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err
+
+
+CHAIN_FAN = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "cones": [[0, 1], [1, 2]]}
+CHAIN_TAU = {"rank": 2, "rays": [[1, 0], [1, 2]], "cones": [[0, 1]]}
+TWO_FORMS = [{"label": "a", "n": 2, "rows": [[2, -1], [-1, 2]]}, {"label": "s", "n": 1, "rows": [[-2]]}]
+CHAIN_CONES = {"cones": [[], [0], [1], [2], [0, 1], [1, 2]], "orbit_dimensions": [2, 1, 1, 1, 0, 0],
+               "complete": False, "simplicial": True, "smooth": True, "seed": 0, "subcommand": "toric"}
+B4_TORSION = {"fast": [2], "method": "fast", "minimal_orbit_primes": [2], "primes": [2], "seed": 0,
+              "subcommand": "torsion", "type": "B4"}
+
+# (argv, JSON document, TSV stdout, text stdout) of documents the library
+# returns as plain dicts; the JSON stdout is the document as _emit dumps it
+PINNED_DOCUMENTS = [
+    (("intform", "--in", "{forms}", "--p", "3"),
+     {"decomposition_theorem_holds": False, "prime": 3, "seed": 0, "subcommand": "intform", "strata": [
+         {"label": "a", "multiplicity": 1, "nondegenerate": False, "radical_dimension": 1,
+          "rank_fp": 1, "rank_q": 2, "size": 2},
+         {"label": "s", "multiplicity": 1, "nondegenerate": True, "radical_dimension": 0,
+          "rank_fp": 1, "rank_q": 1, "size": 1}]},
+     "# decomposition_theorem_holds=False\n# prime=3\n# seed=0\n# subcommand=intform\n"
+     "a\t2\t2\t1\t1\t1\ns\t1\t1\t1\t1\t0\n",
+     "decomposition_theorem_holds: False\nprime: 3\nseed: 0\nsubcommand: intform\n"),
+    (("nilpotent", "--partition", "3,2,2,1", "--n", "8"),
+     {"centralizer": "GL1 x GL2 x GL1", "conjugate": [4, 3, 1], "dimension": 38,
+      "partition": [3, 2, 2, 1], "resolution_source": "T*(GL8/P_(4,3,1))", "seed": 0,
+      "subcommand": "nilpotent"},
+     "# centralizer=GL1 x GL2 x GL1\n# dimension=38\n# resolution_source=T*(GL8/P_(4,3,1))\n"
+     "# seed=0\n# subcommand=nilpotent\n38\tGL1 x GL2 x GL1\n",
+     "centralizer: GL1 x GL2 x GL1\ndimension: 38\nresolution_source: T*(GL8/P_(4,3,1))\n"
+     "seed: 0\nsubcommand: nilpotent\n"),
+    (("toric", "--fan", "{fan}"),
+     {**CHAIN_CONES, "refines_tau": None},
+     "# complete=False\n# refines_tau=None\n# seed=0\n# simplicial=True\n# smooth=True\n"
+     "# subcommand=toric\n",
+     "complete: False\nrefines_tau: None\nseed: 0\nsimplicial: True\nsmooth: True\nsubcommand: toric\n"),
+    (("toric", "--fan", "{fan}", "--tau", "{tau}"),
+     {**CHAIN_CONES, "refines_tau": True},
+     "# complete=False\n# refines_tau=True\n# seed=0\n# simplicial=True\n# smooth=True\n"
+     "# subcommand=toric\n",
+     "complete: False\nrefines_tau: True\nseed: 0\nsimplicial: True\nsmooth: True\nsubcommand: toric\n"),
+    (("toric", "--fan", "{fan}", "--tau", "{tau}", "--paving"),
+     {"cell_count": 2, "even": True, "poincare": [1, 0, 1], "relevant_cone_count": 3, "seed": 0,
+      "subcommand": "toric"},
+     "# cell_count=2\n# even=True\n# relevant_cone_count=3\n# seed=0\n# subcommand=toric\n1 + q^2\n",
+     "cell_count: 2\neven: True\nrelevant_cone_count: 3\nseed: 0\nsubcommand: toric\n"),
+    (("torsion", "--type", "B4"),
+     {**B4_TORSION, "tilting_bound": "p > 3"},
+     "# method=fast\n# seed=0\n# subcommand=torsion\n# tilting_bound=p > 3\n# type=B4\n2\n",
+     "method: fast\nseed: 0\nsubcommand: torsion\ntilting_bound: p > 3\ntype: B4\n"),
+    (("torsion", "--type", "B4", "--improved-bounds"),
+     {**B4_TORSION, "tilting_bound": "p > 2"},
+     "# method=fast\n# seed=0\n# subcommand=torsion\n# tilting_bound=p > 2\n# type=B4\n2\n",
+     "method: fast\nseed: 0\nsubcommand: torsion\ntilting_bound: p > 2\ntype: B4\n"),
+    (("torsion", "--type", "A2"),
+     {"fast": [], "method": "fast", "minimal_orbit_primes": [], "primes": [], "seed": 0,
+      "subcommand": "torsion", "tilting_bound": "any p", "type": "A2"},
+     "# method=fast\n# seed=0\n# subcommand=torsion\n# tilting_bound=any p\n# type=A2\n",
+     "method: fast\nseed: 0\nsubcommand: torsion\ntilting_bound: any p\ntype: A2\n"),
+    (("torsion", "--type", "A1xA1"),
+     {"fast": [], "method": "fast", "minimal_orbit_primes": None, "primes": [], "seed": 0,
+      "subcommand": "torsion", "type": "A1xA1"},
+     "# method=fast\n# minimal_orbit_primes=None\n# seed=0\n# subcommand=torsion\n# type=A1xA1\n",
+     "method: fast\nminimal_orbit_primes: None\nseed: 0\nsubcommand: torsion\ntype: A1xA1\n"),
+]
+
+
+@pytest.mark.parametrize("argv,document,tsv,text", PINNED_DOCUMENTS,
+                         ids=[" ".join(case[0]) for case in PINNED_DOCUMENTS])
+def test_document_stdout_is_pinned(capsys, tmp_path, argv, document, tsv, text):
+    files = {"forms": _write(tmp_path / "forms.json", TWO_FORMS),
+             "fan": _write(tmp_path / "fan.json", CHAIN_FAN),
+             "tau": _write(tmp_path / "tau.json", CHAIN_TAU)}
+    argv = [a.format(**files) for a in argv]
+    for fmt, expected in [("json", json.dumps(document, sort_keys=True, indent=2) + "\n"),
+                          ("tsv", tsv), ("text", text)]:
+        assert run(capsys, *argv, "--format", fmt) == (0, expected, "")
 
 
 def test_rootsys_emits(capsys):

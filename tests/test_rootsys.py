@@ -5,7 +5,7 @@ import pytest
 
 from liepar._linalg import elementary_divisors
 from liepar.errors import InvalidTypeError, LieparError, ReducibleError
-from liepar.rootsys import RootSystem, build_root_system
+from liepar.rootsys import build_root_system
 
 ALL_TYPES = (
     ["A%d" % n for n in range(1, 9)]
@@ -231,25 +231,6 @@ def test_fundamental_groups():
     assert build_root_system("E8").fundamental_group() == ()
     assert build_root_system("D4").fundamental_group() == (2, 2)
     assert build_root_system("D5").fundamental_group() == (4,)
-
-
-def test_json_roundtrip():
-    rs = build_root_system("B3")
-    again = RootSystem.from_json(rs.to_json())
-    assert again == rs
-    assert again.cartan == rs.cartan
-    assert sorted(again.roots) == sorted(rs.roots)
-
-
-def test_from_dict_rejects_inconsistent_documents():
-    doc = build_root_system("B3").to_dict()
-    doc["cartan"][0][1] = -2
-    with pytest.raises(InvalidTypeError):
-        RootSystem.from_dict(doc)
-    doc = build_root_system("A2").to_dict()
-    doc["roots"] = doc["roots"][:-1]
-    with pytest.raises(InvalidTypeError):
-        RootSystem.from_dict(doc)
 
 
 def test_label_parsing_accepts_lowercase_and_lists():

@@ -140,17 +140,17 @@ def test_specht_budget():
 
 
 def test_nilpotent_orbit_data():
+    assert nilpotent_orbit_data((2, 1), 3) == {
+        "partition": [2, 1], "conjugate": [2, 1], "dimension": 4,
+        "centralizer": "GL1 x GL1", "resolution_source": "T*(GL3/P_(2,1))"}
     d = nilpotent_orbit_data((3,), 3)
-    assert d.dimension == 6 and d.centralizer_factors == (1,)
-    assert d.conjugate == (1, 1, 1)
+    assert d["dimension"] == 6 and d["centralizer"] == "GL1"
+    assert d["conjugate"] == [1, 1, 1]
     d = nilpotent_orbit_data((1, 1, 1, 1), 4)
-    assert d.dimension == 0 and d.centralizer_factors == (4,)
-    d = nilpotent_orbit_data((2, 1), 3)
-    assert d.dimension == 4 and d.centralizer_factors == (1, 1)
-    assert d.resolution_source == "T*(GL3/P_(2,1))"
+    assert d["dimension"] == 0 and d["centralizer"] == "GL4"
     d = nilpotent_orbit_data((3, 3, 2, 2, 1), 11)
-    assert d.centralizer_factors == (2, 2, 1)
-    assert d.dimension == 11 * 11 - sum(c * c for c in conjugate((3, 3, 2, 2, 1)))
+    assert d["centralizer"] == "GL2 x GL2 x GL1"
+    assert d["dimension"] == 11 * 11 - sum(c * c for c in conjugate((3, 3, 2, 2, 1)))
     with pytest.raises(LieparError):
         nilpotent_orbit_data((2, 1), 4)
     with pytest.raises(LieparError, match="n must be a positive integer"):
@@ -160,8 +160,8 @@ def test_nilpotent_orbit_data():
 def test_regular_orbit_dimension_formula():
     for n in range(1, 7):
         d = nilpotent_orbit_data((n,), n)
-        assert d.dimension == n * n - n
-        assert d.centralizer_factors == (1,)
+        assert d["dimension"] == n * n - n
+        assert d["centralizer"] == "GL1"
 
 
 def test_signed_permutations_are_built_once_per_height():

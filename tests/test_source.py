@@ -169,3 +169,19 @@ def test_invariant_checks_survive_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised", "raised", "raised", "1"]
+
+
+def test_documents_are_built_once():
+    # a result only the CLI prints is built as its document; a record class
+    # copied field by field into one would be a second representation
+    importers, to_dict_owners = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name == "asdict":
+                importers.append(path.name)
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body):
+                to_dict_owners.add(node.name)
+    assert importers == []
+    assert to_dict_owners == {"RootSystem", "Fan", "GoldenReport"}

@@ -35,25 +35,25 @@ def square_cone():
 
 def test_validate_quadrant():
     rep = validate_fan(quadrant())
-    assert rep.simplicial and rep.smooth and not rep.complete
+    assert rep["simplicial"] and rep["smooth"] and not rep["complete"]
 
 
 def test_validate_singular_cone():
     fan = Fan.from_max_cones(2, [(1, 0), (1, 2)], [[0, 1]])
     rep = validate_fan(fan)
-    assert rep.simplicial and not rep.smooth
+    assert rep["simplicial"] and not rep["smooth"]
 
 
 def test_validate_square_cone_not_simplicial():
     rep = validate_fan(square_cone())
-    assert not rep.simplicial and not rep.smooth
+    assert not rep["simplicial"] and not rep["smooth"]
 
 
 def test_complete_fan_p1():
     fan = Fan.from_max_cones(1, [(1,), (-1,)], [[0], [1]])
-    assert validate_fan(fan).complete
+    assert validate_fan(fan)["complete"]
     fan2 = Fan.from_max_cones(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
-    assert validate_fan(fan2).complete
+    assert validate_fan(fan2)["complete"]
 
 
 def test_malformed_cone_list_rejected():
@@ -78,7 +78,7 @@ def test_star_subdivision_resolves_a1():
     fan = Fan.from_max_cones(2, [(1, 0), (1, 2)], [[0, 1]])
     sub = star_subdivision(fan, (1, 1))
     rep = validate_fan(sub, tau=fan)
-    assert rep.smooth and rep.refines_tau
+    assert rep["smooth"] and rep["refines_tau"]
     assert len(sub.maximal_cones()) == 2
 
 
@@ -94,7 +94,7 @@ def test_star_subdivision_existing_ray_is_identity():
 def test_star_subdivision_body_ray_of_square():
     sub = star_subdivision(square_cone(), (1, 1, 1))
     rep = validate_fan(sub, tau=square_cone())
-    assert rep.simplicial and rep.refines_tau
+    assert rep["simplicial"] and rep["refines_tau"]
     assert len(sub.maximal_cones()) == 4
 
 
@@ -160,7 +160,7 @@ def mother_of_all_examples():
 
 def test_support_function_non_regular_fan():
     fan, tau = mother_of_all_examples()
-    assert validate_fan(fan, tau=tau).refines_tau
+    assert validate_fan(fan, tau=tau)["refines_tau"]
     with pytest.raises(InfeasibleError):
         strictly_convex_support(fan)
     with pytest.raises(InfeasibleError):
@@ -206,7 +206,7 @@ def test_paving_square_diagonal():
     tau = square_cone()
     dprime = Fan.from_max_cones(3, [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)],
                                 [[0, 1, 2], [1, 2, 3]])
-    assert validate_fan(dprime, tau=tau).refines_tau
+    assert validate_fan(dprime, tau=tau)["refines_tau"]
     result = paving(dprime, tau, seed=0)
     assert result.polynomial.coeffs == (1, 0, 1)
     assert result.is_even()
@@ -360,3 +360,21 @@ def test_verify_refuses_a_covector_off_the_heights():
     shifted = {**pl.covectors, second: tuple(x + y for x, y in zip(pl.covectors[second], dprime.rays[i]))}
     with pytest.raises(InfeasibleError, match="^support function is not linear on a cone$"):
         verify_support_function(dprime, PLFunction(pl.heights, shifted))
+
+
+def test_verify_refuses_covectors_that_miss_a_maximal_cone():
+    dprime, _ = a_n_fixture(1)
+    pl = strictly_convex_support(dprime)
+    first = dprime.maximal_cones()[0]
+    with pytest.raises(InfeasibleError, match="do not match the maximal cones"):
+        verify_support_function(dprime, PLFunction(pl.heights, {first: pl.covectors[first]}))
+    extra = {**pl.covectors, (0,): pl.covectors[first]}  # a wall is not a maximal cone
+    with pytest.raises(InfeasibleError, match="do not match the maximal cones"):
+        verify_support_function(dprime, PLFunction(pl.heights, extra))
+
+
+def test_verify_refuses_heights_that_miss_a_ray():
+    dprime, _ = a_n_fixture(1)
+    pl = strictly_convex_support(dprime)
+    with pytest.raises(InfeasibleError, match="^support function has 2 heights for 3 rays$"):
+        verify_support_function(dprime, PLFunction(pl.heights[:2], pl.covectors))

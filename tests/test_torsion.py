@@ -169,6 +169,14 @@ def test_minimal_orbit_rejects_products():
         minimal_orbit_parity_primes(build_root_system("A1xA1"))
 
 
+def test_type_tables_reject_products():
+    product = build_root_system("A1xA1")
+    with pytest.raises(LieparError, match="^requires an irreducible type$"):
+        long_simple_fundamental_group(product)
+    with pytest.raises(LieparError, match="^generation bounds require an irreducible type$"):
+        tilting_generation_bound(product)
+
+
 LONG_SIMPLE = {
     # every irreducible type of rank <= 8, recorded from the reflection
     # closure of the long simple roots (the algorithm that the Cartan
@@ -199,27 +207,17 @@ def test_long_simple_fundamental_group(label, expected):
 
 
 def test_tilting_bounds():
-    assert tilting_generation_bound(build_root_system("A9")).admits(2)
-    assert tilting_generation_bound(build_root_system("A9")).describe() == "any p"
-    e7 = tilting_generation_bound(build_root_system("E7"))
-    assert e7.threshold == 19
-    assert not e7.admits(19)
-    assert e7.admits(23)
-    c4 = tilting_generation_bound(build_root_system("C4"))
-    assert c4.threshold == 4
-    assert not c4.admits(3)
-    assert c4.admits(5)
-    assert tilting_generation_bound(build_root_system("B6")).threshold == 5
-    assert tilting_generation_bound(build_root_system("D6")).threshold == 4
-    assert tilting_generation_bound(build_root_system("E8")).threshold == 31
-    assert tilting_generation_bound(build_root_system("G2")).threshold == 3
+    assert tilting_generation_bound(build_root_system("A9")) == 1
+    assert tilting_generation_bound(build_root_system("E7")) == 19
+    assert tilting_generation_bound(build_root_system("C4")) == 4
+    assert tilting_generation_bound(build_root_system("B6")) == 5
+    assert tilting_generation_bound(build_root_system("D6")) == 4
+    assert tilting_generation_bound(build_root_system("E8")) == 31
+    assert tilting_generation_bound(build_root_system("G2")) == 3
 
 
 def test_improved_bounds_flag():
-    b6 = tilting_generation_bound(build_root_system("B6"), improved=True)
-    assert b6.threshold == 2 and b6.improved
-    d6 = tilting_generation_bound(build_root_system("D6"), improved=True)
-    assert d6.threshold == 2
+    assert tilting_generation_bound(build_root_system("B6"), improved=True) == 2
+    assert tilting_generation_bound(build_root_system("D6"), improved=True) == 2
     # the flag only affects B and D
-    c6 = tilting_generation_bound(build_root_system("C6"), improved=True)
-    assert c6.threshold == 6 and not c6.improved
+    assert tilting_generation_bound(build_root_system("C6"), improved=True) == 6

@@ -356,3 +356,12 @@ def test_iter_double_quotient_reps_checks_before_the_first_rep(monkeypatch):
     first = next(reps)
     assert first.length == 0 and first.key == rs.rho
     assert 1 + sum(1 for _ in reps) == 240
+
+
+def test_elements_of_two_root_systems_do_not_compose_or_compare():
+    a2, b2 = build_root_system("A2"), build_root_system("B2")
+    u, v = generate_weyl(a2)[1], generate_weyl(b2)[1]
+    with pytest.raises(LieparError, match="^elements belong to different root systems$"):
+        multiply(u, v)
+    with pytest.raises(LieparError, match="^elements belong to different root systems$"):
+        bruhat_leq(u, v)
