@@ -2,8 +2,8 @@
 
 Provides the Weyl dimension formula, weight multiplicities by the
 Freudenthal recursion, one Brauer-Klimyk straightening that decomposes
-tensor products (over the smaller factor's weight multiset) and exterior
-powers (their weight multisets built as one layered product), breadth-first
+tensor products (over the smaller factor's weight multiset) and, through
+Newton's identity over Adams operations, exterior powers, breadth-first
 generation certificates over minuscule and highest-short-root generators,
 and the dominance order / orbit dimension combinatorics for affine
 Grassmannian orbits.
@@ -25,7 +25,6 @@ import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from operator import add
 from types import MappingProxyType
 
@@ -67,8 +66,7 @@ def straighten_signed(rs: RootSystem, weight: Weight) -> tuple[Weight, int]:
     Reflects at the first negative coordinate until none is left.  Returns
     (rep, 0) when the weight lies on a reflection wall.
     """
-    w = weight
-    sign = 1
+    w, sign = weight, 1
     while True:
         for i, c in enumerate(w):
             if c < 0:
@@ -184,9 +182,9 @@ class Character:
 
 def _brauer_klimyk(rs: RootSystem, shift: Weight, multiset: Mapping[Weight, int]) -> dict[Weight, int]:
     """Sum of m(nu) sign(w) [w(shift + nu + rho) - rho] over the multiset, w
-    straightening shift + nu + rho: Klimyk's formula for V(shift) (x) V(mu)
-    over the weights of V(mu), Brauer's for a Weyl-invariant multiset with
-    shift 0.  Raises on a negative multiplicity, which is no character."""
+    straightening shift + nu + rho: Klimyk's formula for V(shift) (x) chi over
+    the weights of any Weyl-invariant virtual character chi, Brauer's with
+    shift 0.  The sum is signed; `_natural` checks it is a character."""
     shift_rho = tuple(s + 1 for s in shift)
     acc: dict[Weight, int] = {}
     for nu, m in multiset.items():
@@ -194,10 +192,15 @@ def _brauer_klimyk(rs: RootSystem, shift: Weight, multiset: Mapping[Weight, int]
         if sign:
             res = tuple(c - 1 for c in dom)
             acc[res] = acc.get(res, 0) + sign * m
-    result = {w: m for w, m in acc.items() if m}
-    if any(m < 0 for m in result.values()):
-        raise InvariantError("negative multiplicity out of Brauer-Klimyk straightening")
-    return result
+    return acc
+
+
+def _natural(acc: Mapping[Weight, int], divisor: int) -> dict[Weight, int]:
+    """acc divided by divisor, zeros dropped; raises unless each quotient is a natural number."""
+    for w, m in acc.items():
+        if m % divisor or m < 0:
+            raise InvariantError(f"multiplicity {Fraction(m, divisor)} at {w} is not natural")
+    return {w: m // divisor for w, m in acc.items() if m}
 
 
 def tensor_decompose(rs: RootSystem, left, right) -> Character:
@@ -209,7 +212,7 @@ def tensor_decompose(rs: RootSystem, left, right) -> Character:
     lam, mu = _check_dominant(_coords(left)), _check_dominant(_coords(right))
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
-    return Character(rs, _brauer_klimyk(rs, lam, weight_multiplicities(rs, mu)))
+    return Character(rs, _natural(_brauer_klimyk(rs, lam, weight_multiplicities(rs, mu)), 1))
 
 
 def decompose_weight_multiset(rs: RootSystem, multiset: dict[Weight, int]) -> dict[Weight, int]:
@@ -220,21 +223,20 @@ def decompose_weight_multiset(rs: RootSystem, multiset: dict[Weight, int]) -> di
     for w, m in rem.items():
         if any(c and rem.get(rs.reflect(w, i), 0) != m for i, c in enumerate(w)):
             raise InvariantError(f"multiset is not Weyl-invariant at {w}")
-    return _brauer_klimyk(rs, (0,) * rs.rank, rem)
+    return _natural(_brauer_klimyk(rs, (0,) * rs.rank, rem), 1)
 
 
 def exterior_power_decompose(rs: RootSystem, weight, power: int) -> Character:
-    """Decomposition of Lambda^k V(lambda) by Brauer's formula.  Its weight
-    multiset, the t^k coefficient of prod_nu (1 + t e^nu)^m(nu), is built one
-    weight at a time in layers up to min(k, dim-k): the weights of V sum to 0,
-    so Lambda^k is Lambda^(dim-k) negated.  binomial(dim, k) is held to the
-    weight budget before anything is built."""
+    """Decomposition of Lambda^k V(lambda) by Newton's identity, k Lambda^k =
+    sum_{i=1..k} (-1)^(i-1) psi^i(V) Lambda^(k-i), the Adams operation psi^i(V)
+    having the weights i nu of V: each psi^i(V) V(mu) is one Brauer-Klimyk
+    straightening.  Runs to min(k, dim-k), as Lambda^k is dual to Lambda^(dim-k).
+    binomial(dim, k) is held to the weight budget before anything is built."""
     lam = _check_dominant(_coords(weight))
     if power < 0:
         raise LieparError("exterior power must be nonnegative")
-    zero = (0,) * rs.rank
     if power == 0:
-        return Character(rs, {zero: 1})
+        return Character(rs, {(0,) * rs.rank: 1})
     dim = weyl_dimension(rs, lam)
     if power > dim:
         return Character(rs, {})
@@ -243,19 +245,20 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int) -> Character:
     for i in range(depth):  # size runs through binomial(dim, i + 1), increasing
         size = size * (dim - i) // (i + 1)
         check_budget(WEIGHT_BUDGET, size, f"exterior power of dimension binomial({dim}, {power})")
-    layers: list[dict[Weight, int]] = [{zero: 1}] + [{} for _ in range(depth)]
-    for nu, m in _weight_system(rs, lam).items():
-        for j in range(depth, 0, -1):  # downwards, so layers[j - i] is still the old one
-            layer = layers[j]
-            for i in range(1, min(m, j) + 1):
-                c, step = comb(m, i), tuple(i * b for b in nu)
-                for u, n in layers[j - i].items():
-                    key = tuple(map(add, u, step))
-                    layer[key] = layer.get(key, 0) + c * n
-    top = layers[depth]
+    weights = _weight_system(rs, lam).items()
+    adams = {i: {tuple(i * c for c in nu): m for nu, m in weights} for i in range(1, depth + 1)}
+    powers = [{(0,) * rs.rank: 1}]  # powers[j] is Lambda^j V, highest weight -> multiplicity
+    for j in range(1, depth + 1):
+        acc: dict[Weight, int] = {}
+        for i in range(1, j + 1):
+            for mu, n in powers[j - i].items():
+                for res, m in _brauer_klimyk(rs, mu, adams[i]).items():
+                    acc[res] = acc.get(res, 0) + (-1) ** (i - 1) * n * m
+        powers.append(_natural(acc, j))
+    top = powers[depth]
     if depth < power:
-        top = {tuple(-a for a in u): n for u, n in top.items()}
-    character = Character(rs, decompose_weight_multiset(rs, top))
+        top = {dominant_rep(rs, tuple(-c for c in mu)): n for mu, n in top.items()}
+    character = Character(rs, top)
     if character.dimension() != size:
         raise InvariantError("exterior power does not have dimension binomial(dim, power)")
     return character
@@ -264,8 +267,7 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int) -> Character:
 def dominance_leq(rs: RootSystem, lower, upper) -> bool:
     """lambda <= mu iff mu - lambda is a nonnegative integer root combination."""
     lam, mu = _check_dominant(_coords(lower)), _check_dominant(_coords(upper))
-    delta = tuple(mu[i] - lam[i] for i in range(rs.rank))
-    coords = rs.weight_root_coords(delta)
+    coords = rs.weight_root_coords(tuple(m - l for l, m in zip(lam, mu)))
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
@@ -282,13 +284,9 @@ def generator_weights(rs: RootSystem) -> list[Weight]:
     """Minuscule fundamental weights plus the highest short root, deduplicated."""
     if not rs.is_irreducible():
         raise LieparError("generators are defined for irreducible types")
-    gens = []
-    for i in rs.minuscule_weights():
-        gens.append(tuple(1 if j == i - 1 else 0 for j in range(rs.rank)))
-    short = rs.highest_short_root()
-    if short not in gens:
-        gens.append(short)
-    return sorted(set(gens), key=lambda w: (weyl_dimension(rs, w), w))
+    gens = {tuple(int(j == i - 1) for j in range(rs.rank)) for i in rs.minuscule_weights()}
+    gens.add(rs.highest_short_root())
+    return sorted(gens, key=lambda w: (weyl_dimension(rs, w), w))
 
 
 @dataclass(frozen=True)
@@ -304,10 +302,14 @@ class GenerationCertificate:
     entries: tuple[CertificateEntry, ...]
 
     def verify(self, rs: RootSystem) -> bool:
-        for entry in self.entries:
-            target = tuple(1 if j == entry.fundamental_index - 1 else 0 for j in range(rs.rank))
-            mult = word_multiplicity(rs, entry.word, target)
-            if mult != entry.multiplicity or mult <= 0:
+        """Entries for w1..wn in order, each a nonempty word over the generators of rs with its multiplicity."""
+        gens = tuple(generator_weights(rs))
+        if self.generators != gens or [e.fundamental_index for e in self.entries] != list(range(1, rs.rank + 1)):
+            return False
+        for i, entry in enumerate(self.entries):
+            target = tuple(int(j == i) for j in range(rs.rank))
+            if (not entry.word or not set(entry.word) <= set(gens)
+                    or not 0 < entry.multiplicity == word_multiplicity(rs, entry.word, target)):
                 return False
         return True
 
@@ -321,8 +323,7 @@ def word_multiplicity(rs: RootSystem, word, target) -> int:
     for gen in word[1:]:
         nxt: dict[Weight, int] = {}
         for lam, mult in current.items():
-            piece = tensor_decompose(rs, lam, gen)
-            for nu, c in piece.dominant_mults.items():
+            for nu, c in tensor_decompose(rs, lam, gen).dominant_mults.items():
                 nxt[nu] = nxt.get(nu, 0) + mult * c
         current = nxt
     return current.get(_coords(target), 0)
@@ -368,10 +369,9 @@ def generation_certificate(rs: RootSystem) -> GenerationCertificate:
             + ", ".join(f"w{i}" for i in sorted(missing))
         )
     entries = []
-    for t, idx in sorted(targets.items(), key=lambda kv: kv[1]):
-        word = discovered[t]
-        mult = word_multiplicity(rs, word, t)
+    for t, idx in targets.items():  # in index order
+        mult = word_multiplicity(rs, discovered[t], t)
         if mult <= 0:
             raise InvariantError(f"certificate word for w{idx} has multiplicity {mult}")
-        entries.append(CertificateEntry(idx, word, mult))
+        entries.append(CertificateEntry(idx, discovered[t], mult))
     return GenerationCertificate(tuple(gens), tuple(entries))

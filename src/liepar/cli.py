@@ -270,10 +270,10 @@ def _cmd_char(args) -> str:
         ch = characters.tensor_decompose(rs, left, right)
         doc["operation"] = f"{_weight_label(left)} (x) {_weight_label(right)}"
     elif args.exterior:
-        weight_text, _, power_text = args.exterior.partition("^")
+        weight_text, caret, power_text = args.exterior.partition("^")
         weight = _parse_weight(weight_text, rs.rank)
         try:
-            power = int(power_text) if power_text else 1
+            power = int(power_text) if caret else 1
         except ValueError:
             raise LieparError(f"cannot parse exterior power {power_text!r}") from None
         ch = characters.exterior_power_decompose(rs, weight, power)

@@ -1,13 +1,19 @@
+import importlib.util
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import comb
+from operator import add
+from pathlib import Path
 
 import pytest
 
 from liepar import characters as ch
+from liepar.cli import _parse_weight
 from liepar.errors import BudgetError, LieparError
+from liepar.golden import load_table
 from liepar.rootsys import build_root_system
 
 
@@ -341,6 +347,29 @@ def test_certificate_with_a_tampered_multiplicity_fails_verification():
     assert not ch.GenerationCertificate(cert.generators, (tampered, *rest)).verify(g2)
 
 
+def _g2_certificate_variants():
+    g2 = build_root_system("G2")
+    cert = ch.generation_certificate(g2)
+    (w1_entry, w2_entry), gens = cert.entries, cert.generators
+    return {
+        "no entries": ch.GenerationCertificate(gens, ()),
+        "missing w2": ch.GenerationCertificate(gens, (w1_entry,)),
+        "out of order": ch.GenerationCertificate(gens, (w2_entry, w1_entry)),
+        "w1 twice": ch.GenerationCertificate(gens, (w1_entry, w1_entry, w2_entry)),
+        "empty word": ch.GenerationCertificate(gens, (w1_entry, ch.CertificateEntry(2, (), 0))),
+        # V(w2) (x) V(w2) contains V(w2) once, so only the check on letters refuses it
+        "word off the generators": ch.GenerationCertificate(
+            gens, (w1_entry, ch.CertificateEntry(2, ((0, 1), (0, 1)), 1))),
+        "other generators": ch.GenerationCertificate(
+            ((0, 1),), (w1_entry, ch.CertificateEntry(2, ((0, 1),), 1))),
+    }
+
+
+@pytest.mark.parametrize("variant", list(_g2_certificate_variants()))
+def test_incomplete_or_foreign_certificate_fails_verification(variant):
+    assert not _g2_certificate_variants()[variant].verify(build_root_system("G2"))
+
+
 def test_word_multiplicity_matches_exterior_inclusion():
     # Lambda^2 V(w1) of E6 is V(w3), and the square contains it once
     e6 = build_root_system("E6")
@@ -443,24 +472,86 @@ def test_brauer_decomposition_of_tensor_products(label):
         assert brauer == ch.tensor_decompose(rs, lam, mu).dominant_mults
 
 
+def layered_exterior_multiset(rs, weight, k):
+    """The weight multiset of Lambda^k V(lambda): the t^k coefficient of
+    prod_nu (1 + t e^nu)^m(nu), built one weight at a time in layers up to
+    min(k, dim - k); the weights of V sum to 0, so Lambda^k is Lambda^(dim-k)
+    negated."""
+    weights = ch.weight_multiplicities(rs, weight)
+    depth = min(k, sum(weights.values()) - k)
+    layers = [{(0,) * rs.rank: 1}] + [{} for _ in range(depth)]
+    for nu, m in weights.items():
+        for j in range(depth, 0, -1):  # downwards, so layers[j - i] is still the old one
+            for i in range(1, min(m, j) + 1):
+                c, step = comb(m, i), tuple(i * b for b in nu)
+                for u, n in layers[j - i].items():
+                    key = tuple(map(add, u, step))
+                    layers[j][key] = layers[j].get(key, 0) + c * n
+    if depth < k:
+        return {tuple(-a for a in u): n for u, n in layers[depth].items()}
+    return layers[depth]
+
+
 @pytest.mark.parametrize("label,weight", [
-    ("G2", (1, 0)), ("B3", (1, 0, 0)), ("A3", (0, 1, 0)), ("F4", (0, 0, 0, 1)),
+    ("G2", (1, 0)), ("B3", (1, 0, 0)), ("A3", (0, 1, 0)), ("F4", (0, 0, 0, 1)), ("A2", (1, 0)),
 ])
-def test_layered_exterior_multiset_against_subsets(label, weight, monkeypatch):
+def test_layered_exterior_multiset_against_subsets(label, weight):
     rs = build_root_system(label)
     expanded = [v for v, m in ch.weight_multiplicities(rs, weight).items()
                 for _ in range(m)]
     dim = len(expanded)
-    seen = []
-    decompose = ch.decompose_weight_multiset
-    monkeypatch.setattr(ch, "decompose_weight_multiset",
-                        lambda rs, multiset: seen.append(dict(multiset)) or decompose(rs, multiset))
     # k <= 3 builds layers directly; dim - k reads them negated
-    for k in sorted({1, 2, 3, dim - 3, dim - 2, dim - 1}):
+    for k in sorted({1, 2, 3, dim - 3, dim - 2, dim - 1} & set(range(1, dim))):
         subsets = Counter(tuple(map(sum, zip(*chosen))) for chosen in itertools.combinations(expanded, k))
-        ch.exterior_power_decompose(rs, weight, k)
-        assert seen.pop() == subsets
+        assert layered_exterior_multiset(rs, weight, k) == subsets
 
+
+def _golden_exteriors(rows):
+    for row in rows:
+        if row["op"] == "exterior_family":
+            yield from _golden_exteriors(row["members"])
+        elif row["op"] == "exterior":
+            yield row["type"], tuple(row["weight"]), row["power"]
+
+
+def _catalog_exteriors():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("liepar_perfbench_jobs", path)
+    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    for job in jobs.catalog():
+        if "--exterior" in job.argv:
+            label = job.argv[job.argv.index("--type") + 1]
+            weight, _, power = job.argv[job.argv.index("--exterior") + 1].partition("^")
+            yield label, _parse_weight(weight, build_root_system(label).rank), int(power)
+
+
+# k > dim/2 on representations that are not self-dual, read through the dual
+NOT_SELF_DUAL = [("A2", (1, 0), 2), ("A2", (2, 0), 4), ("A3", (1, 0, 0), 3), ("A4", (0, 1, 0, 0), 7),
+                 ("E6", (1, 0, 0, 0, 0, 0), 25), ("E6", (1, 0, 0, 0, 0, 0), 26)]
+EXTERIOR_CASES = sorted(set(_golden_exteriors(load_table("decompositions")["rows"]))
+                        | set(_catalog_exteriors()) | set(NOT_SELF_DUAL))
+
+
+def test_exterior_cases_cover_golden_and_catalog():
+    assert len(EXTERIOR_CASES) >= 50
+    assert ("E8", (0,) * 7 + (1,), 2) in EXTERIOR_CASES and ("A3", (1, 0, 0), 2) in EXTERIOR_CASES
+
+
+@pytest.mark.parametrize("label,weight,power", EXTERIOR_CASES,
+                         ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_exterior_power_against_layered_oracle(label, weight, power):
+    # the oracle strips the layered multiset weight system by weight system;
+    # it shares only weight_multiplicities with Newton's identity
+    rs = build_root_system(label)
+    expected = stripping_oracle(rs, layered_exterior_multiset(rs, weight, power))
+    assert ch.exterior_power_decompose(rs, weight, power).dominant_mults == expected
+
+
+def test_exterior_power_past_half_is_the_dual():
+    a2, e6 = build_root_system("A2"), build_root_system("E6")
+    assert ch.exterior_power_decompose(a2, (1, 0), 2).dominant_mults == {(0, 1): 1}
+    assert ch.exterior_power_decompose(e6, w(6, (1, 1)), 26).dominant_mults == {w(6, (6, 1)): 1}
 
 def test_exterior_power_builds_one_weight_system():
     e8 = build_root_system("E8")

@@ -40,6 +40,13 @@ def test_char_exterior_g2(capsys):
     assert got == {"w1": 1, "w2": 1}
 
 
+def test_char_exterior_without_power_is_the_first(capsys):
+    code, out, _ = run(capsys, "char", "--type", "A2", "--exterior", "w1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["operation"] == "Lambda^1 w1" and doc["dimension"] == 3
+
+
 def test_char_tensor_e7(capsys):
     code, out, _ = run(capsys, "char", "--type", "E7", "--tensor", "w1,w1")
     assert code == 0
@@ -205,6 +212,7 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("char", "--type", "A2", "--exterior", "w1^-1"), "exterior power must be nonnegative"),
     (("char", "--type", "A2", "--tensor", "w1,"), "weight '' has no term"),
     (("char", "--type", "A2", "--exterior", "^2"), "weight '' has no term"),
+    (("char", "--type", "A2", "--exterior", "w1^"), "cannot parse exterior power ''"),
 ])
 def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, message):
     files = {

@@ -134,7 +134,7 @@ def test_only_config_reads_the_environment(path):
 
 OPTIMIZED_CHECKS = """
 import sys
-from liepar.characters import decompose_weight_multiset, weight_multiplicities
+from liepar.characters import _natural, decompose_weight_multiset, weight_multiplicities
 from liepar.errors import InvariantError
 from liepar.intform import rank_mod_p
 from liepar.rootsys import build_root_system
@@ -146,6 +146,13 @@ negative[(0, 0)] -= 1  # V(w1 + w2) minus the trivial character
 for multiset in ({(1, 0): 1, (0, 1): 1}, negative):
     try:
         decompose_weight_multiset(a2, multiset)
+    except InvariantError:
+        print("raised")
+    else:
+        print("accepted")
+for count in (3, -2):  # a Newton step's sum, divided by its power 2
+    try:
+        _natural({(0, 0): 4, (1, 0): count}, 2)
     except InvariantError:
         print("raised")
     else:
@@ -168,7 +175,7 @@ def test_invariant_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised", "raised", "1"]
+    assert proc.stdout.split() == ["raised"] * 5 + ["1"]
 
 
 def test_documents_are_built_once():
