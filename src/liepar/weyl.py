@@ -16,6 +16,15 @@ parallel lists, its points and their words, a word as `bytes` with one
 byte per letter, so the walk serves simple indices 0..255; the word of a
 `WeylElement` is a tuple of ints.
 
+Inside the walk a point is one int of rank fields, each b bits wide and
+biased by 2^(b-1), so s_i mu is mu - c * (row i of the Cartan matrix packed
+the same way), and "coordinate k >= 0" is the top bit of field k.  Each
+coordinate of w(mu) is <mu, beta-check> for a coroot beta-check, so the
+largest |<mu, beta-check>| over the positive coroots bounds every field of
+the orbit; b is the least of 8, 16, 32 and 64 that holds it, and an orbit
+past 64 bits is refused before its first level.  Callers get unpacked
+tuples: each level is unpacked once, by one `struct` call.
+
 * W is the orbit of rho, and W_I its orbit under the s_i with i in I.
 * Let rho_J be 1 off J and 0 on J.  Then x -> x(rho_J) maps the minimal
   left coset representatives W^J of W/W_J one to one onto the orbit of
@@ -29,22 +38,51 @@ byte per letter, so the walk serves simple indices 0..255; the word of a
 
 from __future__ import annotations
 
+import functools
+import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from operator import itemgetter, mul
 
 from .config import WEYL_BUDGET, check_budget, effective_budget
 from .errors import BudgetError, LieparError, NotMinimalError
 from .rootsys import RootSystem, Weight, _height_product
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element w: the weight w(rho), its length and one word."""
+class WeylElement(tuple):
+    """A Weyl group element w: the weight w(rho), its length and one word.
 
-    word: tuple[int, ...] = field(compare=False)
-    key: Weight
-    length: int = field(compare=False)
-    system: RootSystem = field(compare=False, repr=False)
+    The tuple (word, key, length, system), immutable and unordered; two
+    elements are equal, and hash alike, when their keys are."""
+
+    __slots__ = ()
+
+    def __new__(cls, word: tuple[int, ...], key: Weight, length: int, system: RootSystem):
+        return tuple.__new__(cls, (word, key, length, system))
+
+    word = property(itemgetter(0))
+    key = property(itemgetter(1))
+    length = property(itemgetter(2))
+    system = property(itemgetter(3))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __eq__(self, other) -> bool:  # never NotImplemented: tuple's == would compare words
+        return isinstance(other, WeylElement) and self[1] == other[1]
+
+    def __ne__(self, other) -> bool:
+        return not isinstance(other, WeylElement) or self[1] != other[1]
+
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __hash__(self) -> int:
+        return hash(self[1])
+
+    def __repr__(self) -> str:
+        return f"WeylElement(word={self[0]!r}, key={self[1]!r}, length={self[2]!r})"
 
     def left_descents(self) -> frozenset[int]:
         """Simple indices i (0-based) with l(s_i w) < l(w)."""
@@ -113,14 +151,22 @@ def orbit(rs: RootSystem, weight, gens, length_bound: int | None = None,
 
     `weight` must be dominant for `gens`, and every index in `gens` at most
     255; both are checked here, before the first level.  Each level is a
-    pair (points, words) of parallel lists, a word as `bytes` with one byte
-    per letter (0-based simple indices).  The words of a level have one
-    length, the depth, and come in increasing order, so the levels run
-    through the orbit in (length, word) order.  Levels stop after depth
-    `length_bound`; BudgetError is raised once more than `limit` points are
-    found.
+    pair (points, words) of parallel lists, a point as a tuple and a word as
+    `bytes` with one byte per letter (0-based simple indices).  The words of
+    a level have one length, the depth, and come in increasing order, so
+    the levels run through the orbit in (length, word) order.  Levels stop
+    after depth `length_bound`; BudgetError, naming the depth and the points
+    found, is raised once more than `limit` points are found.  The walk packs
+    each point into one int (see the module docstring); an orbit whose
+    coordinates do not fit 64-bit fields is refused with LieparError before
+    the first level.
     """
-    gens = sorted(gens)
+    return (level[1:] for level in _walk(rs, weight, gens, length_bound, limit))
+
+
+def _walk(rs: RootSystem, weight, gens, length_bound, limit):
+    """`orbit`'s checks, then its levels as triples (packed points, points, words)."""
+    gens = tuple(sorted(gens))
     start = tuple(weight)
     if gens and gens[-1] > 255:
         raise LieparError(f"simple index {gens[-1]} does not fit in a one-byte orbit word (0..255)")
@@ -129,60 +175,116 @@ def orbit(rs: RootSystem, weight, gens, length_bound: int | None = None,
     return _levels(rs, start, gens, length_bound, limit)
 
 
-def _levels(rs: RootSystem, start: Weight, gens: list[int], length_bound, limit):
-    """The levels of `orbit`.  A point's word minus its first letter is the
-    word of its parent, one level up, so only that level is kept.  The points
-    with first letter i come in the order of their parents; concatenating
-    them for increasing i sorts the new level with no comparison."""
-    before = {i: [k for k in gens if k < i] for i in gens}
-    letter = {i: bytes((i,)) for i in gens}
-    cartan = rs.cartan
-    points, words = [start], [b""]
+_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}  # field bits -> signed struct code
+
+
+@functools.cache
+def _coroot_maxima(rs: RootSystem) -> tuple[int, ...]:
+    """The largest coordinate k over the positive coroots, for each k."""
+    return tuple(map(max, zip(*rs.positive_coroots)))
+
+
+def _width(rs: RootSystem, weight: Weight) -> int:
+    """Bits per field of a packed point of the orbit of `weight`.
+
+    Every coordinate of w(weight) is <weight, beta-check> for some coroot,
+    so it lies in -m..m with m the largest |<weight, beta-check>| over the
+    positive coroots; m is first bounded by sum |weight_k| times the largest
+    coroot coordinate k, which settles small weights with no loop over roots.
+    """
+    m = sum(map(mul, map(abs, weight), _coroot_maxima(rs)))
+    if m >= 128:
+        m = max(abs(sum(map(mul, weight, co))) for co in rs.positive_coroots)
+    for bits in _FORMATS:
+        if m < 1 << (bits - 1):
+            return bits
+    raise LieparError(f"orbit of {weight} has coordinates up to {m}, past a 64-bit packed field")
+
+
+def _signs(bits: int, indices) -> int:
+    """The top bits of the fields `indices`: set in a packed point exactly
+    where those coordinates are >= 0."""
+    return sum(1 << (k * bits + bits - 1) for k in indices)
+
+
+@functools.cache
+def _layout(rs: RootSystem, gens: tuple[int, ...], bits: int):
+    """The packing of a walk with fields of `bits` bits: for each i in gens,
+    (i, packed Cartan row i, parent mask, letter); then the bias of every
+    field and the `struct.Struct` of one point in two's complement."""
+    steps = [(i, sum(a << k * bits for k, a in enumerate(rs.cartan[i])),
+              _signs(bits, [k for k in gens if k < i]), bytes((i,))) for i in gens]
+    return steps, _signs(bits, range(rs.rank)), struct.Struct(f"<{rs.rank}{_FORMATS[bits]}")
+
+
+def _levels(rs: RootSystem, start: Weight, gens: tuple[int, ...], length_bound, limit):
+    """The levels of `orbit`, each with its points packed.  A point's word
+    minus its first letter is the word of its parent, one level up, so only
+    that level is kept.  The points with first letter i come in the order of
+    their parents; walking the generators in increasing order sorts the new
+    level with no comparison.  A packed point XOR the biases is the point in
+    two's complement, which `struct` unpacks."""
+    steps, flip, fmt = _layout(rs, gens, _width(rs, start))
+    size = fmt.size
+    packed, points, words = [int.from_bytes(fmt.pack(*start), "little") ^ flip], [start], [b""]
     found, depth = 1, 0
-    while points:
-        yield points, words
+    while packed:
+        yield packed, points, words
         if length_bound is not None and depth >= length_bound:
             return
-        new_points = {i: [] for i in gens}
-        new_words = {i: [] for i in gens}
-        for mu, word in zip(points, words):
-            for i in gens:
+        new_packed: list[int] = []
+        new_words: list[bytes] = []
+        add_point, add_word = new_packed.append, new_words.append
+        for i, row, need, letter in steps:
+            for packed_mu, mu, word in zip(packed, points, words):
                 c = mu[i]
-                if c > 0:  # nu = s_i mu, written out: this is the hot loop
-                    nu = tuple([x - c * a for x, a in zip(mu, cartan[i])])
-                    for k in before[i]:  # a loop, not any(): no generator per point
-                        if nu[k] < 0:
-                            break
-                    else:
-                        new_points[i].append(nu)
-                        new_words[i].append(letter[i] + word)
-        points = [nu for i in gens for nu in new_points[i]]
-        words = [word for i in gens for word in new_words[i]]
-        found, depth = found + len(points), depth + 1
+                if c > 0:  # nu = s_i mu, its parent when no coordinate before i is negative
+                    nu = packed_mu - c * row
+                    if nu & need == need:
+                        add_point(nu)
+                        add_word(letter + word)
+        packed, words = new_packed, new_words
+        found, depth = found + len(packed), depth + 1
         if limit is not None and found > limit:
-            raise BudgetError(f"enumeration exceeded budget {limit}; set LIEPAR_BUDGET to raise it")
+            raise BudgetError(f"enumeration exceeded budget {limit} at depth {depth} ({found} points); "
+                              "set LIEPAR_BUDGET to raise it")
+        points = list(fmt.iter_unpack(b"".join([(nu ^ flip).to_bytes(size, "little") for nu in packed])))
 
 
-def _elements(rs: RootSystem, start: Weight, gens, keep=None,
+def _elements(rs: RootSystem, start: Weight, gens, I=frozenset(),
               length_bound: int | None = None, limit: int | None = None) -> Iterator[WeylElement]:
-    """The elements x of the walk down the orbit of `start`, in (length, word) order.
+    """The elements x of the walk down the orbit of `start` whose point has no
+    negative coordinate in I, in (length, word) order.
 
     From rho each point is x(rho).  From elsewhere, each word minus its first
     letter belongs to a point of the level before, so x(rho) is one
-    reflection away from a key of that level.  `keep` filters points.
+    reflection away from a key of that level; keys are packed like points.
     """
-    from_rho = start == rs.rho
-    keys: dict[bytes, Weight] = {}
-    for points, words in orbit(rs, start, gens, length_bound, limit):
+    levels = _walk(rs, start, gens, length_bound, limit)
+    new = tuple.__new__  # WeylElement's own __new__ would cost a Python call per element
+    mask = _signs(_width(rs, start), I)
+    if start == rs.rho:  # each point is its own key
+        for packed, points, words in levels:
+            for nu, key, word in zip(packed, points, words):
+                if nu & mask == mask:
+                    yield new(WeylElement, (tuple(word), key, len(word), rs))
+        return
+    bits = _width(rs, rs.rho)
+    steps, flip, fmt = _layout(rs, tuple(range(rs.rank)), bits)
+    field, bias, size = (1 << bits) - 1, 1 << (bits - 1), fmt.size
+    keys: dict[bytes, int] = {}
+    for packed, _, words in levels:
         parents, keys = keys, {}
-        for nu, word in zip(points, words):
-            if from_rho:
-                key = nu
+        for nu, word in zip(packed, words):
+            if word:
+                key, i = parents[word[1:]], word[0]
+                key -= (((key >> i * bits) & field) - bias) * steps[i][1]
             else:
-                key = rs.reflect(parents[word[1:]], word[0]) if word else rs.rho
-                keys[word] = key
-            if keep is None or keep(nu):
-                yield WeylElement(tuple(word), key, len(word), rs)
+                key = int.from_bytes(fmt.pack(*rs.rho), "little") ^ flip
+            keys[word] = key
+            if nu & mask == mask:
+                unpacked = fmt.unpack((key ^ flip).to_bytes(size, "little"))
+                yield new(WeylElement, (tuple(word), unpacked, len(word), rs))
 
 
 def generate_weyl(rs: RootSystem, length_bound: int | None = None) -> list[WeylElement]:
@@ -239,8 +341,7 @@ def iter_double_quotient_reps(rs: RootSystem, I, J) -> Iterator[WeylElement]:
     cosets = _height_product(r for r in rs.positive_roots
                              if any(c for k, c in enumerate(r) if k not in J))
     check_budget(WEYL_BUDGET, cosets, f"|W/W_J| = {cosets}")
-    return _elements(rs, _rho_off(rs, J), range(rs.rank),
-                     keep=lambda nu: not any(nu[i] < 0 for i in I))
+    return _elements(rs, _rho_off(rs, J), range(rs.rank), I)
 
 
 def double_quotient_reps(rs: RootSystem, I, J) -> list[WeylElement]:
@@ -248,15 +349,30 @@ def double_quotient_reps(rs: RootSystem, I, J) -> list[WeylElement]:
     return list(iter_double_quotient_reps(rs, I, J))
 
 
-@dataclass(frozen=True)
 class CellPolynomial:
-    """Polynomial in q with nonnegative integer coefficients."""
+    """Polynomial in q with nonnegative integer coefficients; immutable."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.coeffs):
+    def __init__(self, coeffs: tuple[int, ...]):
+        if any(c < 0 for c in coeffs):
             raise LieparError("cell polynomial coefficients must be nonnegative")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable CellPolynomial")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable CellPolynomial")
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is CellPolynomial else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"CellPolynomial(coeffs={self.coeffs!r})"
 
     def evaluate(self, x: int) -> int:
         return sum(c * x**k for k, c in enumerate(self.coeffs))

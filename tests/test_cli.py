@@ -737,15 +737,20 @@ def test_subcommand_modules_run_only_when_their_subcommand_runs():
 
 DATACLASSES_LOADED = """
 import contextlib, io, sys
-if sys.argv[1:] == ["rootsys"]:
+if sys.argv[1:]:
     import liepar.cli
     with contextlib.redirect_stdout(io.StringIO()):
-        liepar.cli.main(["rootsys", "--type", "A1"])
+        assert liepar.cli.main(sys.argv[1:]) == 0
+    assert "liepar." + sys.argv[1] in sys.modules
 print("dataclasses" in sys.modules)
 """
 
 
-def test_rootsys_command_does_not_import_dataclasses():
+@pytest.mark.parametrize("argv", [("rootsys", "--type", "A1"),
+                                  ("weyl", "--type", "B3", "--I", "1", "--J", "2", "--emit", "poincare")],
+                         ids=lambda argv: argv[0])
+def test_command_does_not_import_dataclasses(argv):
+    # `import dataclasses` costs every process that loads it about 12 ms
     def loaded(*argv):
         proc = subprocess.run([sys.executable, "-c", DATACLASSES_LOADED, *argv], capture_output=True,
                               text=True, env=_env_without_budget(), timeout=60)
@@ -754,7 +759,7 @@ def test_rootsys_command_does_not_import_dataclasses():
 
     if loaded() == ["True"]:
         pytest.skip("the bare interpreter already loads dataclasses")
-    assert loaded("rootsys") == ["False"]
+    assert loaded(*argv) == ["False"]
 
 
 # argv: a module name, and which of it and liepar.cli is imported first

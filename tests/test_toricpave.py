@@ -172,6 +172,7 @@ def test_paving_a_n_chain(n):
     dprime, tau = a_n_fixture(n)
     result = paving(dprime, tau, seed=0)
     assert result.polynomial.coeffs == (1, 0, n)
+    assert str(result.polynomial) == ("1 + q^2" if n == 1 else f"1 + {n}*q^2")
     assert result.is_even()
     assert len(result.cells) == n + 1
     members = [m for cell in result.cells for m in cell.member_cones]

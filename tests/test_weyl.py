@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import pytest
@@ -7,6 +9,8 @@ from liepar.errors import BudgetError, LieparError, NotMinimalError
 from liepar.rootsys import build_root_system
 from liepar.weyl import (
     CellPolynomial,
+    WeylElement,
+    _width,
     bruhat_leq,
     double_quotient_reps,
     generate_parabolic,
@@ -285,6 +289,51 @@ def test_cell_polynomial_invariants():
         CellPolynomial((1, -1))
 
 
+def test_cell_polynomial_is_an_immutable_value():
+    p = CellPolynomial((1, 0, 2))
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    with pytest.raises(AttributeError):
+        p.degree = 2
+    assert p.coeffs == (1, 0, 2)
+    q = CellPolynomial.from_exponents([2, 0, 2])
+    assert p == q and hash(p) == hash(q) and not p != q
+    assert p != CellPolynomial((1, 0, 3)) and p != (1, 0, 2)
+    assert repr(p) == "CellPolynomial(coeffs=(1, 0, 2))"
+    with pytest.raises(LieparError, match="^cell polynomial coefficients must be nonnegative$"):
+        CellPolynomial((1, -1))
+
+
+@pytest.mark.parametrize("exponents,text", [
+    ([], "0"), ([0], "1"), ([0, 2], "1 + q^2"), ([0, 2, 2, 4], "1 + 2*q^2 + q^4"), ([1, 1, 3], "2*q + q^3"),
+])
+def test_cell_polynomial_text(exponents, text):
+    # the toric paving's Poincare polynomial is from_exponents of twice the cell dimensions, printed by str
+    assert str(CellPolynomial.from_exponents(exponents)) == text
+
+
+def test_weyl_element_is_an_immutable_value():
+    rs = build_root_system("A2")
+    w0 = max(generate_weyl(rs), key=lambda w: w.length)
+    assert (w0.word, w0.key, w0.length, w0.system) == ((0, 1, 0), (-1, -1), 3, rs)
+    with pytest.raises(AttributeError):
+        w0.word = (1, 0, 1)
+    with pytest.raises(AttributeError):
+        w0.colour = "red"
+    # s1 s2 s1 = s2 s1 s2: equal keys, different words
+    other = WeylElement((1, 0, 1), (-1, -1), 3, rs)
+    assert other == w0 and not other != w0 and hash(other) == hash(w0) and len({other, w0}) == 1
+    assert other.word != w0.word
+    assert w0 != identity(rs) and w0 != tuple(w0) and w0 != w0.key
+    with pytest.raises(TypeError):
+        w0 < other  # elements are not ordered, by word or otherwise
+    for clone in (copy.copy(w0), pickle.loads(pickle.dumps(w0))):
+        assert type(clone) is WeylElement and clone == w0 and clone.word == w0.word
+    assert repr(w0) == "WeylElement(word=(0, 1, 0), key=(-1, -1), length=3)"
+
+
 def _rho_off(rs, J):
     return tuple(0 if k in J else 1 for k in range(rs.rank))
 
@@ -308,6 +357,97 @@ def test_orbit_levels_come_in_length_word_order(label, gens, J):
         for i in reversed(word):
             point = rs.reflect(point, i)
         assert point == nu
+
+
+def tuple_walk(rs, start, gens):
+    """The orbit walk with each point a tuple: the oracle of `orbit`'s packed
+    walk.  s_i mu is written out coordinate by coordinate, and a point is kept
+    when no coordinate of a generator before i is negative."""
+    gens = sorted(gens)
+    points, words = [tuple(start)], [b""]
+    while points:
+        yield points, words
+        new_points = {i: [] for i in gens}
+        new_words = {i: [] for i in gens}
+        for mu, word in zip(points, words):
+            for i in gens:
+                if mu[i] > 0:
+                    nu = tuple(x - mu[i] * a for x, a in zip(mu, rs.cartan[i]))
+                    if all(nu[k] >= 0 for k in gens if k < i):
+                        new_points[i].append(nu)
+                        new_words[i].append(bytes([i]) + word)
+        points = [nu for i in gens for nu in new_points[i]]
+        words = [word for i in gens for word in new_words[i]]
+
+
+def assert_same_levels(rs, start, gens):
+    """`orbit` and the tuple walk agree level by level, points and words;
+    returns the largest |coordinate| of the orbit."""
+    levels = list(orbit(rs, start, gens))
+    expected = list(tuple_walk(rs, start, gens))
+    assert len(levels) == len(expected)
+    for depth, ((points, words), (want_points, want_words)) in enumerate(zip(levels, expected)):
+        assert words == want_words, depth
+        assert points == want_points, depth
+        assert all(type(nu) is tuple for nu in points)
+    return max(abs(x) for points, _ in expected for nu in points for x in nu)
+
+
+RANK_AT_MOST_6 = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
+                  + [f"C{n}" for n in range(3, 7)] + ["D4", "D5", "D6", "E6", "F4", "G2", "A1xA1", "A2xG2"])
+
+
+@pytest.mark.parametrize("label", RANK_AT_MOST_6)
+def test_orbit_matches_tuple_walk_from_rho(label):
+    rs = build_root_system(label)
+    assert_same_levels(rs, rs.rho, range(rs.rank))
+
+
+@pytest.mark.parametrize("label,gens,J", [
+    ("D6", (0, 2, 3, 5), (1,)), ("D6", range(6), (1,)), ("E6", (0, 1, 2, 3, 4), (5,)),
+    ("E6", range(6), (0, 1, 2, 3, 4)), ("B5", (1, 2, 4), (0, 3)), ("C4", (0, 2, 3), (1,)),
+    ("F4", (0, 1, 3), (2,)), ("G2", (1,), (0,)), ("A5", (0, 1, 3, 4), (2,)), ("A2xG2", (0, 3), (1, 2)),
+])
+def test_orbit_matches_tuple_walk_from_rho_j(label, gens, J):
+    rs = build_root_system(label)
+    assert_same_levels(rs, _rho_off(rs, J), gens)
+
+
+@pytest.mark.parametrize("label,weight,bits", [
+    ("A2", (100, 0), 8), ("A2", (127, 0), 8), ("A2", (128, 0), 16), ("A2", (1000, 0), 16),
+    ("A2", (10**6, 0), 32), ("A2", (2**31 - 1, 0), 32), ("A2", (2**31, 0), 64),
+    ("A2", (10**12, 0), 64), ("A2", (2**63 - 1, 0), 64),
+    ("A1xA1", (100, 100), 8),  # the coordinate-wise bound says 200; no coroot pairs to more than 100
+    ("B3", (40, 0, 20), 8), ("B3", (10**12, 3, 10**12), 64), ("G2", (20, 10), 8), ("G2", (10**10, 7), 64),
+    ("C4", (1000, 0, 5, 1), 16), ("D4", (0, 10**5, 0, 1), 32), ("F4", (3, 1, 4, 1), 8),
+])
+def test_orbit_field_width_from_the_coroot_bound(label, weight, bits):
+    # every coroot is conjugate to a simple one, so the full orbit's largest
+    # |coordinate| is the bound, and the width is the least that holds it
+    rs = build_root_system(label)
+    largest = assert_same_levels(rs, weight, range(rs.rank))
+    assert _width(rs, weight) == bits == min(b for b in (8, 16, 32, 64) if largest < 2 ** (b - 1))
+
+
+def test_orbit_refuses_coordinates_past_64_bits():
+    rs = build_root_system("A2")
+    levels = orbit(rs, (2**63, 0), range(2))  # the bound is checked when the walk starts
+    with pytest.raises(LieparError, match=r"^orbit of \(9223372036854775808, 0\) has coordinates up to "
+                                          r"9223372036854775808, past a 64-bit packed field$"):
+        next(levels)
+    with pytest.raises(LieparError, match="past a 64-bit packed field"):
+        next(orbit(build_root_system("B3"), (2**62, 0, 0), range(3)))  # a coroot with 2 at the first simple coroot pairs to 2^63
+
+
+def test_orbit_budget_error_says_how_far_the_walk_got(monkeypatch):
+    rs = build_root_system("E7")
+    # levels of 1, 7, 27 and 77 points: the fourth takes the count to 112 > 100
+    with pytest.raises(BudgetError, match=r"^enumeration exceeded budget 100 at depth 3 \(112 points\); "
+                                          r"set LIEPAR_BUDGET to raise it$"):
+        list(orbit(rs, rs.rho, range(7), limit=100))
+    monkeypatch.setenv("LIEPAR_BUDGET", "40")
+    with pytest.raises(BudgetError, match=r"^enumeration exceeded budget 40 at depth 3 \(112 points\)"):
+        generate_weyl(rs, length_bound=5)
 
 
 def test_orbit_levels_respect_bound_and_budget():
