@@ -111,13 +111,9 @@ def local_smith_valuations(matrix, p: int, k: int) -> list[int]:
     return valuations
 
 
-def modp_reduce(matrix, p: int) -> IntMatrix:
-    return [[x % p for x in row] for row in matrix]
-
-
 def modp_echelon(matrix, p: int) -> tuple[IntMatrix, list[int]]:
     """Reduced row echelon form mod p; returns (rref, pivot column list)."""
-    m = modp_reduce(matrix, p)
+    m = [[x % p for x in row] for row in matrix]
     if not m or not m[0]:
         return m, []
     rows, cols = len(m), len(m[0])

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .config import CERTIFICATE_EXPANSIONS, CERTIFICATE_WORD_LENGTH, WEIGHT_BUDGET, check_budget
 from .errors import BudgetError, InvariantError, LieparError
@@ -160,16 +160,14 @@ def _weight_system(rs: RootSystem, lam: Weight) -> Mapping[Weight, int]:
     return MappingProxyType(out)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple("Character", [("system", RootSystem), ("dominant_mults", Mapping)])):
     """A character, as the multiplicity of each irreducible V(lambda) in it."""
 
-    system: RootSystem
-    dominant_mults: Mapping[Weight, int]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, system: RootSystem, dominant_mults: Mapping[Weight, int]):
         # a read-only view of a private copy, so a character never changes
-        object.__setattr__(self, "dominant_mults", MappingProxyType(dict(self.dominant_mults)))
+        return super().__new__(cls, system, MappingProxyType(dict(dominant_mults)))
 
     def dimension(self) -> int:
         return sum(m * weyl_dimension(self.system, w) for w, m in self.dominant_mults.items())
@@ -289,15 +287,13 @@ def generator_weights(rs: RootSystem) -> list[Weight]:
     return sorted(gens, key=lambda w: (weyl_dimension(rs, w), w))
 
 
-@dataclass(frozen=True)
-class CertificateEntry:
+class CertificateEntry(NamedTuple):
     fundamental_index: int  # 1-based
     word: tuple[Weight, ...]
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class GenerationCertificate:
+class GenerationCertificate(NamedTuple):
     generators: tuple[Weight, ...]
     entries: tuple[CertificateEntry, ...]
 

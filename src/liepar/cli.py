@@ -350,12 +350,7 @@ def _cmd_toric(args) -> str:
         doc["cell_count"] = len(result.cells)
         doc["relevant_cone_count"] = len(result.relevant_cones)
         if args.emit == "cells":
-            doc["cells"] = [
-                {"sigma": list(c.sigma), "gamma": list(c.gamma),
-                 "members": [list(m) for m in c.member_cones],
-                 "complex_dimension": c.complex_dimension}
-                for c in result.cells
-            ]
+            doc["cells"] = result.cells
         return _emit(doc, args.format, [(str(result.polynomial),)])
     if args.subdivide:
         ray = _parse_ints(args.subdivide, "ray")

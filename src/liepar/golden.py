@@ -2,14 +2,15 @@
 
 Each table in `golden_data/` carries frozen expected values for one family
 of computations; the runner replays every row against the live code and
-reports any mismatch with a diff string.
+reports any mismatch with a diff string.  A malformed table or row is a
+one-line LieparError naming the table and the row.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from . import characters, schurweyl, torsion
 from .errors import LieparError
@@ -25,16 +26,14 @@ TABLE_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class GoldenOutcome:
+class GoldenOutcome(NamedTuple):
     table: str
     row: str
     ok: bool
     diff: str = ""
 
 
-@dataclass(frozen=True)
-class GoldenReport:
+class GoldenReport(NamedTuple):
     outcomes: tuple[GoldenOutcome, ...]
 
     @property
@@ -61,10 +60,14 @@ def load_table(name: str, fixtures_dir: str | None = None) -> dict:
     else:
         text = resources.files("liepar").joinpath(f"golden_data/{name}.json").read_text()
         table = json.loads(text)
+    if not isinstance(table, dict):
+        raise LieparError(f"golden table {name} is not a JSON object")
     if not table.get("source"):
         raise LieparError(f"golden table {name} is missing its source description")
     if table.get("id") != name:
         raise LieparError(f"golden table {name} has mismatched id {table.get('id')!r}")
+    if not isinstance(table.get("rows"), list):
+        raise LieparError(f"golden table {name} has no list of rows")
     return table
 
 
@@ -114,12 +117,18 @@ def _row_checks(kind: str, row: dict) -> list[tuple]:
 
 
 def _run_table(table: dict) -> list[GoldenOutcome]:
-    kind = table["kind"]
+    kind = table.get("kind")
     if kind not in TABLE_NAMES:  # each table's kind is its name
         raise LieparError(f"unknown golden table kind {kind!r}")
     out = []
-    for row in table["rows"]:
-        for label, expected, actual in _row_checks(kind, row):
+    for n, row in enumerate(table["rows"]):
+        try:
+            checks = _row_checks(kind, row)
+        except KeyError as exc:
+            raise LieparError(f"golden table {table['id']}: rows[{n}] has no key {exc}") from None
+        except (IndexError, TypeError, ValueError) as exc:
+            raise LieparError(f"golden table {table['id']}: rows[{n}] is malformed: {exc}") from None
+        for label, expected, actual in checks:
             ok = actual == expected
             out.append(GoldenOutcome(table["id"], label, ok, "" if ok else _diff(expected, actual)))
     return out

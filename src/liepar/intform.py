@@ -18,7 +18,7 @@ closed forms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _linalg
 from .errors import InvariantError, LieparError
@@ -62,23 +62,22 @@ def check_prime(p: int) -> None:
         raise LieparError(f"{p} is not prime")
 
 
-@dataclass(frozen=True)
-class IntegerSymmetricForm:
+class IntegerSymmetricForm(NamedTuple("IntegerSymmetricForm", [("matrix", tuple), ("label", str)])):
     """A symmetric square integer matrix with a free-form stratum label."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.matrix)
-        object.__setattr__(self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix))
-        for row in self.matrix:
+    def __new__(cls, matrix, label: str = ""):
+        matrix = tuple(tuple(int(x) for x in row) for row in matrix)
+        n = len(matrix)
+        for row in matrix:
             if len(row) != n:
                 raise LieparError("form matrix must be square")
         for i in range(n):
             for j in range(i):
-                if self.matrix[i][j] != self.matrix[j][i]:
+                if matrix[i][j] != matrix[j][i]:
                     raise LieparError("form matrix must be symmetric")
+        return super().__new__(cls, matrix, label)
 
     @property
     def size(self) -> int:
@@ -127,8 +126,7 @@ def rank_mod_p(matrix, p: int, rank: int, k: int) -> tuple[list[int], _linalg.In
     return valuations, rref, pivots
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     """Ranks of a form over Q and F_p, its radical mod p and its p-local divisors.
 
     `elementary_divisors` are the p-parts p**v of the nonzero Smith

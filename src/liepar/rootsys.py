@@ -114,13 +114,11 @@ def parse_type_label(label) -> tuple[tuple[str, int], ...]:
     if isinstance(label, (list, tuple)):
         factors = tuple((str(f).upper(), int(r)) for f, r in label)
     else:
-        factors = ()
-        for part in re.split(r"[x*+ ]+", str(label).strip()):
-            if not part:
-                continue
+        factors, text = (), str(label).strip()
+        for part in re.split(r"[x*+ ]+", text) if text else ():
             m = re.fullmatch(r"([A-Ga-g])(\d+)", part)
-            if not m:
-                raise InvalidTypeError(f"cannot parse type label {part!r}")
+            if not m:  # an empty part is a separator at either end
+                raise InvalidTypeError(f"cannot parse type label {part or text!r}")
             factors += ((m.group(1).upper(), int(m.group(2))),)
     if not factors:
         raise InvalidTypeError("empty type label")
@@ -307,11 +305,15 @@ class RootSystem:
     def weyl_order(self) -> int:
         return _height_product(self.positive_roots)
 
+    @functools.cached_property
+    def _coroot_maxima(self) -> tuple[int, ...]:
+        """The largest coordinate k over the positive coroots, for each k."""
+        return tuple(map(max, zip(*self.positive_coroots)))
+
     def minuscule_weights(self) -> tuple[int, ...]:
         """1-based indices i with <w_i, alpha-check> <= 1 for all positive roots."""
         self._require_irreducible()
-        maxima = map(max, zip(*self.positive_coroots))
-        return tuple(i + 1 for i, m in enumerate(maxima) if m == 1)
+        return tuple(i + 1 for i, m in enumerate(self._coroot_maxima) if m == 1)
 
     def fundamental_group(self) -> tuple[int, ...]:
         """Weight lattice modulo root lattice, as its elementary divisors > 1

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from . import _linalg
 from .config import SPECHT_BUDGET, effective_budget
@@ -119,8 +119,7 @@ def standard_multiplicities(n: int, d: int) -> dict[Partition, int]:
     return {lam: hook_length_count(lam) for lam in partitions(d) if len(lam) <= n}
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Gram matrix of the bilinear form on a Specht module."""
 
     form: IntegerSymmetricForm

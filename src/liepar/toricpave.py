@@ -20,11 +20,11 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import _linalg
 from .errors import InfeasibleError, InvariantError, LieparError
@@ -124,17 +124,13 @@ def _maximal(cones) -> list[ConeKey]:
     return [c for c in cones if frozenset(c) in keep]
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple("Fan", [("rank", int), ("rays", tuple), ("cones", tuple)])):
     """A fan: primitive rays and cones (ray-index tuples) closed under faces.
 
-    Its `Cone` objects, maximal cones and walls are derived once, lazily,
-    and handed out read-only; equality and hashing see only the fields.
+    The tuple (rank, rays, cones).  Its `Cone` objects, maximal cones and
+    walls are derived once, lazily, and cached on the instance, which has
+    no `__slots__` for them; equality and hashing see only the fields.
     """
-
-    rank: int
-    rays: tuple[Ray, ...]
-    cones: tuple[ConeKey, ...]
 
     @classmethod
     def from_max_cones(cls, rank: int, rays, max_cones) -> "Fan":
@@ -314,8 +310,7 @@ def star_subdivision(fan: Fan, ray) -> Fan:
     return Fan.from_max_cones(fan.rank, rays, [[index[r] for r in c] for c in new_max])
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(NamedTuple):
     """A continuous piecewise linear function given per maximal cone."""
 
     heights: tuple[Fraction, ...]               # one value per ray
@@ -433,19 +428,11 @@ def verify_support_function(fan: Fan, pl: PLFunction) -> None:
                     raise InfeasibleError("support function not strictly convex across a wall")
 
 
-@dataclass(frozen=True)
-class PavingCell:
-    """One affine cell: a maximal cone, its gamma face, and the member cones."""
+class PavingResult(NamedTuple):
+    """The cells, each the document {sigma, gamma, members, complex_dimension}
+    of a maximal cone, its gamma face and the cones of its cell."""
 
-    sigma: ConeKey
-    gamma: ConeKey
-    member_cones: tuple[ConeKey, ...]
-    complex_dimension: int
-
-
-@dataclass(frozen=True)
-class PavingResult:
-    cells: tuple[PavingCell, ...]
+    cells: list[dict]
     polynomial: CellPolynomial
     generic_point: tuple[int, ...]
     relevant_cones: tuple[ConeKey, ...]
@@ -499,12 +486,9 @@ def paving(fan: Fan, tau: Fan, seed: int = 0) -> PavingResult:
     covered: dict[ConeKey, ConeKey] = {}
     for sigma in maxes:
         gamma_key = tuple(sorted(set(sigma).intersection(*positive_walls[sigma])))
-        members = tuple(
-            sorted(c for c in fan.cones if set(gamma_key) <= set(c) <= set(sigma))
-        )
-        dim_gamma = fan.dim(gamma_key)
-        cell = PavingCell(sigma, gamma_key, members, fan.rank - dim_gamma)
-        cells.append(cell)
+        members = sorted(c for c in fan.cones if set(gamma_key) <= set(c) <= set(sigma))
+        cells.append({"sigma": list(sigma), "gamma": list(gamma_key), "members": [list(m) for m in members],
+                      "complex_dimension": fan.rank - fan.dim(gamma_key)})
         for member in members:
             if member in covered:
                 raise InvariantError(
@@ -513,12 +497,11 @@ def paving(fan: Fan, tau: Fan, seed: int = 0) -> PavingResult:
             covered[member] = sigma
     if set(covered) != set(relevant):
         raise InvariantError("paving cells do not partition the cones of the fiber")
-    polynomial = CellPolynomial.from_exponents(2 * c.complex_dimension for c in cells)
-    return PavingResult(tuple(cells), polynomial, x0, relevant)
+    polynomial = CellPolynomial.from_exponents(2 * c["complex_dimension"] for c in cells)
+    return PavingResult(cells, polynomial, x0, relevant)
 
 
-@dataclass(frozen=True)
-class OrbitPoset:
+class OrbitPoset(NamedTuple):
     """Cones ordered by reverse face inclusion, with orbit dimensions."""
 
     cones: tuple[ConeKey, ...]

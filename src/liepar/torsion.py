@@ -10,7 +10,7 @@ computable cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _linalg
 from .config import SUBSYSTEM_RANK_GUARD
@@ -48,8 +48,7 @@ def torsion_primes_fast(rs: RootSystem) -> PrimeSet:
     return tuple(sorted(primes))
 
 
-@dataclass(frozen=True)
-class SubsystemCertificate:
+class SubsystemCertificate(NamedTuple):
     """A Z-closed subsystem witnessing p-torsion of the coroot-lattice quotient."""
 
     prime: int

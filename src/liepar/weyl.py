@@ -42,6 +42,7 @@ import functools
 import struct
 from collections.abc import Iterator
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .config import WEYL_BUDGET, check_budget, effective_budget
 from .errors import BudgetError, LieparError, NotMinimalError
@@ -178,12 +179,6 @@ def _walk(rs: RootSystem, weight, gens, length_bound, limit):
 _FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}  # field bits -> signed struct code
 
 
-@functools.cache
-def _coroot_maxima(rs: RootSystem) -> tuple[int, ...]:
-    """The largest coordinate k over the positive coroots, for each k."""
-    return tuple(map(max, zip(*rs.positive_coroots)))
-
-
 def _width(rs: RootSystem, weight: Weight) -> int:
     """Bits per field of a packed point of the orbit of `weight`.
 
@@ -192,7 +187,7 @@ def _width(rs: RootSystem, weight: Weight) -> int:
     positive coroots; m is first bounded by sum |weight_k| times the largest
     coroot coordinate k, which settles small weights with no loop over roots.
     """
-    m = sum(map(mul, map(abs, weight), _coroot_maxima(rs)))
+    m = sum(map(mul, map(abs, weight), rs._coroot_maxima))
     if m >= 128:
         m = max(abs(sum(map(mul, weight, co))) for co in rs.positive_coroots)
     for bits in _FORMATS:
@@ -349,30 +344,15 @@ def double_quotient_reps(rs: RootSystem, I, J) -> list[WeylElement]:
     return list(iter_double_quotient_reps(rs, I, J))
 
 
-class CellPolynomial:
+class CellPolynomial(NamedTuple("CellPolynomial", [("coeffs", tuple)])):
     """Polynomial in q with nonnegative integer coefficients; immutable."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: tuple[int, ...]):
+    def __new__(cls, coeffs: tuple[int, ...]):
         if any(c < 0 for c in coeffs):
             raise LieparError("cell polynomial coefficients must be nonnegative")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable CellPolynomial")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable CellPolynomial")
-
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs if type(other) is CellPolynomial else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"CellPolynomial(coeffs={self.coeffs!r})"
+        return super().__new__(cls, coeffs)
 
     def evaluate(self, x: int) -> int:
         return sum(c * x**k for k, c in enumerate(self.coeffs))

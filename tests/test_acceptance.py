@@ -180,7 +180,7 @@ def test_criterion_8_toric_pavings():
             result = toricpave.paving(dprime, tau, seed=seed)
             assert result.polynomial.coeffs == expected, (name, seed)
             assert result.is_even(), name
-            members = [m for cell in result.cells for m in cell.member_cones]
+            members = [tuple(m) for cell in result.cells for m in cell["members"]]
             assert sorted(members) == sorted(result.relevant_cones), (name, seed)
     _report(8, started, 60, "chain and square pavings: polynomials, evenness, cell partition, 20 seeds")
 

@@ -438,8 +438,7 @@ def test_toric_paving_cells_partition_the_relevant_cones(capsys, tmp_path):
     assert len(members) == len(set(members)) == doc["relevant_cone_count"]
     assert set(members) == set(result.relevant_cones)
     assert doc["cell_count"] == len(doc["cells"]) == len(fan.maximal_cones())
-    assert [(tuple(c["sigma"]), tuple(c["gamma"]), c["complex_dimension"]) for c in doc["cells"]] == [
-        (c.sigma, c.gamma, c.complex_dimension) for c in result.cells]
+    assert doc["cells"] == result.cells  # the cells are the documents the CLI prints
 
 
 @pytest.mark.parametrize("fan", [
@@ -469,6 +468,41 @@ def test_golden_malformed_fixture_is_one_line_domain_error(capsys, tmp_path, fie
         if name == "torsion_primes":  # the table replayed first
             table[field] = value
         _write(tmp_path / f"{name}.json", table)
+    code, out, err = run(capsys, "golden", "--fixtures", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def _drop_rows(table):
+    del table["rows"]
+
+
+def _drop_primes(table):
+    del table["rows"][1]["primes"]
+
+
+def _drop_minuscule(table):
+    del table["rows"][1]["minuscule"]
+
+
+def _text_in_weight(table):
+    table["rows"][0]["left"] = [1, "a"]
+
+
+@pytest.mark.parametrize("name,tamper,message", [
+    ("torsion_primes", _drop_rows, "golden table torsion_primes has no list of rows"),
+    ("torsion_primes", _drop_primes, "golden table torsion_primes: rows[1] has no key 'primes'"),
+    ("weights", _drop_minuscule, "golden table weights: rows[1] has no key 'minuscule'"),
+    ("torsion_primes", lambda table: [table], "golden table torsion_primes is not a JSON object"),
+    ("decompositions", _text_in_weight,
+     "golden table decompositions: rows[0] is malformed: invalid literal for int() with base 10: 'a'"),
+], ids=["no-rows", "no-primes", "no-minuscule", "list-table", "text-in-weight"])
+def test_golden_malformed_row_is_one_line_domain_error(capsys, tmp_path, name, tamper, message):
+    for table_name in TABLE_NAMES:
+        table = load_table(table_name)
+        if table_name == name:
+            table = tamper(table) or table  # a tamper edits the table or returns a new one
+        _write(tmp_path / f"{table_name}.json", table)
     code, out, err = run(capsys, "golden", "--fixtures", str(tmp_path))
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
@@ -735,31 +769,49 @@ def test_subcommand_modules_run_only_when_their_subcommand_runs():
     assert stages["torsion"] == ["torsion"]  # the check sees a body that has run
 
 
-DATACLASSES_LOADED = """
-import contextlib, io, sys
-if sys.argv[1:]:
+# argv: the module whose body a command runs, then the command; prints which
+# of the two slow stdlib modules are loaded once the command has run
+SLOW_MODULES_LOADED = """
+import contextlib, io, sys, types
+if sys.argv[2:]:
     import liepar.cli
     with contextlib.redirect_stdout(io.StringIO()):
-        assert liepar.cli.main(sys.argv[1:]) == 0
-    assert "liepar." + sys.argv[1] in sys.modules
-print("dataclasses" in sys.modules)
+        assert liepar.cli.main(sys.argv[2:]) == 0
+    assert type(sys.modules["liepar." + sys.argv[1]]) is types.ModuleType  # its body has run
+print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))
 """
 
+# one cheap job per subcommand, with the module that runs it
+IMPORT_GUARD_JOBS = [
+    ("rootsys", ("rootsys", "--type", "A1")),
+    ("weyl", ("weyl", "--type", "B3", "--I", "1", "--J", "2", "--emit", "poincare")),
+    ("torsion", ("torsion", "--type", "A2", "--method", "both", "--emit", "certificates")),
+    ("characters", ("char", "--type", "G2", "--certify-generation")),
+    ("intform", ("intform", "--in", "forms.json", "--p", "2")),
+    ("schurweyl", ("schurweyl", "--d", "3", "--p", "2")),
+    ("schurweyl", ("nilpotent", "--partition", "2,1", "--n", "3")),
+    ("toricpave", ("toric", "--fan", "fan.json", "--tau", "tau.json", "--paving", "--emit", "cells")),
+    ("golden", ("golden",)),
+]
 
-@pytest.mark.parametrize("argv", [("rootsys", "--type", "A1"),
-                                  ("weyl", "--type", "B3", "--I", "1", "--J", "2", "--emit", "poincare")],
-                         ids=lambda argv: argv[0])
-def test_command_does_not_import_dataclasses(argv):
-    # `import dataclasses` costs every process that loads it about 12 ms
-    def loaded(*argv):
-        proc = subprocess.run([sys.executable, "-c", DATACLASSES_LOADED, *argv], capture_output=True,
-                              text=True, env=_env_without_budget(), timeout=60)
+
+@pytest.mark.parametrize("module,argv", IMPORT_GUARD_JOBS, ids=[argv[0] for _, argv in IMPORT_GUARD_JOBS])
+def test_command_does_not_import_dataclasses(tmp_path, module, argv):
+    # `import dataclasses` costs every process that loads it about 12 ms, most
+    # of it in `inspect`, which it imports
+    _write(tmp_path / "forms.json", [{"label": "s", "n": 1, "rows": [[-2]]}])
+    _write(tmp_path / "fan.json", {"rank": 2, "rays": [[1, 0], [1, 1], [0, 1]], "cones": [[0, 1], [1, 2]]})
+    _write(tmp_path / "tau.json", QUADRANT)
+
+    def loaded(*args):
+        proc = subprocess.run([sys.executable, "-c", SLOW_MODULES_LOADED, *args], capture_output=True,
+                              text=True, env=_env_without_budget(), cwd=tmp_path, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()
+        return proc.stdout.split("\n")[0]
 
-    if loaded() == ["True"]:
-        pytest.skip("the bare interpreter already loads dataclasses")
-    assert loaded(*argv) == ["False"]
+    if loaded() != "[]":
+        pytest.skip("the bare interpreter already loads dataclasses or inspect")
+    assert loaded(module, *argv) == "[]"
 
 
 # argv: a module name, and which of it and liepar.cli is imported first

@@ -132,6 +132,9 @@ def test_invalid_labels():
     for bad in ("E9", "F5", "G3", "H4", "A0", "D2", ""):
         with pytest.raises(InvalidTypeError):
             build_root_system(bad)
+    for bad in ("A1x", "xA1", "A1xA1*"):  # a separator at either end
+        with pytest.raises(InvalidTypeError, match="cannot parse type label"):
+            build_root_system(bad)
 
 
 def test_products():

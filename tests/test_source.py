@@ -25,6 +25,24 @@ def test_no_assert_in_library(path):
     assert not lines, f"{path.name}: assert on lines {lines}; raise InvariantError instead"
 
 
+def _imported_modules(tree) -> set[str]:
+    return ({alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+            | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module})
+
+
+def test_no_library_module_imports_dataclasses():
+    # records are named tuples or documents: `dataclasses` would cost every
+    # command that loads the module about 12 ms, mostly in `inspect`
+    importers = [path.name for path in SOURCES
+                 if "dataclasses" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == []
+
+
+def test_dataclasses_import_is_found():
+    assert "dataclasses" in _imported_modules(ast.parse("from dataclasses import dataclass\n"))
+    assert "dataclasses" in _imported_modules(ast.parse("def f():\n    import dataclasses\n"))
+
+
 CHECKED_RANK_KERNELS = {"local_smith_valuations", "modp_echelon"}
 
 

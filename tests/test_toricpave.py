@@ -175,7 +175,7 @@ def test_paving_a_n_chain(n):
     assert str(result.polynomial) == ("1 + q^2" if n == 1 else f"1 + {n}*q^2")
     assert result.is_even()
     assert len(result.cells) == n + 1
-    members = [m for cell in result.cells for m in cell.member_cones]
+    members = [tuple(m) for cell in result.cells for m in cell["members"]]
     assert sorted(members) == sorted(result.relevant_cones)
     assert len(members) == 2 * n + 1
 
