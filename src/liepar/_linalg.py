@@ -4,15 +4,20 @@ Everything here works on plain lists/tuples of Python ints or Fractions;
 no floating point is ever involved.
 
 Over Q there is one elimination, the Gauss-Jordan `rref_q`; inverse,
-solve, rank and kernel are read off its result.  Fraction-free Bareiss,
-the Smith normal form, the p-local Smith form and elimination mod p are
-separate on purpose: they are the independent rank checks.
+solve and rank are read off its result.  Over Z there is one lattice
+kernel, the row Hermite form `row_hermite`: the integer kernel is read off
+the Hermite form of [A^T | I], and the Smith normal form is built on
+Hermite forms of a matrix and its transpose.  Fraction-free Bareiss, the
+p-local Smith form and elimination mod p are separate on purpose: with
+the Smith form they are the independent rank checks.
 `integer_rows` is the one check that a matrix read from a file holds ints.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import gcd
 
 from .errors import LieparError
 
@@ -30,17 +35,13 @@ def integer_rows(value, what: str) -> list[tuple[int, ...]]:
     return [tuple(row) for row in value]
 
 
-def _copy_int(matrix) -> IntMatrix:
-    return [[int(x) for x in row] for row in matrix]
-
-
 def _bareiss(matrix) -> tuple[int, int]:
     """(rank over Q, last pivot) of an integer matrix, by fraction-free elimination.
 
     The last pivot is the r x r minor on the pivot rows and columns, so it
     is nonzero; it is 1 for a matrix of rank 0.
     """
-    m = _copy_int(matrix)
+    m = [[int(x) for x in row] for row in matrix]
     if not m or not m[0]:
         return 0, 1
     rows, cols = len(m), len(m[0])
@@ -169,57 +170,18 @@ def smith_normal_form(matrix) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix.
 
     Returns the nonzero elementary divisors d_1 | d_2 | ..., all positive.
+    Row Hermite forms of the matrix and of its transpose alternate until
+    every row has one nonzero entry (Kannan and Bachem, SIAM J. Comput. 8,
+    1979); replacing each pair of those entries by its (gcd, lcm) then
+    gives the divisibility chain.
     """
-    m = _copy_int(matrix)
-    if not m or not m[0]:
-        return []
-    rows, cols = len(m), len(m[0])
-    divisors: list[int] = []
-    t = 0
-    while t < min(rows, cols):
-        # find the entry of smallest absolute value to pivot on
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[t], m[bi] = m[bi], m[t]
-        for row in m:
-            row[t], row[bj] = row[bj], row[t]
-        pivot = m[t][t]
-        clean = True
-        for i in range(t + 1, rows):
-            q = m[i][t] // pivot
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-            if m[i][t] != 0:
-                clean = False
-        for j in range(t + 1, cols):
-            q = m[t][j] // pivot
-            if q:
-                for row in m:
-                    row[j] -= q * row[t]
-            if m[t][j] != 0:
-                clean = False
-        if not clean:
-            continue
-        # divisibility: pivot must divide every remaining entry
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            m[t] = [a + b for a, b in zip(m[t], m[offender])]
-            continue
-        divisors.append(abs(pivot))
-        t += 1
+    m = row_hermite(matrix)
+    while any(sum(map(bool, row)) > 1 for row in m):
+        m = row_hermite(zip(*m))
+    divisors = sorted(next(filter(None, row)) for row in m)
+    for i, j in itertools.combinations(range(len(divisors)), 2):
+        g = gcd(divisors[i], divisors[j])
+        divisors[i], divisors[j] = g, divisors[i] * divisors[j] // g
     return divisors
 
 
@@ -250,7 +212,6 @@ def row_hermite(matrix) -> list[list[int]]:
             for i in nz[1:]:
                 q = m[i][c] // m[i0][c]
                 m[i] = [a - q * b for a, b in zip(m[i], m[i0])]
-        nz = [i for i in range(r, len(m)) if m[i][c] != 0]
         if not nz:
             continue
         i0 = nz[0]
@@ -265,6 +226,18 @@ def row_hermite(matrix) -> list[list[int]]:
         if r == len(m):
             break
     return m[:r]
+
+
+def integer_kernel(matrix, cols: int) -> list[list[int]]:
+    """Z-basis of {x : matrix @ x = 0} for a matrix with `cols` columns.
+
+    The rows of row_hermite([matrix^T | I]) that vanish on matrix^T: they
+    are rows of a unimodular matrix, so the basis is saturated and each
+    vector primitive.  An empty matrix gives the standard basis.
+    """
+    n = len(matrix)
+    augmented = [[row[j] for row in matrix] + [int(i == j) for i in range(cols)] for j in range(cols)]
+    return [row[n:] for row in row_hermite(augmented) if not any(row[:n])]
 
 
 def in_row_lattice(hnf: list[list[int]], vector) -> bool:
@@ -387,25 +360,6 @@ def rref_q(matrix, cols: int | None = None) -> tuple[list[list[Fraction]], list[
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
-
-
-def nullspace_q(matrix, cols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel over Q of a matrix with `cols` columns.
-
-    One vector per non-pivot column of the rref, so an empty matrix gives
-    the standard basis.
-    """
-    rref, pivots = rref_q(matrix, cols)
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for row, pc in zip(rref, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
 
 
 def frac_matrix_inverse(matrix) -> list[list[Fraction]]:

@@ -414,12 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     operation.add_argument("--tensor", help="two weights, e.g. w8,w8")
     operation.add_argument("--exterior", help="weight and power, e.g. w4^2")
     operation.add_argument("--certify-generation", action="store_true")
-    p.add_argument("--emit", choices=("decomposition",), default="decomposition")
 
     p = add("intform", _cmd_intform)
     p.add_argument("--in", dest="infile", required=True, help="JSON file of symmetric forms")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--emit", choices=("report",), default="report")
 
     p = add("schurweyl", _cmd_schurweyl)
     p.add_argument("--d", type=int, required=True)

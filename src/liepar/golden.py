@@ -13,7 +13,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import characters, schurweyl, torsion
-from .errors import LieparError
+from .errors import BudgetError, LieparError
 from .rootsys import build_root_system
 
 TABLE_NAMES = (
@@ -126,7 +126,9 @@ def _run_table(table: dict) -> list[GoldenOutcome]:
             checks = _row_checks(kind, row)
         except KeyError as exc:
             raise LieparError(f"golden table {table['id']}: rows[{n}] has no key {exc}") from None
-        except (IndexError, TypeError, ValueError) as exc:
+        except BudgetError:
+            raise  # the row is well formed; the budget in force refuses it
+        except (LieparError, IndexError, TypeError, ValueError) as exc:
             raise LieparError(f"golden table {table['id']}: rows[{n}] is malformed: {exc}") from None
         for label, expected, actual in checks:
             ok = actual == expected

@@ -10,8 +10,9 @@ the cones sandwiched between gamma(sigma) and sigma.  The cell attached to
 sigma has complex dimension equal to the codimension of gamma(sigma).
 
 All geometry is exact and runs over the integers: rays, span equations and
-facet normals are primitive integer vectors, so every membership or wall
-test is an integer dot product.  Rationals appear only in the linear program
+facet normals are primitive integer vectors, the last two read off integer
+kernels (`_linalg.integer_kernel`), so every membership or wall test is an
+integer dot product.  Rationals appear only in the linear program
 that finds a support function and in the covectors and heights it returns.
 """
 
@@ -21,7 +22,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
@@ -35,13 +36,11 @@ ConeKey = tuple[int, ...]  # sorted ray indices; () is the zero cone
 
 
 def _primitive(vector) -> Ray:
-    """The primitive integer vector on the ray of a nonzero rational vector."""
-    scale = lcm(*(x.denominator for x in vector))
-    v = [x.numerator * (scale // x.denominator) for x in vector]
-    g = gcd(*v)
+    """The primitive integer vector on the ray of a nonzero integer vector."""
+    g = gcd(*vector)
     if g == 0:
         raise LieparError("zero vector is not a ray")
-    return tuple(x // g for x in v)
+    return tuple(x // g for x in vector)
 
 
 def _dot(u, v):
@@ -64,7 +63,7 @@ class Cone:
     @functools.cached_property
     def _equations(self) -> tuple[Ray, ...]:
         """Primitive integer equations of the span of the rays."""
-        return tuple(map(_primitive, _linalg.nullspace_q(self.rays, self.ambient_dim)))
+        return tuple(map(tuple, _linalg.integer_kernel(self.rays, self.ambient_dim)))
 
     @functools.cached_property
     def dim(self) -> int:
@@ -81,10 +80,10 @@ class Cone:
         """
         facets: dict[Ray, tuple[int, ...]] = {}
         for subset in itertools.combinations(self.rays, self.dim - 1) if self.dim else ():
-            kernel = _linalg.nullspace_q(subset + self._equations, self.ambient_dim)
+            kernel = _linalg.integer_kernel(subset + self._equations, self.ambient_dim)
             if len(kernel) != 1:
                 continue
-            u = _primitive(kernel[0])
+            u = tuple(kernel[0])
             values = [_dot(u, r) for r in self.rays]
             if all(v <= 0 for v in values):
                 u, values = tuple(-x for x in u), [-v for v in values]

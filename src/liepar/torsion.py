@@ -127,7 +127,8 @@ def torsion_primes_subsystem_oracle(
     into its parent's HNF (`_linalg.hermite_insert`), starts from the
     parent's mask with the generator's bit set, and tests only the roots
     outside that mask (`_linalg.in_hermite_lattice`).  The certificate
-    check keeps its own path (`row_hermite`, `in_row_lattice`).
+    check keeps its own path (`row_hermite`, `in_row_lattice`); the two
+    share only the Smith form of the divisors, which runs on `row_hermite`.
     """
     exhaustive = rs.rank <= SUBSYSTEM_RANK_GUARD
     generators = _oracle_generators(rs, exhaustive)

@@ -36,6 +36,27 @@ def test_weyl_dimension_basics():
         ch.weyl_dimension(rs, (-1, 0))
 
 
+@pytest.mark.parametrize("call,weight", [
+    (lambda rs: ch.weyl_dimension(rs, (1, 0, 5)), [1, 0, 5]),
+    (lambda rs: ch.weyl_orbit(rs, (1,)), [1]),
+    (lambda rs: ch.dominant_weight_multiplicities(rs, (1,)), [1]),
+    (lambda rs: ch.weight_multiplicities(rs, (1, 1, 0)), [1, 1, 0]),
+    (lambda rs: ch.tensor_decompose(rs, (1, 0, 0), (1, 0)), [1, 0, 0]),
+    (lambda rs: ch.tensor_decompose(rs, (1, 0), (1, 0, 0)), [1, 0, 0]),
+    (lambda rs: ch.exterior_power_decompose(rs, (1, 0, 3), 2), [1, 0, 3]),
+    (lambda rs: ch.dominance_leq(rs, (0, 0), (1, 1, 0)), [1, 1, 0]),
+    (lambda rs: ch.orbit_dimension(rs, (2,)), [2]),
+    (lambda rs: ch.word_multiplicity(rs, [(1, 0), (0, 1, 0)], (1, 1)), [0, 1, 0]),
+    (lambda rs: ch.word_multiplicity(rs, [], (1,)), [1]),
+], ids=["weyl_dimension", "weyl_orbit", "dominant_weight_multiplicities",
+        "weight_multiplicities", "tensor_left", "tensor_right", "exterior_power",
+        "dominance_leq", "orbit_dimension", "word_multiplicity_word", "word_multiplicity_target"])
+def test_weight_of_the_wrong_length_is_refused(call, weight):
+    with pytest.raises(LieparError) as exc:
+        call(build_root_system("A2"))
+    assert str(exc.value) == f"weight {weight} does not have 2 coordinates, the rank of A2"
+
+
 def test_weight_multiplicities_sl2():
     a1 = build_root_system("A1")
     res = ch.weight_multiplicities(a1, (2,))

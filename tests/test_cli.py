@@ -489,6 +489,14 @@ def _text_in_weight(table):
     table["rows"][0]["left"] = [1, "a"]
 
 
+def _long_tensor_weight(table):
+    table["rows"][0]["left"] = [1, 0, 0, 0, 0, 0, 0, 0]
+
+
+def _long_exterior_weight(table):
+    table["rows"][7]["weight"] = [1, 0, 0, 0, 0, 0, 3]
+
+
 @pytest.mark.parametrize("name,tamper,message", [
     ("torsion_primes", _drop_rows, "golden table torsion_primes has no list of rows"),
     ("torsion_primes", _drop_primes, "golden table torsion_primes: rows[1] has no key 'primes'"),
@@ -496,7 +504,12 @@ def _text_in_weight(table):
     ("torsion_primes", lambda table: [table], "golden table torsion_primes is not a JSON object"),
     ("decompositions", _text_in_weight,
      "golden table decompositions: rows[0] is malformed: invalid literal for int() with base 10: 'a'"),
-], ids=["no-rows", "no-primes", "no-minuscule", "list-table", "text-in-weight"])
+    ("decompositions", _long_tensor_weight, "golden table decompositions: rows[0] is malformed: "
+     "weight [1, 0, 0, 0, 0, 0, 0, 0] does not have 7 coordinates, the rank of E7"),
+    ("decompositions", _long_exterior_weight, "golden table decompositions: rows[7] is malformed: "
+     "weight [1, 0, 0, 0, 0, 0, 3] does not have 6 coordinates, the rank of E6"),
+], ids=["no-rows", "no-primes", "no-minuscule", "list-table", "text-in-weight",
+        "long-tensor-weight", "long-exterior-weight"])
 def test_golden_malformed_row_is_one_line_domain_error(capsys, tmp_path, name, tamper, message):
     for table_name in TABLE_NAMES:
         table = load_table(table_name)
@@ -506,6 +519,14 @@ def test_golden_malformed_row_is_one_line_domain_error(capsys, tmp_path, name, t
     code, out, err = run(capsys, "golden", "--fixtures", str(tmp_path))
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_golden_row_over_budget_is_not_malformed(capsys, monkeypatch):
+    # the first decomposition row needs the 133-dimensional weight system of E7
+    monkeypatch.setenv("LIEPAR_BUDGET", "10")
+    code, out, err = run(capsys, "golden")
+    assert code == 1 and out == ""
+    assert err == "error: weight system of dimension 133 exceeds budget 10; set LIEPAR_BUDGET to raise it\n"
 
 
 def test_intform_reads_forms_under_a_forms_key(capsys, tmp_path):

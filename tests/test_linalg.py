@@ -1,10 +1,11 @@
 """Gauss-Jordan over Q (`rref_q` and the functions read off it) on seeded
 random integer matrices, with fraction-free Bareiss as the rank oracle; the
+integer kernel; the Smith form against gcds of minors computed here; the
 p-local Smith form against the global one."""
 
+import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_solve(seed):
         x = _linalg.frac_solve(matrix, rhs)
         assert [sum(a * b for a, b in zip(row, x)) for row in matrix] == rhs
         # a nonzero y with y.A = 0 makes A x = y inconsistent, since y.y > 0
-        left_kernel = _linalg.nullspace_q([list(col) for col in zip(*matrix)], len(matrix))
+        left_kernel = _linalg.integer_kernel([list(col) for col in zip(*matrix)], len(matrix))
         if left_kernel:
             assert _linalg.frac_solve(matrix, left_kernel[0]) is None
             inconsistent += 1
@@ -92,20 +93,88 @@ def test_solve(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_nullspace(seed):
+def test_integer_kernel(seed):
     for matrix in _matrices(seed):
         cols = _cols(matrix)
-        basis = _linalg.nullspace_q(matrix, cols)
+        basis = _linalg.integer_kernel(matrix, cols)
         assert len(basis) == cols - _linalg.bareiss_rank(matrix)
         for v in basis:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in matrix)
-        assert _linalg.frac_rank(basis) == len(basis)
+        # saturated: independent, and every integer vector of its Q-span is
+        # an integer combination, so the basis spans the kernel over Z
+        assert _linalg.smith_normal_form(basis) == [1] * len(basis)
 
 
-def test_nullspace_of_no_equations_is_the_standard_basis():
-    assert _linalg.nullspace_q([], 3) == [
-        [Fraction(int(i == j)) for j in range(3)] for i in range(3)
-    ]
+def test_integer_kernel_of_no_equations_is_the_standard_basis():
+    assert _linalg.integer_kernel([], 3) == [[int(i == j) for j in range(3)] for i in range(3)]
+
+
+def _det(matrix):
+    """Determinant by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum((-1) ** j * a * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
+               for j, a in enumerate(matrix[0]) if a)
+
+
+def _minor_gcds(matrix):
+    """The gcd of the k x k minors for k = 1, 2, ..., up to the last nonzero one."""
+    rows, cols = len(matrix), _cols(matrix)
+    gcds = []
+    for k in range(1, min(rows, cols) + 1):
+        g = math.gcd(*(_det([[matrix[i][j] for j in picked_cols] for i in picked_rows])
+                       for picked_rows in itertools.combinations(range(rows), k)
+                       for picked_cols in itertools.combinations(range(cols), k)))
+        if g == 0:
+            break
+        gcds.append(g)
+    return gcds
+
+
+def _small_matrices(seed):
+    """Integer matrices up to 5 x 5: empty, zero, random, rank-deficient,
+    and with entries sharing factors, so that divisors above 1 occur."""
+    rng = random.Random(seed)
+    out = [[], [[0, 0]], [[4]], [[2, 4], [6, 8]]]
+    for _ in range(30):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        out.append(_random(rng, rows, cols))
+        inner = rng.randint(1, min(rows, cols))
+        out.append(_product(_random(rng, rows, inner, -2, 2), _random(rng, inner, cols, -2, 2)))
+        out.append([[rng.choice((0, 2, 4, 6, 12, -18)) for _ in range(cols)] for _ in range(rows)])
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_smith_form_against_minor_gcds(seed):
+    # Smith's theorem: d_1 ... d_k is the gcd of the k x k minors
+    for matrix in _small_matrices(seed):
+        divisors = _linalg.smith_normal_form(matrix)
+        assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+        assert [math.prod(divisors[:k]) for k in range(1, len(divisors) + 1)] == _minor_gcds(matrix)
+
+
+def _unimodular(rng, n):
+    """A random n x n integer matrix of determinant +-1, from the identity
+    by adding multiples of rows to other rows and negating rows."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(4 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = rng.randint(-2, 2)
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_smith_form_is_invariant_under_unimodular_operations(seed):
+    rng = random.Random(seed)
+    for matrix in _small_matrices(seed)[1:]:
+        moved = _product(_product(_unimodular(rng, len(matrix)), matrix),
+                         _unimodular(rng, _cols(matrix)))
+        assert _linalg.smith_normal_form(moved) == _linalg.smith_normal_form(matrix)
 
 
 def _check_local_smith(matrix, divisors, p):

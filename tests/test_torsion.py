@@ -90,11 +90,29 @@ def test_oracle_walk_equals_combination_sweep(label):
     assert torsion_primes_subsystem_oracle(rs) == sweep_oracle(rs)
 
 
+def _outside_smith_form(monkeypatch, row_hermite):
+    """Install `row_hermite` for calls made outside `smith_normal_form`;
+    the Smith form's own Hermite passes go to the real kernel."""
+    hermite, smith = _linalg.row_hermite, _linalg.smith_normal_form
+    depth = [0]
+
+    def wrapped_smith(matrix):
+        depth[0] += 1
+        try:
+            return smith(matrix)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_linalg, "smith_normal_form", wrapped_smith)
+    monkeypatch.setattr(_linalg, "row_hermite",
+                        lambda matrix: hermite(matrix) if depth[0] else row_hermite(matrix))
+
+
 def test_oracle_walk_builds_fewer_lattices_than_combinations(monkeypatch):
     """One HNF extension per first-spanning combination and generator
     outside its lattice, far fewer than the combinations of at most `rank`
-    positive roots; the walk calls neither `row_hermite` nor
-    `in_row_lattice`."""
+    positive roots; outside the Smith form of its divisors the walk calls
+    neither `row_hermite` nor `in_row_lattice`."""
     calls = []
     insert = _linalg.hermite_insert
 
@@ -106,7 +124,7 @@ def test_oracle_walk_builds_fewer_lattices_than_combinations(monkeypatch):
         raise AssertionError("the walk keeps its own HNFs")
 
     monkeypatch.setattr(_linalg, "hermite_insert", counting)
-    monkeypatch.setattr(_linalg, "row_hermite", forbidden)
+    _outside_smith_form(monkeypatch, forbidden)
     monkeypatch.setattr(_linalg, "in_row_lattice", forbidden)
     for label, extensions, combinations_count in [("B4", 699, 2516), ("B5", 6121, 68405)]:
         rs = build_root_system(label)
@@ -119,6 +137,8 @@ def test_oracle_walk_builds_fewer_lattices_than_combinations(monkeypatch):
 
 
 def test_certificate_check_keeps_its_own_hnf(monkeypatch):
+    # one fresh Hermite form of the subsystem per certificate, besides
+    # those inside the Smith form of its divisors
     rs = build_root_system("B3")
     _, certs = torsion_primes_subsystem_oracle(rs)
     calls = []
@@ -128,7 +148,7 @@ def test_certificate_check_keeps_its_own_hnf(monkeypatch):
         calls.append(1)
         return hermite(matrix)
 
-    monkeypatch.setattr(_linalg, "row_hermite", counting)
+    _outside_smith_form(monkeypatch, counting)
     assert all(cert.verify(rs) for cert in certs)
     assert len(calls) == len(certs) > 0
 
