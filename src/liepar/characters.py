@@ -34,16 +34,6 @@ from .rootsys import RootSystem, Weight
 from .weyl import orbit
 
 
-def _coords(rs: RootSystem, weight) -> Weight:
-    """A weight of rs as a tuple of ints, refused unless it has one
-    coordinate per simple root."""
-    w = tuple(int(c) for c in weight)
-    if len(w) != rs.rank:
-        raise LieparError(f"weight {list(w)} does not have {rs.rank} coordinates, "
-                          f"the rank of {rs.type_name()}")
-    return w
-
-
 def _check_dominant(weight: Weight) -> Weight:
     if any(c < 0 for c in weight):
         raise LieparError(f"weight {weight} is not dominant")
@@ -52,7 +42,7 @@ def _check_dominant(weight: Weight) -> Weight:
 
 def weyl_dimension(rs: RootSystem, weight) -> int:
     """dim V(lambda) by the Weyl dimension formula, exact."""
-    return _weyl_dimension(rs, _check_dominant(_coords(rs, weight)))
+    return _weyl_dimension(rs, _check_dominant(rs.check_weight(weight)))
 
 
 @functools.cache
@@ -90,7 +80,7 @@ def dominant_rep(rs: RootSystem, weight: Weight) -> Weight:
 
 def weyl_orbit(rs: RootSystem, weight) -> list[Weight]:
     """The full Weyl orbit of a weight, as a sorted list."""
-    levels = orbit(rs, dominant_rep(rs, _coords(rs, weight)), range(rs.rank))
+    levels = orbit(rs, dominant_rep(rs, rs.check_weight(weight)), range(rs.rank))
     return sorted(point for points, _ in levels for point in points)
 
 
@@ -104,7 +94,7 @@ def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
     factor is (lambda-mu, lambda+mu+2rho), and lambda-mu has integral root
     coordinates.
     """
-    lam = _check_dominant(_coords(rs, weight))
+    lam = _check_dominant(rs.check_weight(weight))
     rank = rs.rank
     # (root coords, weight coords, 6 (alpha, alpha)) of each positive root
     pos = list(zip(rs.positive_roots, rs._positive_weights, rs._positive_norm6))
@@ -149,7 +139,7 @@ def weight_multiplicities(rs: RootSystem, weight) -> Mapping[Weight, int]:
 
     Its dimension is held to the weight budget on every call, cached or not.
     """
-    lam = _coords(rs, weight)
+    lam = rs.check_weight(weight)
     dim = weyl_dimension(rs, lam)
     check_budget(WEIGHT_BUDGET, dim, f"weight system of dimension {dim}")
     return _weight_system(rs, lam)
@@ -213,7 +203,7 @@ def tensor_decompose(rs: RootSystem, left, right) -> Character:
     Iterates over the weight multiset of the smaller-dimension factor; the
     larger factor enters only through rho-shifted reflections.
     """
-    lam, mu = _check_dominant(_coords(rs, left)), _check_dominant(_coords(rs, right))
+    lam, mu = _check_dominant(rs.check_weight(left)), _check_dominant(rs.check_weight(right))
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
     return Character(rs, _natural(_brauer_klimyk(rs, lam, weight_multiplicities(rs, mu)), 1))
@@ -236,7 +226,7 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int) -> Character:
     having the weights i nu of V: each psi^i(V) V(mu) is one Brauer-Klimyk
     straightening.  Runs to min(k, dim-k), as Lambda^k is dual to Lambda^(dim-k).
     binomial(dim, k) is held to the weight budget before anything is built."""
-    lam = _check_dominant(_coords(rs, weight))
+    lam = _check_dominant(rs.check_weight(weight))
     if power < 0:
         raise LieparError("exterior power must be nonnegative")
     if power == 0:
@@ -270,14 +260,14 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int) -> Character:
 
 def dominance_leq(rs: RootSystem, lower, upper) -> bool:
     """lambda <= mu iff mu - lambda is a nonnegative integer root combination."""
-    lam, mu = _check_dominant(_coords(rs, lower)), _check_dominant(_coords(rs, upper))
+    lam, mu = _check_dominant(rs.check_weight(lower)), _check_dominant(rs.check_weight(upper))
     coords = rs.weight_root_coords(tuple(m - l for l, m in zip(lam, mu)))
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
 def orbit_dimension(rs: RootSystem, weight) -> int:
     """Dimension of the orbit attached to a dominant (co)weight: <lambda, 2 rho-check>."""
-    lam = _check_dominant(_coords(rs, weight))
+    lam = _check_dominant(rs.check_weight(weight))
     return sum(lam[i] * co[i] for co in rs.positive_coroots for i in range(rs.rank))
 
 
@@ -318,8 +308,8 @@ class GenerationCertificate(NamedTuple):
 
 def word_multiplicity(rs: RootSystem, word, target) -> int:
     """Multiplicity of V(target) in the tensor product over the word."""
-    word = [_coords(rs, w) for w in word]
-    target = _coords(rs, target)
+    word = [rs.check_weight(w) for w in word]
+    target = rs.check_weight(target)
     if not word:
         return 0
     current: dict[Weight, int] = {word[0]: 1}
@@ -340,7 +330,8 @@ def generation_certificate(rs: RootSystem) -> GenerationCertificate:
     length at a time, each length in order of (dimension, weight), over
     words of at most CERTIFICATE_WORD_LENGTH letters and at most
     CERTIFICATE_EXPANSIONS tensor products.  Raises BudgetError naming the
-    fundamental weights that could not be certified within those bounds.
+    bound that stopped the search and the fundamental weights it left
+    uncertified.
     """
     gens = generator_weights(rs)
     targets = {tuple(1 if j == i else 0 for j in range(rs.rank)): i + 1 for i in range(rs.rank)}
@@ -367,10 +358,11 @@ def generation_certificate(rs: RootSystem) -> GenerationCertificate:
         level = sorted(found, key=order)
     missing = [idx for t, idx in targets.items() if t not in discovered]
     if missing:
-        raise BudgetError(
-            "generation search budget exhausted; uncertified fundamental weights: "
-            + ", ".join(f"w{i}" for i in sorted(missing))
-        )
+        bound = (f"CERTIFICATE_EXPANSIONS = {CERTIFICATE_EXPANSIONS} tensor products"
+                 if expansions == CERTIFICATE_EXPANSIONS
+                 else f"CERTIFICATE_WORD_LENGTH = {CERTIFICATE_WORD_LENGTH} letters")
+        raise BudgetError(f"generation search reached {bound}, a fixed bound in liepar.config; "
+                          "uncertified fundamental weights: " + ", ".join(f"w{i}" for i in sorted(missing)))
     entries = []
     for t, idx in targets.items():  # in index order
         mult = word_multiplicity(rs, discovered[t], t)

@@ -210,17 +210,17 @@ def _cmd_weyl(args):
 
 
 def _cmd_torsion(args) -> str:
+    if args.emit == "certificates" and args.method == "fast":
+        raise LieparError("--emit certificates requires --method oracle or both")
     rs = build_root_system(args.type)
     doc = _document("torsion", type=rs.type_name(), method=args.method)
     fast = oracle = None
-    certs: list = []
     if args.method in ("fast", "both"):
         fast = list(torsion.torsion_primes_fast(rs))
         doc["fast"] = fast
     if args.method in ("oracle", "both"):
-        primes, certificates = torsion.torsion_primes_subsystem_oracle(rs)
+        primes, certs = torsion.torsion_primes_subsystem_oracle(rs)
         oracle = list(primes)
-        certs = certificates
         doc["oracle"] = oracle
     if args.method == "both":
         doc["agreement"] = fast == oracle
@@ -334,6 +334,8 @@ def _cmd_nilpotent(args) -> str:
 
 
 def _cmd_toric(args) -> str:
+    if args.emit == "cells" and not args.paving:
+        raise LieparError("--emit cells requires --paving")
     with open(args.fan, encoding="utf-8") as fh:
         fan = toricpave.Fan.from_dict(json.load(fh))
     tau = None

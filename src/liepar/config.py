@@ -1,9 +1,9 @@
 """Budgets and search limits, in one place.
 
-This is the only module that reads the environment: the enumeration
-budgets below are overridden by the LIEPAR_BUDGET variable, read through
-`effective_budget` and enforced through `check_budget`.  The generation
-certificate search is bounded by two fixed constants.
+This is the only module that reads the environment or words a budget
+refusal: LIEPAR_BUDGET overrides the enumeration budgets below, read through
+`effective_budget`, and every caller refuses through `check_budget`.  The
+generation certificate search has two fixed bounds, which its refusal names.
 """
 
 import os

@@ -201,8 +201,17 @@ class RootSystem:
             sum(root[i] * self.cartan[i][j] for i in range(self.rank)) for j in range(self.rank)
         )
 
+    def check_weight(self, weight) -> Weight:
+        """A weight as a tuple of ints, refused unless it has one coordinate per simple root."""
+        w = tuple(int(c) for c in weight)
+        if len(w) != self.rank:
+            raise LieparError(f"weight {list(w)} does not have {self.rank} coordinates, "
+                              f"the rank of {self.type_name()}")
+        return w
+
     def weight_root_coords(self, weight) -> tuple[Fraction, ...]:
         """Simple-root coordinates (exact rationals) of a weight."""
+        weight = self.check_weight(weight)
         return tuple(
             sum(Fraction(weight[i]) * self._cartan_inv[i][j] for i in range(self.rank))
             for j in range(self.rank)

@@ -24,8 +24,8 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from . import _linalg
-from .config import SPECHT_BUDGET, effective_budget
-from .errors import BudgetError, InvariantError, LieparError
+from .config import SPECHT_BUDGET, check_budget
+from .errors import InvariantError, LieparError
 from .intform import IntegerSymmetricForm, check_prime, rank_mod_p
 
 Partition = tuple[int, ...]
@@ -177,13 +177,11 @@ def polytabloid(lam: Partition, tableau) -> dict[tuple, int]:
 
 
 def check_specht_budget(d: int) -> None:
-    """Raise BudgetError when Specht modules of S_d exceed the budget.
+    """Raise BudgetError when Specht modules of S_d exceed the Specht budget.
 
     Callers check d before they enumerate the partitions of d.
     """
-    limit = effective_budget(SPECHT_BUDGET)
-    if d > limit:
-        raise BudgetError(f"|lambda| = {d} exceeds Specht budget {limit}; set LIEPAR_BUDGET to raise it")
+    check_budget(SPECHT_BUDGET, d, f"Specht |lambda| = {d}")
 
 
 def _signed_tabloids(tableau, per_column, width: int) -> tuple[frozenset[int], frozenset[int]]:

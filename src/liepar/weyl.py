@@ -11,7 +11,8 @@ positive.  A point nu is kept only when reached from s_i0 nu, i0 its least
 negative coordinate, so each point is found once and its word is the
 lexicographically first reduced word.  The walk yields one depth level at
 a time and keeps only the level before, so a caller that consumes levels
-as they come holds two levels, never the whole orbit.  A level is two
+as they come holds two levels, never the whole orbit; after each level the
+points found so far are held to the Weyl budget of `config`.  A level is two
 parallel lists, its points and their words, a word as `bytes` with one
 byte per letter, so the walk serves simple indices 0..255; the word of a
 `WeylElement` is a tuple of ints.
@@ -44,8 +45,8 @@ from collections.abc import Iterator
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .config import WEYL_BUDGET, check_budget, effective_budget
-from .errors import BudgetError, LieparError, NotMinimalError
+from .config import WEYL_BUDGET, check_budget
+from .errors import LieparError, NotMinimalError
 from .rootsys import RootSystem, Weight, _height_product
 
 
@@ -146,8 +147,8 @@ def reduced_word(rs: RootSystem, key: Weight) -> tuple[int, ...]:
         key = rs.reflect(key, i)
 
 
-def orbit(rs: RootSystem, weight, gens, length_bound: int | None = None,
-          limit: int | None = None) -> Iterator[tuple[list[Weight], list[bytes]]]:
+def orbit(rs: RootSystem, weight, gens,
+          length_bound: int | None = None) -> Iterator[tuple[list[Weight], list[bytes]]]:
     """The orbit of `weight` under the s_i, i in `gens`, one depth level at a time.
 
     `weight` must be dominant for `gens`, and every index in `gens` at most
@@ -156,24 +157,24 @@ def orbit(rs: RootSystem, weight, gens, length_bound: int | None = None,
     `bytes` with one byte per letter (0-based simple indices).  The words of
     a level have one length, the depth, and come in increasing order, so
     the levels run through the orbit in (length, word) order.  Levels stop
-    after depth `length_bound`; BudgetError, naming the depth and the points
-    found, is raised once more than `limit` points are found.  The walk packs
-    each point into one int (see the module docstring); an orbit whose
-    coordinates do not fit 64-bit fields is refused with LieparError before
-    the first level.
+    after depth `length_bound`.  When the walk starts, `weight` must have
+    one coordinate per simple root, and its coordinates must fit 64-bit
+    packed fields (see the module docstring); each is refused with
+    LieparError.  Every level is held to the Weyl budget of `config`: past
+    it, BudgetError names the depth and the points found.
     """
-    return (level[1:] for level in _walk(rs, weight, gens, length_bound, limit))
+    return (level[1:] for level in _walk(rs, weight, gens, length_bound))
 
 
-def _walk(rs: RootSystem, weight, gens, length_bound, limit):
+def _walk(rs: RootSystem, weight, gens, length_bound):
     """`orbit`'s checks, then its levels as triples (packed points, points, words)."""
     gens = tuple(sorted(gens))
     start = tuple(weight)
     if gens and gens[-1] > 255:
         raise LieparError(f"simple index {gens[-1]} does not fit in a one-byte orbit word (0..255)")
-    if any(start[i] < 0 for i in gens):
+    if any(c < 0 for i, c in enumerate(start) if i in gens):  # its length is checked in _levels
         raise LieparError(f"weight {start} is not dominant for the generators")
-    return _levels(rs, start, gens, length_bound, limit)
+    return _levels(rs, start, gens, length_bound)
 
 
 _FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}  # field bits -> signed struct code
@@ -212,13 +213,15 @@ def _layout(rs: RootSystem, gens: tuple[int, ...], bits: int):
     return steps, _signs(bits, range(rs.rank)), struct.Struct(f"<{rs.rank}{_FORMATS[bits]}")
 
 
-def _levels(rs: RootSystem, start: Weight, gens: tuple[int, ...], length_bound, limit):
-    """The levels of `orbit`, each with its points packed.  A point's word
+def _levels(rs: RootSystem, start: Weight, gens: tuple[int, ...], length_bound):
+    """The levels of `orbit`, each with its points packed, the points found
+    so far held to the Weyl budget after each level.  A point's word
     minus its first letter is the word of its parent, one level up, so only
     that level is kept.  The points with first letter i come in the order of
     their parents; walking the generators in increasing order sorts the new
     level with no comparison.  A packed point XOR the biases is the point in
     two's complement, which `struct` unpacks."""
+    start = rs.check_weight(start)
     steps, flip, fmt = _layout(rs, gens, _width(rs, start))
     size = fmt.size
     packed, points, words = [int.from_bytes(fmt.pack(*start), "little") ^ flip], [start], [b""]
@@ -240,14 +243,12 @@ def _levels(rs: RootSystem, start: Weight, gens: tuple[int, ...], length_bound, 
                         add_word(letter + word)
         packed, words = new_packed, new_words
         found, depth = found + len(packed), depth + 1
-        if limit is not None and found > limit:
-            raise BudgetError(f"enumeration exceeded budget {limit} at depth {depth} ({found} points); "
-                              "set LIEPAR_BUDGET to raise it")
+        check_budget(WEYL_BUDGET, found, f"enumeration at depth {depth} ({found} points)")
         points = list(fmt.iter_unpack(b"".join([(nu ^ flip).to_bytes(size, "little") for nu in packed])))
 
 
 def _elements(rs: RootSystem, start: Weight, gens, I=frozenset(),
-              length_bound: int | None = None, limit: int | None = None) -> Iterator[WeylElement]:
+              length_bound: int | None = None) -> Iterator[WeylElement]:
     """The elements x of the walk down the orbit of `start` whose point has no
     negative coordinate in I, in (length, word) order.
 
@@ -255,7 +256,7 @@ def _elements(rs: RootSystem, start: Weight, gens, I=frozenset(),
     letter belongs to a point of the level before, so x(rho) is one
     reflection away from a key of that level; keys are packed like points.
     """
-    levels = _walk(rs, start, gens, length_bound, limit)
+    levels = _walk(rs, start, gens, length_bound)
     new = tuple.__new__  # WeylElement's own __new__ would cost a Python call per element
     mask = _signs(_width(rs, start), I)
     if start == rs.rho:  # each point is its own key
@@ -285,16 +286,12 @@ def _elements(rs: RootSystem, start: Weight, gens, I=frozenset(),
 def generate_weyl(rs: RootSystem, length_bound: int | None = None) -> list[WeylElement]:
     """All Weyl elements (up to `length_bound`), each with a reduced word.
 
-    Raises BudgetError when the enumeration would exceed the element budget;
+    With no length bound, |W| is held to the Weyl budget before the walk;
     E7/E8 need an explicit length bound.
     """
-    limit = effective_budget(WEYL_BUDGET)
-    if length_bound is None and rs.weyl_order() > limit:
-        raise BudgetError(
-            f"|W| = {rs.weyl_order()} exceeds budget {limit}; "
-            "pass a length bound or set LIEPAR_BUDGET to raise it"
-        )
-    return list(_elements(rs, rs.rho, range(rs.rank), length_bound=length_bound, limit=limit))
+    if length_bound is None:
+        check_budget(WEYL_BUDGET, rs.weyl_order(), f"|W| = {rs.weyl_order()} with no length bound")
+    return list(_elements(rs, rs.rho, range(rs.rank), length_bound=length_bound))
 
 
 def generate_parabolic(rs: RootSystem, indices) -> list[WeylElement]:

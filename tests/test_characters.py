@@ -15,6 +15,7 @@ from liepar.cli import _parse_weight
 from liepar.errors import BudgetError, LieparError
 from liepar.golden import load_table
 from liepar.rootsys import build_root_system
+from liepar.weyl import orbit
 
 
 def w(rank, *pairs):
@@ -48,9 +49,15 @@ def test_weyl_dimension_basics():
     (lambda rs: ch.orbit_dimension(rs, (2,)), [2]),
     (lambda rs: ch.word_multiplicity(rs, [(1, 0), (0, 1, 0)], (1, 1)), [0, 1, 0]),
     (lambda rs: ch.word_multiplicity(rs, [], (1,)), [1]),
+    # the check lives on RootSystem, which the Weyl walk and weight_root_coords call too
+    (lambda rs: list(orbit(rs, (1, 0, 4), range(2))), [1, 0, 4]),
+    (lambda rs: list(orbit(rs, (1,), range(2))), [1]),
+    (lambda rs: rs.weight_root_coords((1, 0, 0)), [1, 0, 0]),
+    (lambda rs: rs.weight_root_coords((1,)), [1]),
 ], ids=["weyl_dimension", "weyl_orbit", "dominant_weight_multiplicities",
         "weight_multiplicities", "tensor_left", "tensor_right", "exterior_power",
-        "dominance_leq", "orbit_dimension", "word_multiplicity_word", "word_multiplicity_target"])
+        "dominance_leq", "orbit_dimension", "word_multiplicity_word", "word_multiplicity_target",
+        "orbit_long", "orbit_short", "weight_root_coords_long", "weight_root_coords_short"])
 def test_weight_of_the_wrong_length_is_refused(call, weight):
     with pytest.raises(LieparError) as exc:
         call(build_root_system("A2"))
@@ -626,6 +633,18 @@ def test_thread_safety_of_pure_operations():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+
+
+@pytest.mark.parametrize("constant, value, bound", [
+    ("CERTIFICATE_WORD_LENGTH", 2, "CERTIFICATE_WORD_LENGTH = 2 letters"),
+    ("CERTIFICATE_EXPANSIONS", 3, "CERTIFICATE_EXPANSIONS = 3 tensor products"),
+])
+def test_generation_search_refusal_names_the_bound_that_stopped_it(monkeypatch, constant, value, bound):
+    monkeypatch.setattr(ch, constant, value)
+    with pytest.raises(BudgetError) as exc:
+        ch.generation_certificate(build_root_system("E8"))
+    assert str(exc.value).startswith(f"generation search reached {bound}, a fixed bound in liepar.config; "
+                                     "uncertified fundamental weights: ")
 
 
 def test_generation_certificate_budget_reporting(monkeypatch):

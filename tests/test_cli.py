@@ -154,7 +154,7 @@ def test_schurweyl_over_budget_fails_before_enumerating(capsys, monkeypatch, emi
     monkeypatch.setattr(schurweyl, "partitions", refuse)
     code, out, err = run(capsys, "schurweyl", "--d", "100", "--p", "2", "--emit", emit)
     assert code == 1 and out == ""
-    assert err == "error: |lambda| = 100 exceeds Specht budget 8; set LIEPAR_BUDGET to raise it\n"
+    assert err == "error: Specht |lambda| = 100 exceeds budget 8; set LIEPAR_BUDGET to raise it\n"
 
 
 def test_weyl_budget_counts_cosets_not_elements(capsys, monkeypatch):
@@ -198,6 +198,12 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("nilpotent", "--partition", ",", "--n", "0"), "n must be a positive integer"),
     (("char", "--type", "A2"), "char needs one of --tensor, --exterior, --certify-generation"),
     (("toric", "--fan", "{quadrant}", "--paving"), "--paving requires --tau"),
+    # an option that would be ignored: only a paving has cells, only the oracle certificates
+    (("toric", "--fan", "{quadrant}", "--emit", "cells"), "--emit cells requires --paving"),
+    (("toric", "--fan", "{quadrant}", "--subdivide", "1,1", "--emit", "cells"),
+     "--emit cells requires --paving"),
+    (("torsion", "--type", "F4", "--emit", "certificates"),
+     "--emit certificates requires --method oracle or both"),
     (("toric", "--fan", "{rank_zero}"), "fan rank must be a positive integer, got 0"),
     (("toric", "--fan", "{rank_text}"), "fan rank must be a positive integer, got '2'"),
     (("toric", "--fan", "{overlapping}"), "cones (0, 1) and (1, 2) do not meet in a common face"),

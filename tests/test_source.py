@@ -150,6 +150,38 @@ def test_only_config_reads_the_environment(path):
         assert not lines, f"{path.name}: environment read on lines {lines}; go through config"
 
 
+def _budget_wording(tree) -> list[int]:
+    """Lines that name `effective_budget` or raise a message naming LIEPAR_BUDGET."""
+    names = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "effective_budget"
+             or isinstance(node, ast.Attribute) and node.attr == "effective_budget"
+             or isinstance(node, ast.alias) and node.name == "effective_budget"]
+    messages = [node.lineno for raised in ast.walk(tree) if isinstance(raised, ast.Raise)
+                for node in ast.walk(raised)
+                if isinstance(node, ast.Constant) and "LIEPAR_BUDGET" in str(node.value)]
+    return sorted(set(names + messages))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(LIBRARY).as_posix())
+def test_only_config_words_a_budget_refusal(path):
+    # every budget is refused through config.check_budget, so a new budget or
+    # variable changes config and the refusal texts, and no other module
+    lines = _budget_wording(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    if path.name == "config.py":
+        assert lines, "config.py no longer reads or refuses the budget"
+    else:
+        assert not lines, f"{path.name}: budget read or refused on lines {lines}; call config.check_budget"
+
+
+def test_budget_wording_is_found():
+    snippet = ("from .config import effective_budget\n"
+               "def check(d):\n"
+               "    if d > config.effective_budget(8):\n"
+               "        raise BudgetError(f'{d} is too large; set LIEPAR_BUDGET to raise it')\n")
+    assert _budget_wording(ast.parse(snippet)) == [1, 3, 4]
+    assert _budget_wording(ast.parse('def f():\n    "a docstring may name LIEPAR_BUDGET"\n')) == []
+
+
 OPTIMIZED_CHECKS = """
 import sys
 from liepar.characters import _natural, decompose_weight_multiset, weight_multiplicities

@@ -1,10 +1,12 @@
 import copy
 import itertools
 import pickle
+import re
 import tracemalloc
 
 import pytest
 
+from liepar import characters
 from liepar.errors import BudgetError, LieparError, NotMinimalError
 from liepar.rootsys import build_root_system
 from liepar.weyl import (
@@ -442,21 +444,42 @@ def test_orbit_refuses_coordinates_past_64_bits():
 def test_orbit_budget_error_says_how_far_the_walk_got(monkeypatch):
     rs = build_root_system("E7")
     # levels of 1, 7, 27 and 77 points: the fourth takes the count to 112 > 100
-    with pytest.raises(BudgetError, match=r"^enumeration exceeded budget 100 at depth 3 \(112 points\); "
+    monkeypatch.setenv("LIEPAR_BUDGET", "100")
+    with pytest.raises(BudgetError, match=r"^enumeration at depth 3 \(112 points\) exceeds budget 100; "
                                           r"set LIEPAR_BUDGET to raise it$"):
-        list(orbit(rs, rs.rho, range(7), limit=100))
+        list(orbit(rs, rs.rho, range(7)))
     monkeypatch.setenv("LIEPAR_BUDGET", "40")
-    with pytest.raises(BudgetError, match=r"^enumeration exceeded budget 40 at depth 3 \(112 points\)"):
+    with pytest.raises(BudgetError, match=r"^enumeration at depth 3 \(112 points\) exceeds budget 40"):
         generate_weyl(rs, length_bound=5)
 
 
-def test_orbit_levels_respect_bound_and_budget():
+def test_orbit_levels_respect_bound_and_budget(monkeypatch):
     rs = build_root_system("E7")
     assert [len(points) for points, _ in orbit(rs, rs.rho, range(7), length_bound=2)] == [1, 7, 27]
+    monkeypatch.setenv("LIEPAR_BUDGET", "100")
     with pytest.raises(BudgetError, match="LIEPAR_BUDGET"):
-        list(orbit(rs, rs.rho, range(7), limit=100))
+        list(orbit(rs, rs.rho, range(7)))
     # the budget counts points found, so a bounded walk under it passes
-    assert sum(len(points) for points, _ in orbit(rs, rs.rho, range(7), length_bound=2, limit=35)) == 35
+    monkeypatch.setenv("LIEPAR_BUDGET", "35")
+    assert sum(len(points) for points, _ in orbit(rs, rs.rho, range(7), length_bound=2)) == 35
+
+
+def _a4_stratum():
+    rs = build_root_system("A4")
+    return stratum_poincare(rs, range(4), (), identity(rs))
+
+
+@pytest.mark.parametrize("walk, label", [
+    (lambda: generate_parabolic(build_root_system("E6"), range(5)), "depth 4 (104 points)"),
+    (lambda: characters.weyl_orbit(build_root_system("E6"), (1,) * 6), "depth 4 (182 points)"),
+    (_a4_stratum, "depth 7 (106 points)"),  # levels 1, 4, 9, 15, 20, 22, 20, 15
+], ids=["generate_parabolic", "weyl_orbit", "stratum_poincare"])
+def test_every_walk_keeps_the_weyl_budget(monkeypatch, walk, label):
+    # each walks more points than the budget: W(D5) of 1,920, W(E6) of 51,840, W(A4) of 120
+    monkeypatch.setenv("LIEPAR_BUDGET", "100")
+    with pytest.raises(BudgetError, match=rf"^enumeration at {re.escape(label)} exceeds budget 100; "
+                                          r"set LIEPAR_BUDGET to raise it$"):
+        walk()
 
 
 def test_orbit_checks_dominance_before_the_first_level():

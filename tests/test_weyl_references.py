@@ -1,13 +1,13 @@
-"""`liepar weyl`, `char`, `golden`, `toric` and `torsion` output is
-byte-identical to the benchmark's recorded references.
+"""The output of every `liepar` subcommand is byte-identical to the
+benchmark's recorded references.
 
-Replays, in process, every `weyl`, `char`, `golden`, `toric` and `torsion`
-job of the benchmark catalog (`perfbench/jobs.py`, certificates included),
-the full E6 enumeration (13 MB of JSON) among them, and compares the
-SHA-256 of its stdout with `perfbench/references.json`.  All jobs share one
-process, so root systems and weight systems cached by one job are
-reused by the next; a cache that changed an answer would show here.  The
-`toric` jobs read their fan files from a temporary directory.  The
+Replays, in process, every job of the benchmark catalog
+(`perfbench/jobs.py`, certificates included), the full E6 enumeration
+(13 MB of JSON) among them, and compares the SHA-256 of its stdout with
+`perfbench/references.json`.  All jobs share one process, so root systems
+and weight systems cached by one job are reused by the next; a cache that
+changed an answer would show here.  The `toric` and `intform` jobs read
+their input files from a temporary directory.  The
 catalog's chain-of-7 pavings have no recorded output (they were documented
 as failing: the old height-grid search could not find their support
 function), so their paving invariants are checked instead.
@@ -40,6 +40,8 @@ WEYL_JOBS = [job.argv for job in CATALOG if job.subcommand == "weyl"]
 CHARACTER_JOBS = [job.argv for job in CATALOG if job.subcommand in ("char", "golden")]
 TORIC_JOBS = [job for job in CATALOG if job.subcommand == "toric"]
 TORSION_JOBS = [job.argv for job in CATALOG if job.subcommand == "torsion"]
+OTHER_SUBCOMMANDS = ("rootsys", "intform", "nilpotent", "schurweyl")
+OTHER_JOBS = [job for job in CATALOG if job.subcommand in OTHER_SUBCOMMANDS]
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
 
 
@@ -78,3 +80,15 @@ def test_toric_output_matches_reference(job, capsys, monkeypatch, tmp_path):
     assert doc["poincare"] == [1, 0, 7]
     assert doc["even"] is True
     assert doc["cell_count"] == 8
+
+
+@pytest.mark.parametrize("job", OTHER_JOBS, ids=lambda job: job.key)
+def test_other_output_matches_reference(job, capsys, monkeypatch, tmp_path):
+    JOBS.write_inputs([job], tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _assert_matches_reference(job.argv, capsys, monkeypatch)
+
+
+def test_every_catalog_subcommand_is_replayed():
+    replayed = {"weyl", "char", "golden", "torsion", "toric", *OTHER_SUBCOMMANDS}
+    assert {job.subcommand for job in CATALOG} == replayed
