@@ -1,22 +1,23 @@
-"""Exact linear algebra over Z, Q and F_p.
+"""Exact linear algebra over Z and F_p.
 
-Everything here works on plain lists/tuples of Python ints or Fractions;
-no floating point is ever involved.
+Everything here works on plain lists/tuples of Python ints, never floats.
 
-Over Q there is one elimination, the Gauss-Jordan `rref_q`; inverse,
-solve and rank are read off its result.  Over Z there is one lattice
-kernel, the row Hermite form `row_hermite`: the integer kernel is read off
-the Hermite form of [A^T | I], and the Smith normal form is built on
-Hermite forms of a matrix and its transpose.  Fraction-free Bareiss, the
-p-local Smith form and elimination mod p are separate on purpose: with
-the Smith form they are the independent rank checks.
-`integer_rows` is the one check that a matrix read from a file holds ints.
+Over Z there is one lattice kernel, the row Hermite form `row_hermite`:
+the integer kernel is read off the Hermite form of [A^T | I], and the
+Smith normal form is built on Hermite forms of a matrix and its transpose.
+Fraction-free Bareiss, the p-local Smith form and elimination mod p are
+separate on purpose: with the Smith form they are the independent rank
+checks.  `integer_rows` is the one check that a matrix read from a file
+holds ints.
+
+Gauss-Jordan over Q, `rref_q`, and the inverse, solve and rank read off it
+(`frac_*`) have no caller in the library; `perfbench/tracing.py` wraps them.
+The two that build Fractions import `fractions` inside, so no command loads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
 from .errors import LieparError
@@ -340,6 +341,7 @@ def rref_q(matrix, cols: int | None = None) -> tuple[list[list[Fraction]], list[
     Only the first `cols` columns (default: all) are eliminated; any columns
     after them, such as a right-hand side, are carried along.
     """
+    from fractions import Fraction
     m = [[Fraction(x) for x in row] for row in matrix]
     if cols is None:
         cols = len(m[0]) if m else 0
@@ -377,6 +379,7 @@ def frac_solve(matrix, rhs) -> list[Fraction] | None:
 
     For underdetermined systems returns one solution (free variables 0).
     """
+    from fractions import Fraction
     cols = len(matrix[0]) if matrix else 0
     rref, pivots = rref_q([list(row) + [b] for row, b in zip(matrix, rhs)], cols)
     if any(row[cols] != 0 for row in rref[len(pivots):]):

@@ -8,7 +8,7 @@ generation certificates over minuscule and highest-short-root generators,
 and the dominance order / orbit dimension combinatorics for affine
 Grassmannian orbits.
 
-All arithmetic is exact: Python big integers and fractions throughout.
+All arithmetic is exact, in Python integers throughout.
 Weights are tuples of integers in fundamental-weight coordinates.  A
 `Character` is its decomposition into irreducibles, highest weight ->
 multiplicity; a weight multiset is a mapping weight -> multiplicity.
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from fractions import Fraction
 from operator import add
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import _linalg
 from .config import CERTIFICATE_EXPANSIONS, CERTIFICATE_WORD_LENGTH, WEIGHT_BUDGET, check_budget
 from .errors import BudgetError, InvariantError, LieparError
 from .rootsys import RootSystem, Weight
@@ -129,7 +129,7 @@ def dominant_weight_multiplicities(rs: RootSystem, weight) -> dict[Weight, int]:
         value, rem = divmod(2 * acc6, denom6)
         if rem or value < 0:
             raise InvariantError(
-                f"Freudenthal multiplicity {Fraction(2 * acc6, denom6)} at {mu} is not natural")
+                f"Freudenthal multiplicity {2 * acc6}/{denom6} at {mu} is not natural")
         mults[mu] = value
     return mults
 
@@ -193,7 +193,7 @@ def _natural(acc: Mapping[Weight, int], divisor: int) -> dict[Weight, int]:
     """acc divided by divisor, zeros dropped; raises unless each quotient is a natural number."""
     for w, m in acc.items():
         if m % divisor or m < 0:
-            raise InvariantError(f"multiplicity {Fraction(m, divisor)} at {w} is not natural")
+            raise InvariantError(f"multiplicity {m}/{divisor} at {w} is not natural")
     return {w: m // divisor for w, m in acc.items() if m}
 
 
@@ -259,10 +259,13 @@ def exterior_power_decompose(rs: RootSystem, weight, power: int) -> Character:
 
 
 def dominance_leq(rs: RootSystem, lower, upper) -> bool:
-    """lambda <= mu iff mu - lambda is a nonnegative integer root combination."""
+    """lambda <= mu iff mu - lambda is a nonnegative integer root combination
+    c: the kernel of [C^T | lambda - mu] is the line of (c, 1), so its
+    primitive generator (x, t) has c = x / t, integral exactly when t = +-1."""
     lam, mu = _check_dominant(rs.check_weight(lower)), _check_dominant(rs.check_weight(upper))
-    coords = rs.weight_root_coords(tuple(m - l for l, m in zip(lam, mu)))
-    return all(c.denominator == 1 and c >= 0 for c in coords)
+    rows = [[a[j] for a in rs.cartan] + [l - m] for j, (l, m) in enumerate(zip(lam, mu))]
+    *x, t = _linalg.integer_kernel(rows, rs.rank + 1)[0]
+    return t in (1, -1) and all(t * c >= 0 for c in x)
 
 
 def orbit_dimension(rs: RootSystem, weight) -> int:

@@ -334,8 +334,8 @@ def _cmd_nilpotent(args) -> str:
 
 
 def _cmd_toric(args) -> str:
-    if args.emit == "cells" and not args.paving:
-        raise LieparError("--emit cells requires --paving")
+    if args.emit and not args.paving:
+        raise LieparError(f"--emit {args.emit} requires --paving")
     with open(args.fan, encoding="utf-8") as fh:
         fan = toricpave.Fan.from_dict(json.load(fh))
     tau = None
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     operation.add_argument("--paving", action="store_true")
     operation.add_argument("--subdivide", help="ray to star-subdivide along, e.g. 1,1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit", choices=("cells", "poincare"), default="poincare")
+    p.add_argument("--emit", choices=("cells", "poincare"))
 
     p = add("golden", _cmd_golden)
     p.add_argument("--fixtures", help="override directory of golden tables")

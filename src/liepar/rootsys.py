@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from fractions import Fraction
 
 from . import _linalg
 from .errors import InvalidTypeError, InvariantError, LieparError, ReducibleError
@@ -189,17 +188,7 @@ class RootSystem:
         )
         return seen
 
-    @functools.cached_property
-    def _cartan_inv(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(map(tuple, _linalg.frac_matrix_inverse([list(r) for r in self.cartan])))
-
     # -- basic pairings ----------------------------------------------------
-
-    def root_weight_coords(self, root: RootCoords) -> Weight:
-        """Fundamental-weight coordinates of a vector given in root coordinates."""
-        return tuple(
-            sum(root[i] * self.cartan[i][j] for i in range(self.rank)) for j in range(self.rank)
-        )
 
     def check_weight(self, weight) -> Weight:
         """A weight as a tuple of ints, refused unless it has one coordinate per simple root."""
@@ -208,14 +197,6 @@ class RootSystem:
             raise LieparError(f"weight {list(w)} does not have {self.rank} coordinates, "
                               f"the rank of {self.type_name()}")
         return w
-
-    def weight_root_coords(self, weight) -> tuple[Fraction, ...]:
-        """Simple-root coordinates (exact rationals) of a weight."""
-        weight = self.check_weight(weight)
-        return tuple(
-            sum(Fraction(weight[i]) * self._cartan_inv[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        )
 
     def form6(self, root, weight) -> int:
         """6 (beta, lambda): beta in simple-root and lambda in fundamental-weight
@@ -239,9 +220,9 @@ class RootSystem:
             raise LieparError(f"{tuple(root)} is not a root of {self.type_name()}")
         return entry
 
-    def root_norm(self, root: RootCoords) -> Fraction:
-        """(alpha, alpha) for a root alpha in root coordinates."""
-        return Fraction(self._root_entry(self._norm6, root), 6)
+    def root_norm6(self, root: RootCoords) -> int:
+        """6 (alpha, alpha), an integer as for `form6`, of a root alpha in root coordinates."""
+        return self._root_entry(self._norm6, root)
 
     def coroot(self, root: RootCoords) -> RootCoords:
         """Simple-coroot coordinates of the coroot of a root."""

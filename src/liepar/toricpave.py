@@ -12,8 +12,8 @@ sigma has complex dimension equal to the codimension of gamma(sigma).
 All geometry is exact and runs over the integers: rays, span equations and
 facet normals are primitive integer vectors, the last two read off integer
 kernels (`_linalg.integer_kernel`), so every membership or wall test is an
-integer dot product.  Rationals appear only in the linear program
-that finds a support function and in the covectors and heights it returns.
+integer dot product.  The linear program that finds a support function
+pivots integer rows, and the covectors and heights it returns are integers.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
@@ -44,7 +43,7 @@ def _primitive(vector) -> Ray:
 
 
 def _dot(u, v):
-    """An int for integer vectors, a Fraction when either has Fractions."""
+    """The dot product of two integer vectors."""
     return sum(map(mul, u, v))
 
 
@@ -312,8 +311,8 @@ def star_subdivision(fan: Fan, ray) -> Fan:
 class PLFunction(NamedTuple):
     """A continuous piecewise linear function given per maximal cone."""
 
-    heights: tuple[Fraction, ...]               # one value per ray
-    covectors: dict[ConeKey, tuple[Fraction, ...]]  # per maximal cone
+    heights: tuple[int, ...]                   # one value per ray
+    covectors: dict[ConeKey, tuple[int, ...]]  # per maximal cone
 
 
 def _interior_walls(fan: Fan) -> list[tuple[ConeKey, ConeKey, ConeKey]]:
@@ -321,33 +320,39 @@ def _interior_walls(fan: Fan) -> list[tuple[ConeKey, ConeKey, ConeKey]]:
     return [(*owners, wall) for wall, owners in fan.walls.items() if len(owners) == 2]
 
 
-def _phase_one(rows, rhs, nvars: int) -> list[Fraction] | None:
-    """A point x >= 0 with rows @ x = rhs (rhs >= 0), or None if there is none.
+def _phase_one(rows, rhs, nvars: int) -> list[int] | None:
+    """A point x >= 0 with rows @ x = rhs (rhs >= 0), scaled to integers, or None.
 
-    Phase 1 of the simplex method over Q: one artificial variable per row
-    starts in the basis and their sum is minimized, with Bland's rule (lowest
-    entering column, ratio ties to the lowest basic variable) against
-    cycling.  Artificials that leave the basis never return, so only the
-    original columns are stored.
+    Phase 1 of the simplex method over Z with Bland's rule (lowest entering
+    column, ratio ties to the lowest basic variable); the artificials, one per
+    row, never return once they leave, so only the original columns are kept.
+    Each row is a positive multiple of its rational value: a pivot on p > 0
+    maps it to p*row - f*pivot_row over its gcd (Edmonds 1967, Bareiss 1968),
+    which moves no sign or ratio the rule reads.  The answer is the rational
+    one times the lcm of the basic variables' own entries.
     """
-    tableau = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    tableau = [list(row) + [b] for row, b in zip(rows, rhs)]
     basis = [nvars + i for i in range(len(rows))]
     cost = [-sum(row[j] for row in tableau) for j in range(nvars + 1)]  # cost[-1] = -objective
     while (enter := next((j for j in range(nvars) if cost[j] < 0), None)) is not None:
-        _, _, leave = min((row[-1] / row[enter], basis[i], i)
-                          for i, row in enumerate(tableau) if row[enter] > 0)
-        pivot, scale = tableau[leave], tableau[leave][enter]
-        support = [j for j, a in enumerate(pivot) if a]  # rows stay sparse
-        for j in support:
-            pivot[j] /= scale
+        leave, *rest = [i for i, row in enumerate(tableau) if row[enter] > 0]
+        for i in rest:  # the least ratio rhs / entry, compared crosswise
+            d = tableau[i][-1] * tableau[leave][enter] - tableau[leave][-1] * tableau[i][enter]
+            if d < 0 or d == 0 and basis[i] < basis[leave]:
+                leave = i
+        pivot, p = tableau[leave], tableau[leave][enter]
         for row in tableau + [cost]:
             f = row[enter]
             if row is not pivot and f:
-                for j in support:
-                    row[j] -= f * pivot[j]
+                row[:] = [p * a - f * b for a, b in zip(row, pivot)]
+                if (g := gcd(*row)) > 1:
+                    row[:] = [a // g for a in row]
         basis[leave] = enter
-    values = {j: row[-1] for j, row in zip(basis, tableau)}
-    return None if cost[-1] else [values.get(j, Fraction(0)) for j in range(nvars)]
+    if cost[-1]:
+        return None
+    basic = {j: row for j, row in zip(basis, tableau) if j < nvars}
+    scale = lcm(*(row[j] for j, row in basic.items()))
+    return [basic[j][-1] * (scale // basic[j][j]) if j in basic else 0 for j in range(nvars)]
 
 
 def strictly_convex_support(fan: Fan) -> PLFunction:
@@ -393,7 +398,7 @@ def strictly_convex_support(fan: Fan) -> PLFunction:
         raise InfeasibleError("no strictly convex support function exists: the fan is not regular")
     covectors = {key: tuple(x[c + 2 * j] - x[c + 2 * j + 1] for j in range(d))
                  for key, c in column.items()}
-    heights = tuple(_dot(covectors[owner[i]], r) if i in owner else Fraction(0)
+    heights = tuple(_dot(covectors[owner[i]], r) if i in owner else 0
                     for i, r in enumerate(fan.rays))
     pl = PLFunction(heights, covectors)
     try:
@@ -441,6 +446,10 @@ class PavingResult(NamedTuple):
 
 
 def _generic_point(fan: Fan, pl: PLFunction, seed: int) -> tuple[int, ...]:
+    """A point where the covectors of the maximal cones all differ: a seeded
+    positive combination of the rays or, should every draw tie, sum t^i r_i.
+    For u != v, sum t^i (u - v).r_i is a nonzero polynomial with coefficients at
+    most the spread s of the covectors on a ray: t = s + 2 beats its Cauchy bound."""
     rng = random.Random(seed)
     maxes = fan.maximal_cones()
     for _ in range(1000):
@@ -449,7 +458,9 @@ def _generic_point(fan: Fan, pl: PLFunction, seed: int) -> tuple[int, ...]:
         values = [_dot(pl.covectors[key], point) for key in maxes]
         if len(set(values)) == len(values):
             return point
-    raise LieparError("could not find a generic point in 1000 draws")
+    on_rays = [[_dot(pl.covectors[key], r) for key in maxes] for r in fan.rays]
+    t = 2 + max(max(v) - min(v) for v in on_rays)
+    return tuple(sum(t ** i * r[j] for i, r in enumerate(fan.rays)) for j in range(fan.rank))
 
 
 def paving(fan: Fan, tau: Fan, seed: int = 0) -> PavingResult:

@@ -204,7 +204,7 @@ def long_simple_fundamental_group(rs: RootSystem) -> tuple[int, ...]:
     """
     if not rs.is_irreducible():
         raise LieparError("requires an irreducible type")
-    norms = [rs.root_norm(tuple(int(j == i) for j in range(rs.rank))) for i in range(rs.rank)]
+    norms = [rs.root_norm6(tuple(int(j == i) for j in range(rs.rank))) for i in range(rs.rank)]
     long = [i for i, n in enumerate(norms) if n == max(norms)]
     cartan = [[rs.cartan[i][j] for j in long] for i in long]
     return tuple(_linalg.elementary_divisors(cartan))

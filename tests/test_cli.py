@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -198,10 +197,14 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("nilpotent", "--partition", ",", "--n", "0"), "n must be a positive integer"),
     (("char", "--type", "A2"), "char needs one of --tensor, --exterior, --certify-generation"),
     (("toric", "--fan", "{quadrant}", "--paving"), "--paving requires --tau"),
-    # an option that would be ignored: only a paving has cells, only the oracle certificates
+    # an option that would be ignored: only a paving has cells or a Poincare
+    # polynomial, only the oracle certificates
     (("toric", "--fan", "{quadrant}", "--emit", "cells"), "--emit cells requires --paving"),
     (("toric", "--fan", "{quadrant}", "--subdivide", "1,1", "--emit", "cells"),
      "--emit cells requires --paving"),
+    (("toric", "--fan", "{quadrant}", "--emit", "poincare"), "--emit poincare requires --paving"),
+    (("toric", "--fan", "{quadrant}", "--subdivide", "1,1", "--emit", "poincare"),
+     "--emit poincare requires --paving"),
     (("torsion", "--type", "F4", "--emit", "certificates"),
      "--emit certificates requires --method oracle or both"),
     (("toric", "--fan", "{rank_zero}"), "fan rank must be a positive integer, got 0"),
@@ -445,6 +448,17 @@ def test_toric_paving_cells_partition_the_relevant_cones(capsys, tmp_path):
     assert set(members) == set(result.relevant_cones)
     assert doc["cell_count"] == len(doc["cells"]) == len(fan.maximal_cones())
     assert doc["cells"] == result.cells  # the cells are the documents the CLI prints
+
+
+def test_toric_paving_emit_poincare_is_the_default(capsys, tmp_path):
+    # --emit has no default, so that it can be refused without --paving
+    fan = _write(tmp_path / "fan.json", {"rank": 2, "rays": [[1, 0], [1, 1], [0, 1]], "cones": [[0, 1], [1, 2]]})
+    tau = _write(tmp_path / "tau.json", QUADRANT)
+    for fmt in ("json", "tsv", "text"):
+        plain = run(capsys, "toric", "--fan", fan, "--tau", tau, "--paving", "--format", fmt)
+        assert plain[0] == 0 and plain[1]
+        assert run(capsys, "toric", "--fan", fan, "--tau", tau, "--paving", "--emit", "poincare",
+                   "--format", fmt) == plain
 
 
 @pytest.mark.parametrize("fan", [
@@ -751,7 +765,7 @@ def test_paving_tie_at_the_generic_point_exits_3(capsys, monkeypatch, tmp_path):
     fan = {"rank": 2, "rays": [[1, 0], [1, 1], [1, 2]], "cones": [[0, 1], [1, 2]]}
     tau = {"rank": 2, "rays": [[1, 0], [1, 2]], "cones": [[0, 1]]}
     # (1, 1) spans the wall between the two cones, where their covectors agree
-    monkeypatch.setattr(toricpave, "_generic_point", lambda fan, pl, seed: (Fraction(1), Fraction(1)))
+    monkeypatch.setattr(toricpave, "_generic_point", lambda fan, pl, seed: (1, 1))
     with pytest.raises(InvariantError, match="^generic point produced a tie across a wall$"):
         toricpave.paving(toricpave.Fan.from_dict(fan), toricpave.Fan.from_dict(tau))
     code, out, err = run(capsys, "toric", "--fan", _write(tmp_path / "fan.json", fan),
@@ -805,7 +819,7 @@ if sys.argv[2:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert liepar.cli.main(sys.argv[2:]) == 0
     assert type(sys.modules["liepar." + sys.argv[1]]) is types.ModuleType  # its body has run
-print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))
+print(sorted({"dataclasses", "decimal", "fractions", "inspect"} & sys.modules.keys()))
 """
 
 # one cheap job per subcommand, with the module that runs it
@@ -823,9 +837,10 @@ IMPORT_GUARD_JOBS = [
 
 
 @pytest.mark.parametrize("module,argv", IMPORT_GUARD_JOBS, ids=[argv[0] for _, argv in IMPORT_GUARD_JOBS])
-def test_command_does_not_import_dataclasses(tmp_path, module, argv):
+def test_command_does_not_import_slow_modules(tmp_path, module, argv):
     # `import dataclasses` costs every process that loads it about 12 ms, most
-    # of it in `inspect`, which it imports
+    # of it in `inspect`, which it imports; `fractions` loads `decimal`, and
+    # no command needs a rational
     _write(tmp_path / "forms.json", [{"label": "s", "n": 1, "rows": [[-2]]}])
     _write(tmp_path / "fan.json", {"rank": 2, "rays": [[1, 0], [1, 1], [0, 1]], "cones": [[0, 1], [1, 2]]})
     _write(tmp_path / "tau.json", QUADRANT)
@@ -837,7 +852,7 @@ def test_command_does_not_import_dataclasses(tmp_path, module, argv):
         return proc.stdout.split("\n")[0]
 
     if loaded() != "[]":
-        pytest.skip("the bare interpreter already loads dataclasses or inspect")
+        pytest.skip("the bare interpreter already loads one of the modules checked")
     assert loaded(module, *argv) == "[]"
 
 

@@ -6,6 +6,7 @@ import pytest
 from liepar._linalg import elementary_divisors
 from liepar.errors import InvalidTypeError, LieparError, ReducibleError
 from liepar.rootsys import build_root_system
+from lattice_oracle import root_weight_coords
 
 ALL_TYPES = (
     ["A%d" % n for n in range(1, 9)]
@@ -97,7 +98,7 @@ def test_reflections_permute_roots(label):
         co = rs.coroot(alpha)
         image = set()
         for beta in rs.roots:
-            w = rs.root_weight_coords(beta)
+            w = root_weight_coords(rs, beta)
             pairing = sum(w[k] * co[k] for k in range(rs.rank))
             image.add(tuple(beta[k] - pairing * alpha[k] for k in range(rs.rank)))
         assert image == roots
@@ -107,15 +108,15 @@ def test_reflections_permute_roots(label):
 def test_root_tables_match_two_alpha_over_norm(label):
     # the tables built once per system against the per-call path they
     # replaced: alpha-check_i = c_i (alpha_i, alpha_i)/(alpha, alpha) for
-    # alpha = sum c_i alpha_i, norms from root_weight_coords and form6
+    # alpha = sum c_i alpha_i, norms from c @ cartan and form6
     rs = build_root_system(label)
     simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
-    simple6 = [rs.form6(a, rs.root_weight_coords(a)) for a in simple]
+    simple6 = [rs.form6(a, root_weight_coords(rs, a)) for a in simple]
     assert rs.positive_coroots == tuple(map(rs.coroot, rs.positive_roots))
     # A60 has 3660 roots: its negative ones are left to the rank <= 8 types
     for alpha in rs.positive_roots if rs.rank > 8 else rs.roots:
-        norm6 = rs.form6(alpha, rs.root_weight_coords(alpha))
-        assert rs.root_norm(alpha) == Fraction(norm6, 6)
+        norm6 = rs.form6(alpha, root_weight_coords(rs, alpha))
+        assert rs.root_norm6(alpha) == norm6
         assert rs.coroot(alpha) == tuple(Fraction(c * n, norm6) for c, n in zip(alpha, simple6))
 
 
@@ -125,7 +126,7 @@ def test_coroot_and_norm_of_a_non_root_raise(vector):
     with pytest.raises(LieparError, match="is not a root of A2"):
         rs.coroot(vector)
     with pytest.raises(LieparError, match="is not a root of A2"):
-        rs.root_norm(vector)
+        rs.root_norm6(vector)
 
 
 def test_invalid_labels():
@@ -170,10 +171,10 @@ def test_coroot_coefficients_by_expansion_oracle():
     for label in ("A4", "G2", "E8", "F4", "B3", "C3"):
         rs = build_root_system(label)
         theta = max(rs.positive_roots, key=lambda r: (sum(r), r))
-        norm = rs.root_norm(theta)
+        norm6 = rs.root_norm6(theta)
         simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
         expected = tuple(
-            int(theta[i] * rs.root_norm(simple[i]) / norm) for i in range(rs.rank)
+            Fraction(theta[i] * rs.root_norm6(simple[i]), norm6) for i in range(rs.rank)
         )
         coeffs, nmax = rs.coroot_coefficients()
         assert coeffs == expected
@@ -256,14 +257,15 @@ def test_each_type_is_built_once():
 def test_integer_form_is_symmetric_with_long_roots_of_norm_2(label):
     rs = build_root_system(label)
     simple = [tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank)]
-    gram = [[rs.form6(a, rs.root_weight_coords(b)) for b in simple] for a in simple]
+    gram = [[rs.form6(a, root_weight_coords(rs, b)) for b in simple] for a in simple]
     assert gram == [list(row) for row in zip(*gram)]
     # (alpha_i, alpha_j) = a_ij (alpha_j, alpha_j) / 2
     for i in range(rs.rank):
         for j in range(rs.rank):
             assert 2 * gram[i][j] == rs.cartan[i][j] * gram[j][j]
-    norms = [rs.root_norm(a) for a in simple]
+    norms6 = [rs.root_norm6(a) for a in simple]
+    assert norms6 == [gram[i][i] for i in range(rs.rank)]
     for _, rank in rs.factors:
-        assert max(norms[:rank]) == 2
-        norms = norms[rank:]
+        assert max(norms6[:rank]) == 12
+        norms6 = norms6[rank:]
 

@@ -92,13 +92,47 @@ def test_gram_oracle_keeps_its_own_signs():
     assert "_signed_permutations" not in _names_in("polytabloid", tree)
 
 
-@pytest.mark.parametrize("definition", ["Cone", "Fan", "_primitive", "_dot", "_on_tau_wall", "_refines",
-                                        "validate_fan", "star_subdivision"])
-def test_cone_geometry_stays_in_integers(definition):
-    # rays, span equations and facet normals are primitive integer vectors;
-    # Fractions belong only to the support-function LP and its answer
-    tree = ast.parse((LIBRARY / "toricpave.py").read_text(encoding="utf-8"))
-    assert "Fraction" not in _names_in(definition, tree)
+RATIONAL_NAMES = {"Fraction", "fractions"}
+
+# Gauss-Jordan over Q and the inverse, solve and rank read off it: no
+# library code calls them, and they stay only because perfbench/tracing.py
+# wraps them.  They import `fractions` inside, so no command loads it.
+RATIONAL_HELPERS = {"rref_q", "frac_matrix_inverse", "frac_solve", "frac_rank"}
+
+
+def _rational_uses(tree) -> list[tuple[str | None, int]]:
+    """(enclosing module-level definition, or None, and line) of each name,
+    attribute or import of `Fraction` or `fractions`."""
+    uses = []
+    for node in tree.body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        uses += [(owner, n.lineno) for n in ast.walk(node)
+                 if isinstance(n, ast.Name) and n.id in RATIONAL_NAMES
+                 or isinstance(n, ast.Attribute) and n.attr in RATIONAL_NAMES
+                 or isinstance(n, ast.alias) and n.name in RATIONAL_NAMES
+                 or isinstance(n, ast.ImportFrom) and n.module == "fractions"]
+    return uses
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(LIBRARY).as_posix())
+def test_library_computes_without_rationals(path):
+    # geometry, lattices and the support-function LP all run over the
+    # integers; a Fraction would also load `fractions` and `decimal`
+    uses = _rational_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    allowed = RATIONAL_HELPERS if path.name == "_linalg.py" else set()
+    assert [use for use in uses if use[0] not in allowed] == []
+
+
+def test_rational_uses_are_found():
+    snippet = ("from fractions import Fraction\n"
+               "def f(x) -> Fraction:\n"
+               "    import fractions\n"
+               "    return fractions.Fraction(x)\n"
+               "class C:\n"
+               "    half = Fraction(1, 2)\n")
+    assert _rational_uses(ast.parse(snippet)) == [
+        (None, 1), (None, 1), ("f", 2), ("f", 3), ("f", 4), ("f", 4), ("C", 6)]
+    assert _rational_uses(ast.parse('def f():\n    "Fraction-free"\n')) == []
 
 
 def _references(node) -> Counter:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from liepar import toricpave
 from liepar.errors import InfeasibleError, LieparError
 from liepar.toricpave import (
     Cone,
@@ -16,6 +17,7 @@ from liepar.toricpave import (
     validate_fan,
     verify_support_function,
 )
+from simplex_oracle import phase_one
 
 
 def quadrant():
@@ -131,6 +133,7 @@ def test_support_function_verified():
     assert set(pl.covectors) == set(dprime.maximal_cones())
     for key, m in pl.covectors.items():
         assert all(sum(a * b for a, b in zip(m, dprime.rays[i])) == pl.heights[i] for i in key)
+    assert all(type(x) is int for x in pl.heights + sum(pl.covectors.values(), ()))
 
 
 def test_support_function_trivial_cone():
@@ -143,8 +146,8 @@ def test_support_function_infeasible():
     # a function that is linear across the wall, so not strictly convex
     dprime, _ = a_n_fixture(1)
     bad = PLFunction(
-        heights=(Fraction(0), Fraction(0), Fraction(0)),
-        covectors={k: (Fraction(0), Fraction(0)) for k in dprime.maximal_cones()},
+        heights=(0, 0, 0),
+        covectors={k: (0, 0) for k in dprime.maximal_cones()},
     )
     with pytest.raises(InfeasibleError):
         verify_support_function(dprime, bad)
@@ -180,19 +183,25 @@ def test_paving_a_n_chain(n):
     assert len(members) == 2 * n + 1
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_stellar_subdivisions_stay_regular(seed):
-    # a star subdivision of a regular fan is regular, however large the
-    # heights it needs
+def stellar_subdivision(seed):
+    """The square cone star-subdivided four times, each time at a random
+    positive combination of the rays of a random maximal cone."""
     rng = random.Random(seed)
-    tau = square_cone()
-    fan = tau
+    fan = square_cone()
     for _ in range(4):
         rays = fan.cone_rays(rng.choice(fan.maximal_cones()))
         coeffs = [rng.randint(1, 3) for _ in rays]
         fan = star_subdivision(fan, [sum(c * r[j] for c, r in zip(coeffs, rays)) for j in range(3)])
+    return fan
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stellar_subdivisions_stay_regular(seed):
+    # a star subdivision of a regular fan is regular, however large the
+    # heights it needs
+    fan = stellar_subdivision(seed)
     verify_support_function(fan, strictly_convex_support(fan))
-    result = paving(fan, tau, seed=seed)
+    result = paving(fan, square_cone(), seed=seed)
     assert result.is_even() and sum(result.polynomial.coeffs) == len(fan.maximal_cones())
 
 
@@ -379,3 +388,74 @@ def test_verify_refuses_heights_that_miss_a_ray():
     pl = strictly_convex_support(dprime)
     with pytest.raises(InfeasibleError, match="^support function has 2 heights for 3 rays$"):
         verify_support_function(dprime, PLFunction(pl.heights[:2], pl.covectors))
+
+
+def assert_positive_multiple(rows, rhs, nvars, x):
+    """x, the integer simplex's answer, is None exactly when the rational
+    simplex finds no point, and otherwise that point times some c > 0."""
+    y = phase_one(rows, rhs, nvars)
+    assert (x is None) == (y is None)
+    if x is None:
+        return None
+    assert all(type(v) is int for v in x) and len(x) == nvars
+    assert [a for a, b in zip(x, y) if not b] == [0] * y.count(0)
+    scales = {Fraction(a) / b for a, b in zip(x, y) if b}
+    assert len(scales) <= 1 and all(c > 0 for c in scales)
+    return scales.pop() if scales else None
+
+
+def test_integer_simplex_matches_the_rational_one_on_random_programs():
+    # small dense programs, many of them with ties in the ratio test,
+    # where a different choice of leaving row ends at another vertex
+    rng = random.Random(0)
+    feasible = 0
+    for _ in range(400):
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        rows = [[rng.choice((-1, 0, 1, 1, 2)) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.choice((1, 1, 2)) for _ in range(m)]
+        x = toricpave._phase_one(rows, rhs, n)
+        assert_positive_multiple(rows, rhs, n, x)
+        feasible += x is not None
+    assert 100 < feasible < 300
+
+
+def test_integer_simplex_is_a_positive_multiple_of_the_rational_one(monkeypatch):
+    # every linear program the support search poses, solved again over Q
+    # by the rational simplex it replaced
+    programs = []
+    integer_phase_one = toricpave._phase_one
+
+    def recorded(rows, rhs, nvars):
+        x = integer_phase_one(rows, rhs, nvars)
+        programs.append((rows, rhs, nvars, x))
+        return x
+
+    monkeypatch.setattr(toricpave, "_phase_one", recorded)
+    fans = ([quadrant(), square_cone()] + [a_n_fixture(n)[0] for n in range(1, 9)]
+            + [square_subdivision(depth) for depth in range(6)] + [stellar_subdivision(s) for s in range(3)])
+    for fan in fans:
+        strictly_convex_support(fan)
+    with pytest.raises(InfeasibleError):
+        strictly_convex_support(mother_of_all_examples()[0])
+    assert len(programs) == len(fans) + 1
+    scales = {assert_positive_multiple(*program) for program in programs}
+    assert scales - {1, None}  # some programs end on pivots other than 1
+    assert programs[-1][3] is None
+
+
+def test_generic_point_falls_back_when_every_draw_ties(monkeypatch):
+    # every coefficient 0 draws the origin, where all covectors vanish
+    class TiedRandom(random.Random):
+        def randint(self, a, b):
+            return 0
+
+    fans = ([a_n_fixture(n) for n in (1, 3, 6)] + [(square_subdivision(d), square_cone()) for d in (1, 3, 5)]
+            + [(stellar_subdivision(seed), square_cone()) for seed in range(3)])
+    monkeypatch.setattr(toricpave.random, "Random", TiedRandom)
+    for fan, tau in fans:
+        pl = strictly_convex_support(fan)
+        point = toricpave._generic_point(fan, pl, seed=0)
+        values = [sum(a * b for a, b in zip(pl.covectors[key], point)) for key in fan.maximal_cones()]
+        assert len(set(values)) == len(values)
+        result = paving(fan, tau)
+        assert result.is_even() and sum(result.polynomial.coeffs) == len(fan.maximal_cones())

@@ -23,6 +23,7 @@ from liepar.weyl import (
     orbit,
     stratum_poincare,
 )
+from lattice_oracle import root_weight_coords
 
 
 def summed(polynomials):
@@ -96,7 +97,7 @@ def bruhat_leq_chain_oracle(elements):
         return {}
     rs = elements[0].system
     by_key = {w.key: w for w in elements}
-    reflections = [(rs.root_weight_coords(a), rs.coroot(a)) for a in rs.positive_roots]
+    reflections = [(root_weight_coords(rs, a), rs.coroot(a)) for a in rs.positive_roots]
     below = {w.key: {w.key} for w in elements}
     for w in sorted(elements, key=lambda x: x.length):
         for alpha, co in reflections:
