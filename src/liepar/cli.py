@@ -2,12 +2,20 @@
 
 Every subcommand prints a deterministic document (JSON by default, TSV or
 text on request) whose header carries the seed in use, so reruns with fixed
-inputs are byte-identical.  `weyl` writes its rows as they are enumerated,
-after every budget and index check has passed.  Exit codes: 0 success,
-1 domain error, 2 usage error (a bad option, two operations at once or a
-bad LIEPAR_BUDGET), 3 a failed invariant check, which can come after part
-of a streamed document; a reader that closes the pipe early ends the
-command quietly with 1.
+inputs are byte-identical.
+
+`weyl` writes its rows one at a time as the orbit walk finds them, and its
+index and |W/W_J| budget checks all run before the first byte.  `--emit
+reps` writes each row straight from a word of the walk, through one row
+template per length, and builds no `WeylElement`; `--emit poincare` builds
+the elements, whose weights its stratum polynomials start from.  `--format
+text` prints the header alone and walks nothing.
+
+Exit codes: 0 success, 1 domain error, 2 usage error (a bad option, two
+operations at once or a bad LIEPAR_BUDGET), 3 a failed invariant check,
+which can come after part of a streamed document; a reader that closes the
+pipe early ends the command quietly with 1.
+
 A subcommand's modules run only when that subcommand runs: each is bound
 here as a lazy module whose body runs at the first read of an attribute.
 """
@@ -120,38 +128,51 @@ def _json_list(texts: list[str], pad: str) -> str:
     return "[\n  " + pad + (",\n  " + pad).join(texts) + "\n" + pad + "]"
 
 
-def _reps_row(labels: list[str], word, length: int) -> str:
-    """The `representatives` row {"length": length, "word": word} as
+def _reps_rows(levels, labels: list[str], fmt: str):
+    """The `representatives` rows of `fmt` for the words of `levels`, the
+    d-th level holding the words of length d and labels[i] being the text of
+    letter i: in JSON the text of {"length": d, "word": word} as
     json.dumps(row, sort_keys=True, indent=2) lays it out at indentation 4,
-    labels[i] being the text of letter i."""
-    return '{\n      "length": %d,\n      "word": %s\n    }' % (
-        length, _json_list([labels[i] for i in word], "      "))
+    in TSV the letters joined by "-" ("e" for the empty word), a tab and d.
+    Each level writes its rows from one template."""
+    join = ("-" if fmt == "tsv" else ",\n        ").join
+    for d, words in enumerate(levels):
+        if fmt == "tsv":
+            head, tail = "" if d else "e", "\t%d" % d
+        elif d:
+            head, tail = '{\n      "length": %d,\n      "word": [\n        ' % d, "\n      ]\n    }"
+        else:  # the identity, whose word is the empty list
+            head, tail = '{\n      "length": 0,\n      "word": [', "]\n    }"
+        for word in words:
+            yield head + join(map(labels.__getitem__, word)) + tail
 
 
 def _poincare_row(labels: list[str], word, coeffs) -> str:
-    """The `poincare` row {"polynomial": coeffs, "word": word}, as `_reps_row`."""
+    """The `poincare` row {"polynomial": coeffs, "word": word} as
+    json.dumps(row, sort_keys=True, indent=2) lays it out at indentation 4,
+    labels[i] being the text of letter i."""
     return '{\n      "polynomial": %s,\n      "word": %s\n    }' % (
         _json_list([str(c) for c in coeffs], "      "), _json_list([labels[i] for i in word], "      "))
 
 
-def _emit_rows(document: dict, fmt: str, key: str, items, json_row, tsv_row):
+def _emit_rows(document: dict, fmt: str, key: str, rows):
     """The chunks of `_emit(document, fmt, tsv_rows)` with document[key] the
-    list of rows whose JSON text at indent 4 is json_row(x), and tsv_rows
-    those of tsv_row(x), x over `items`.
+    list whose rows are `rows`: for JSON each row's text at indent 4, for
+    TSV each row's line.
 
-    `items` is consumed only as chunks are taken, and only the rows of `fmt`
-    are built: none for text, which leaves lists out.
+    `rows` is consumed only as chunks are taken, and not at all for text,
+    which leaves lists out.
     """
     if fmt == "text":
         yield _emit(document, fmt)
         return
     if fmt == "tsv":  # the header is never empty: every document has a subcommand
         yield _emit(document, fmt)
-        for item in items:
-            yield "\n" + "\t".join(map(str, tsv_row(item)))
+        for row in rows:
+            yield "\n" + row
         return
     head, _, tail = _emit({**document, key: _ROWS}, fmt).partition(json.dumps(_ROWS))
-    rows = map(json_row, items)
+    rows = iter(rows)
     first = next(rows, None)
     if first is None:
         yield head + "[]" + tail
@@ -195,18 +216,17 @@ def _word_label(w) -> str:
 def _cmd_weyl(args):
     rs = build_root_system(args.type)
     I, J = _parse_indices(args.I, rs.rank), _parse_indices(args.J, rs.rank)
-    reps = weyl.iter_double_quotient_reps(rs, I, J)  # checks the budget before any output
     doc = _document("weyl", type=rs.type_name(),
                     I=sorted(i + 1 for i in I), J=sorted(j + 1 for j in J))
     labels = [str(i + 1) for i in range(rs.rank)]
+    # both iterators check the indices and the budget before any output
     if args.emit == "reps":
-        return _emit_rows(doc, args.format, "representatives", reps,
-                          lambda w: _reps_row(labels, w.word, w.length),
-                          lambda w: (_word_label(w), w.length))
-    strata = ((w, weyl.stratum_poincare(rs, I, J, w)) for w in reps)
-    return _emit_rows(doc, args.format, "poincare", strata,
-                      lambda ws: _poincare_row(labels, ws[0].word, ws[1].coeffs),
-                      lambda ws: (_word_label(ws[0]), str(ws[1])))
+        levels = weyl.iter_double_quotient_words(rs, I, J)
+        return _emit_rows(doc, args.format, "representatives", _reps_rows(levels, labels, args.format))
+    strata = ((w, weyl.stratum_poincare(rs, I, J, w)) for w in weyl.iter_double_quotient_reps(rs, I, J))
+    rows = ((_poincare_row(labels, w.word, p.coeffs) for w, p in strata) if args.format == "json"
+            else (f"{_word_label(w)}\t{p}" for w, p in strata))
+    return _emit_rows(doc, args.format, "poincare", rows)
 
 
 def _cmd_torsion(args) -> str:

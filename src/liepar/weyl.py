@@ -321,6 +321,17 @@ def _rho_off(rs: RootSystem, J: frozenset[int]) -> Weight:
     return tuple(0 if k in J else 1 for k in range(rs.rank))
 
 
+def _quotient_start(rs: RootSystem, I, J) -> tuple[frozenset[int], Weight]:
+    """I as a set of simple indices and rho_J, the start of the walk of the
+    double quotient, once the indices and the |W/W_J| points of that walk
+    are checked, the points against the Weyl budget."""
+    I, J = _simple_indices(rs, I), _simple_indices(rs, J)
+    cosets = _height_product(r for r in rs.positive_roots
+                             if any(c for k, c in enumerate(r) if k not in J))
+    check_budget(WEYL_BUDGET, cosets, f"|W/W_J| = {cosets}")
+    return I, _rho_off(rs, J)
+
+
 def iter_double_quotient_reps(rs: RootSystem, I, J) -> Iterator[WeylElement]:
     """Minimal-length double coset representatives, lazily in (length, word) order.
 
@@ -329,11 +340,23 @@ def iter_double_quotient_reps(rs: RootSystem, I, J) -> Iterator[WeylElement]:
     the budget bounds the |W/W_J| points of that orbit.  The indices and the
     budget are checked here, before the first representative.
     """
-    I, J = _simple_indices(rs, I), _simple_indices(rs, J)
-    cosets = _height_product(r for r in rs.positive_roots
-                             if any(c for k, c in enumerate(r) if k not in J))
-    check_budget(WEYL_BUDGET, cosets, f"|W/W_J| = {cosets}")
-    return _elements(rs, _rho_off(rs, J), range(rs.rank), I)
+    I, start = _quotient_start(rs, I, J)
+    return _elements(rs, start, range(rs.rank), I)
+
+
+def iter_double_quotient_words(rs: RootSystem, I, J) -> Iterator[list[bytes]]:
+    """The words of `iter_double_quotient_reps`, one list per length.
+
+    The d-th list holds the words of the representatives of length d, in
+    increasing order, each as `bytes` with one byte per letter; it is empty
+    where no representative has that length.  The checks are those of
+    `iter_double_quotient_reps`, made here before the first list; no
+    `WeylElement` is built.
+    """
+    I, start = _quotient_start(rs, I, J)
+    mask = _signs(_width(rs, start), I)
+    return ([word for nu, word in zip(packed, words) if nu & mask == mask]
+            for packed, _, words in _walk(rs, start, range(rs.rank), None))
 
 
 def double_quotient_reps(rs: RootSystem, I, J) -> list[WeylElement]:

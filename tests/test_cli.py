@@ -668,6 +668,10 @@ def _index_sets(rank):
 ] + [
     # ranks above 5: 27, 240 and 18 rows, the E8 words using letters up to 8
     ("E6", (), tuple(range(5))), ("E8", (), tuple(range(7))), ("D6", tuple(range(5)), (0, 5)),
+    # 11 rows whose words use the two-digit letter 10
+    ("A10", (), tuple(range(9))),
+    # levels with no representative: lengths 0-3 and 5-6, and no length 1
+    ("B3", (0, 1), (0,)), ("A4", (0, 1, 2), (3,)),
 ])
 def test_streamed_weyl_equals_one_shot_emit(capsys, label, I, J):
     argv = ["weyl", "--type", label,
@@ -686,18 +690,37 @@ def test_streamed_weyl_equals_one_shot_emit(capsys, label, I, J):
 def test_weyl_row_templates_match_json_dumps(word, length, coeffs):
     labels = [str(i + 1) for i in range(8)]
     letters = [i + 1 for i in word]
+    # the word alone at its level, after `length` levels with no representative
+    levels = [[] for _ in range(length)] + [[bytes(word)]]
     for text, row in [
-        (cli._reps_row(labels, word, length), {"word": letters, "length": length}),
-        (cli._poincare_row(labels, word, coeffs), {"word": letters, "polynomial": list(coeffs)}),
+        (list(cli._reps_rows(levels, labels, "json")), {"word": letters, "length": length}),
+        ([cli._poincare_row(labels, word, coeffs)], {"word": letters, "polynomial": list(coeffs)}),
     ]:
-        assert text == json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+        assert text == [json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")]
+    assert list(cli._reps_rows(levels, labels, "tsv")) == \
+        ["%s\t%d" % ("-".join(map(str, letters)) or "e", length)]
 
 
 def test_streamed_rows_empty_list_matches_one_shot():
     doc = cli._document("weyl", type="A1")
     for fmt in ("json", "tsv", "text"):
-        streamed = "".join(cli._emit_rows(doc, fmt, "representatives", [], None, None))
+        streamed = "".join(cli._emit_rows(doc, fmt, "representatives", []))
         assert streamed == cli._emit({**doc, "representatives": []}, fmt, [])
+
+
+def test_reps_rows_build_no_elements(capsys, monkeypatch):
+    argv = ("weyl", "--type", "E6", "--J", "1,2,3,4,5")
+    expected = {fmt: _one_shot_weyl("E6", (), tuple(range(5)), "reps", fmt) for fmt in ("json", "tsv")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("WeylElement built")
+
+    monkeypatch.setattr(weyl, "_elements", refuse)
+    for fmt, out in expected.items():
+        assert run(capsys, *argv, "--format", fmt) == (0, out, "")
+    # a stratum polynomial needs the key of its representative
+    with pytest.raises(AssertionError, match="WeylElement built"):
+        run(capsys, *argv, "--emit", "poincare")
 
 
 def _env_without_budget():

@@ -19,6 +19,7 @@ from liepar.weyl import (
     generate_weyl,
     identity,
     iter_double_quotient_reps,
+    iter_double_quotient_words,
     multiply,
     orbit,
     stratum_poincare,
@@ -520,6 +521,40 @@ def test_iter_double_quotient_reps_checks_before_the_first_rep(monkeypatch):
     first = next(reps)
     assert first.length == 0 and first.key == rs.rho
     assert 1 + sum(1 for _ in reps) == 240
+
+
+def test_iter_double_quotient_words_checks_before_the_first_level(monkeypatch):
+    rs = build_root_system("E8")
+    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
+    with pytest.raises(BudgetError, match=r"^\|W/W_J\| = 696729600 exceeds budget 10000000; "
+                                          r"set LIEPAR_BUDGET to raise it$"):
+        iter_double_quotient_words(rs, (), ())
+    for I, J in [((8,), ()), ((), (8,))]:
+        with pytest.raises(LieparError, match="out of range"):
+            iter_double_quotient_words(rs, I, J)
+    levels = iter_double_quotient_words(rs, (), range(7))
+    assert next(levels) == [b""]
+    assert 1 + sum(map(len, levels)) == 240
+
+
+@pytest.mark.parametrize("label,I,J", ALL_PARABOLIC_PAIRS + [
+    ("E6", (), range(5)), ("E6", range(5), (0, 5)), ("D6", range(5), (0, 5)), ("A6", (0, 1), (5,)),
+    ("B3", (0, 1), (0,)), ("A4", (0, 1, 2), (3,)),
+])
+def test_double_quotient_words_are_the_words_of_the_reps(label, I, J):
+    rs = build_root_system(label)
+    levels = list(iter_double_quotient_words(rs, I, J))
+    assert all(len(word) == d for d, words in enumerate(levels) for word in words)
+    assert levels[0] == [b""]
+    assert [word for words in levels for word in words] == \
+        [bytes(w.word) for w in iter_double_quotient_reps(rs, I, J)]
+
+
+def test_double_quotient_words_keep_lengths_with_no_representative():
+    # representatives of lengths 0-3 and 5-6 of the 0-8 walked, and 0 and 2-4 of 0-9
+    for label, I, J, empty in [("B3", (0, 1), (0,), [4, 7, 8]), ("A4", (0, 1, 2), (3,), [1, 5, 6, 7, 8, 9])]:
+        levels = list(iter_double_quotient_words(build_root_system(label), I, J))
+        assert [d for d, words in enumerate(levels) if not words] == empty
 
 
 def test_elements_of_two_root_systems_do_not_compose_or_compare():
