@@ -5,10 +5,10 @@ text on request) whose header carries the seed in use, so reruns with fixed
 inputs are byte-identical.
 
 `weyl` writes its rows one at a time as the orbit walk finds them, and its
-index and |W/W_J| budget checks all run before the first byte.  `--emit
-reps` writes each row straight from a word of the walk, through one row
-template per length, and builds no `WeylElement`; `--emit poincare` builds
-the elements, whose weights its stratum polynomials start from.  `--format
+index and |W/W_J| budget checks all run before the first byte.  Both emits
+read the words of the walk and build no `WeylElement`: `--emit reps` writes
+each row straight from a word, through one row template per length, and
+`--emit poincare` hands each word to the stratum polynomial.  `--format
 text` prints the header alone and walks nothing.
 
 Exit codes: 0 success, 1 domain error, 2 usage error (a bad option, two
@@ -209,23 +209,19 @@ def _cmd_rootsys(args) -> str:
     return _emit(doc, args.format, rows)
 
 
-def _word_label(w) -> str:
-    return "-".join(str(i + 1) for i in w.word) or "e"
-
-
 def _cmd_weyl(args):
     rs = build_root_system(args.type)
     I, J = _parse_indices(args.I, rs.rank), _parse_indices(args.J, rs.rank)
     doc = _document("weyl", type=rs.type_name(),
                     I=sorted(i + 1 for i in I), J=sorted(j + 1 for j in J))
     labels = [str(i + 1) for i in range(rs.rank)]
-    # both iterators check the indices and the budget before any output
+    # the walk checks the indices and the budget before any output
+    levels = weyl.iter_double_quotient_words(rs, I, J)
     if args.emit == "reps":
-        levels = weyl.iter_double_quotient_words(rs, I, J)
         return _emit_rows(doc, args.format, "representatives", _reps_rows(levels, labels, args.format))
-    strata = ((w, weyl.stratum_poincare(rs, I, J, w)) for w in weyl.iter_double_quotient_reps(rs, I, J))
-    rows = ((_poincare_row(labels, w.word, p.coeffs) for w, p in strata) if args.format == "json"
-            else (f"{_word_label(w)}\t{p}" for w, p in strata))
+    strata = ((word, weyl.stratum_poincare(rs, I, J, word)) for words in levels for word in words)
+    rows = ((_poincare_row(labels, word, p.coeffs) for word, p in strata) if args.format == "json"
+            else ("%s\t%s" % ("-".join(map(labels.__getitem__, word)) or "e", p) for word, p in strata))
     return _emit_rows(doc, args.format, "poincare", rows)
 
 

@@ -112,13 +112,6 @@ def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     return sorted(out, key=lambda t: tuple(x for row in t for x in row))
 
 
-def standard_multiplicities(n: int, d: int) -> dict[Partition, int]:
-    """f^lambda for the partitions of d with at most n rows."""
-    if n < 1 or d < 1:
-        raise LieparError("n and d must be positive")
-    return {lam: hook_length_count(lam) for lam in partitions(d) if len(lam) <= n}
-
-
 class GramMatrix(NamedTuple):
     """Gram matrix of the bilinear form on a Specht module."""
 

@@ -96,10 +96,6 @@ class Cone:
             return False
         return all(_dot(u, point) >= 0 for u in self._hrep[0])
 
-    def facet_ray_sets(self) -> tuple[tuple[Ray, ...], ...]:
-        """Generating rays of each facet (codimension-1 face)."""
-        return tuple(tuple(self.rays[p] for p in f) for f in self._hrep[1])
-
     def faces(self) -> set[tuple[Ray, ...]]:
         """Every face, as its rays in cone order: the cone, () and each
         intersection of facets."""

@@ -15,7 +15,10 @@ as they come holds two levels, never the whole orbit; after each level the
 points found so far are held to the Weyl budget of `config`.  A level is two
 parallel lists, its points and their words, a word as `bytes` with one
 byte per letter, so the walk serves simple indices 0..255; the word of a
-`WeylElement` is a tuple of ints.
+`WeylElement` is a tuple of ints.  The double quotient and its strata are
+read off the words alone: `iter_double_quotient_words` yields them, and
+`stratum_poincare` takes one; only `generate_weyl`, `generate_parabolic`
+and `double_quotient_reps` build elements.
 
 Inside the walk a point is one int of rank fields, each b bits wide and
 biased by 2^(b-1), so s_i mu is mu - c * (row i of the Cartan matrix packed
@@ -35,6 +38,9 @@ tuples: each level is unpacked once, by one `struct` call.
   in I.
 * The elements of W^J in the double coset W_I w W_J make up the W_I-orbit
   of w(rho_J), of lengths l(w) + depth.
+* A word is a reduced word of an element of W^J exactly when, read right
+  to left from rho_J, each letter i meets a positive coordinate i: each
+  step is then one step down the walk.
 """
 
 from __future__ import annotations
@@ -86,25 +92,6 @@ class WeylElement(tuple):
     def __repr__(self) -> str:
         return f"WeylElement(word={self[0]!r}, key={self[1]!r}, length={self[2]!r})"
 
-    def left_descents(self) -> frozenset[int]:
-        """Simple indices i (0-based) with l(s_i w) < l(w)."""
-        return frozenset(i for i, c in enumerate(self.key) if c < 0)
-
-    def right_descents(self) -> frozenset[int]:
-        """Simple indices i (0-based) with l(w s_i) < l(w)."""
-        return self.inverse().left_descents()
-
-    def inverse(self) -> "WeylElement":
-        word = tuple(reversed(self.word))
-        return WeylElement(word, _act(self.system, word, self.system.rho), self.length, self.system)
-
-
-def _act(rs: RootSystem, word, weight) -> Weight:
-    """The product of the simple reflections in `word` applied to `weight`."""
-    for i in reversed(word):
-        weight = rs.reflect(weight, i)
-    return weight
-
 
 def _simple_indices(rs: RootSystem, indices) -> frozenset[int]:
     out = frozenset(indices)
@@ -112,39 +99,6 @@ def _simple_indices(rs: RootSystem, indices) -> frozenset[int]:
         if i not in range(rs.rank):
             raise LieparError(f"simple index {i!r} out of range 0..{rs.rank - 1}")
     return out
-
-
-def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement((), rs.rho, 0, rs)
-
-
-def multiply_simple(w: WeylElement, i: int) -> WeylElement:
-    """w * s_i, with the word extended (not necessarily reduced)."""
-    rs = w.system
-    return multiply(w, WeylElement((i,), rs.reflect(rs.rho, i), 1, rs))
-
-
-def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
-    """u * v: u's word replayed on v(rho), the length moving by one per letter."""
-    if u.system is not v.system:
-        raise LieparError("elements belong to different root systems")
-    rs, key, length = u.system, v.key, v.length
-    for i in reversed(u.word):
-        length += 1 if key[i] > 0 else -1
-        key = rs.reflect(key, i)
-    return WeylElement(u.word + v.word, key, length, rs)
-
-
-def reduced_word(rs: RootSystem, key: Weight) -> tuple[int, ...]:
-    """The first reduced word of the element w with w(rho) = key, read off by
-    following least left descents."""
-    word: list[int] = []
-    while True:
-        i = next((k for k, c in enumerate(key) if c < 0), None)
-        if i is None:
-            return tuple(word)
-        word.append(i)
-        key = rs.reflect(key, i)
 
 
 def orbit(rs: RootSystem, weight, gens,
@@ -332,26 +286,17 @@ def _quotient_start(rs: RootSystem, I, J) -> tuple[frozenset[int], Weight]:
     return I, _rho_off(rs, J)
 
 
-def iter_double_quotient_reps(rs: RootSystem, I, J) -> Iterator[WeylElement]:
-    """Minimal-length double coset representatives, lazily in (length, word) order.
+def iter_double_quotient_words(rs: RootSystem, I, J) -> Iterator[list[bytes]]:
+    """The words of the minimal-length double coset representatives, one
+    list per length.
 
     I and J are iterables of 0-based simple indices.  The representatives
-    are the points of the orbit of rho_J with no negative coordinate in I;
-    the budget bounds the |W/W_J| points of that orbit.  The indices and the
-    budget are checked here, before the first representative.
-    """
-    I, start = _quotient_start(rs, I, J)
-    return _elements(rs, start, range(rs.rank), I)
-
-
-def iter_double_quotient_words(rs: RootSystem, I, J) -> Iterator[list[bytes]]:
-    """The words of `iter_double_quotient_reps`, one list per length.
-
+    are the points of the orbit of rho_J with no negative coordinate in I.
     The d-th list holds the words of the representatives of length d, in
     increasing order, each as `bytes` with one byte per letter; it is empty
-    where no representative has that length.  The checks are those of
-    `iter_double_quotient_reps`, made here before the first list; no
-    `WeylElement` is built.
+    where no representative has that length.  The indices and the |W/W_J|
+    points of the walk, held to the Weyl budget, are checked here, before
+    the first list; no `WeylElement` is built.
     """
     I, start = _quotient_start(rs, I, J)
     mask = _signs(_width(rs, start), I)
@@ -360,8 +305,10 @@ def iter_double_quotient_words(rs: RootSystem, I, J) -> Iterator[list[bytes]]:
 
 
 def double_quotient_reps(rs: RootSystem, I, J) -> list[WeylElement]:
-    """The list of `iter_double_quotient_reps`."""
-    return list(iter_double_quotient_reps(rs, I, J))
+    """The representatives of `iter_double_quotient_words` as elements, in
+    (length, word) order."""
+    I, start = _quotient_start(rs, I, J)
+    return list(_elements(rs, start, range(rs.rank), I))
 
 
 class CellPolynomial(NamedTuple("CellPolynomial", [("coeffs", tuple)])):
@@ -373,9 +320,6 @@ class CellPolynomial(NamedTuple("CellPolynomial", [("coeffs", tuple)])):
         if any(c < 0 for c in coeffs):
             raise LieparError("cell polynomial coefficients must be nonnegative")
         return super().__new__(cls, coeffs)
-
-    def evaluate(self, x: int) -> int:
-        return sum(c * x**k for k, c in enumerate(self.coeffs))
 
     @classmethod
     def from_exponents(cls, exponents) -> "CellPolynomial":
@@ -398,15 +342,26 @@ class CellPolynomial(NamedTuple("CellPolynomial", [("coeffs", tuple)])):
         return " + ".join(terms) if terms else "0"
 
 
-def stratum_poincare(rs: RootSystem, I, J, w: WeylElement) -> CellPolynomial:
+def stratum_poincare(rs: RootSystem, I, J, word) -> CellPolynomial:
     """Cell-dimension generating function of the stratum indexed by w.
 
-    Sums q^l(x) over x in W_I w W_J that have no right descent in J, read off
-    the W_I-orbit of w(rho_J); w must be the minimal-length representative
-    of its double coset.
+    `word` is a word of w, 0-based letters in a tuple or `bytes`.  Sums
+    q^l(x) over x in W_I w W_J that have no right descent in J, read off the
+    W_I-orbit of w(rho_J).  w must be the minimal-length representative of
+    its double coset and `word` reduced, checked as the walk builds its
+    words: read right to left from rho_J, each letter meets a positive
+    coordinate, and w(rho_J) has no negative coordinate in I.
     """
     I, J = _simple_indices(rs, I), _simple_indices(rs, J)
-    if (w.left_descents() & I) or (w.right_descents() & J):
+    for i in word:
+        if i not in range(rs.rank):
+            raise LieparError(f"letter {i!r} is not a simple index 0..{rs.rank - 1}")
+    point = _rho_off(rs, J)
+    for i in reversed(word):
+        if point[i] <= 0:
+            raise NotMinimalError("w is not a minimal double-coset representative")
+        point = rs.reflect(point, i)
+    if any(point[i] < 0 for i in I):
         raise NotMinimalError("w is not a minimal double-coset representative")
-    levels = orbit(rs, _act(rs, w.word, _rho_off(rs, J)), I)
-    return CellPolynomial((0,) * w.length + tuple(len(points) for points, _ in levels))
+    levels = orbit(rs, point, I)
+    return CellPolynomial((0,) * len(word) + tuple(len(points) for points, _ in levels))

@@ -200,7 +200,7 @@ def test_criterion_9_weyl_combinatorics():
         for k in range(rs.rank + 1):
             for J in itertools.combinations(range(rs.rank), k):
                 reps = weyl.double_quotient_reps(rs, (), J)
-                strata = [weyl.stratum_poincare(rs, (), J, w).coeffs for w in reps]
+                strata = [weyl.stratum_poincare(rs, (), J, w.word).coeffs for w in reps]
                 total = tuple(map(sum, itertools.zip_longest(*strata, fillvalue=0)))
                 quotient = weyl.CellPolynomial.from_exponents(x.length for x in reps)
                 assert total == quotient.coeffs, (label, J)

@@ -649,7 +649,7 @@ def _one_shot_weyl(label, I, J, emit, fmt):
         doc["representatives"] = [{"word": [i + 1 for i in w.word], "length": w.length} for w in reps]
         rows = [(word(w), w.length) for w in reps]
     else:
-        polys = [(w, weyl.stratum_poincare(rs, I, J, w)) for w in reps]
+        polys = [(w, weyl.stratum_poincare(rs, I, J, w.word)) for w in reps]
         doc["poincare"] = [{"word": [i + 1 for i in w.word], "polynomial": list(p.coeffs)}
                            for w, p in polys]
         rows = [(word(w), str(p)) for w, p in polys]
@@ -709,18 +709,17 @@ def test_streamed_rows_empty_list_matches_one_shot():
 
 
 def test_reps_rows_build_no_elements(capsys, monkeypatch):
+    # neither emit builds an element: reps rows and stratum polynomials read the walk's words
     argv = ("weyl", "--type", "E6", "--J", "1,2,3,4,5")
-    expected = {fmt: _one_shot_weyl("E6", (), tuple(range(5)), "reps", fmt) for fmt in ("json", "tsv")}
+    expected = {(emit, fmt): _one_shot_weyl("E6", (), tuple(range(5)), emit, fmt)
+                for emit in ("reps", "poincare") for fmt in ("json", "tsv")}
 
     def refuse(*args, **kwargs):
         raise AssertionError("WeylElement built")
 
     monkeypatch.setattr(weyl, "_elements", refuse)
-    for fmt, out in expected.items():
-        assert run(capsys, *argv, "--format", fmt) == (0, out, "")
-    # a stratum polynomial needs the key of its representative
-    with pytest.raises(AssertionError, match="WeylElement built"):
-        run(capsys, *argv, "--emit", "poincare")
+    for (emit, fmt), out in expected.items():
+        assert run(capsys, *argv, "--emit", emit, "--format", fmt) == (0, out, ""), (emit, fmt)
 
 
 def _env_without_budget():

@@ -16,7 +16,6 @@ from liepar.schurweyl import (
     simple_dimension,
     simple_dims_table,
     specht_gram,
-    standard_multiplicities,
     standard_tableaux,
 )
 from specht_oracle import specht_radical_bruteforce
@@ -46,15 +45,6 @@ def test_hook_formula_against_enumeration_and_rsk(d):
         assert f == len(standard_tableaux(lam))
         total += f * f
     assert total == math.factorial(d)
-
-
-def test_standard_multiplicities():
-    assert standard_multiplicities(3, 3) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
-    assert standard_multiplicities(5, 3) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
-    assert standard_multiplicities(2, 3) == {(3,): 1, (2, 1): 2}
-    assert standard_multiplicities(4, 2) == {(2,): 1, (1, 1): 1}
-    with pytest.raises(LieparError):
-        standard_multiplicities(0, 3)
 
 
 def test_specht_gram_21():

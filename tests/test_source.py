@@ -141,14 +141,15 @@ def _references(node) -> Counter:
                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
 
 
-def _unreferenced_private(trees) -> list[str]:
-    """Private module-level functions and methods that no tree names outside their own body."""
+def _unreferenced(trees, private=True) -> list[str]:
+    """Module-level functions and methods, the private ones or the public
+    ones (never dunders), that no tree names outside their own body."""
     everywhere = sum(map(_references, trees), Counter())
     unused = []
     for tree in trees:
         for node in tree.body:
             for f in [node] + (node.body if isinstance(node, ast.ClassDef) else []):
-                if (isinstance(f, ast.FunctionDef) and f.name.startswith("_")
+                if (isinstance(f, ast.FunctionDef) and f.name.startswith("_") == private
                         and not f.name.endswith("__")
                         and everywhere[f.name] == _references(f)[f.name]):
                     unused.append(f.name)
@@ -158,13 +159,57 @@ def _unreferenced_private(trees) -> list[str]:
 def test_every_private_function_is_used():
     # a private helper is reachable only from the library; one it never names is dead code
     trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
-    assert _unreferenced_private(trees) == []
+    assert _unreferenced(trees) == []
 
 
 def test_unused_private_helper_is_found():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
     helper = ast.parse("def _helper(n):\n    return _helper(n - 1) if n else 0\n")
-    assert _unreferenced_private(trees + [helper]) == ["_helper"]
+    assert _unreferenced(trees + [helper]) == ["_helper"]
+
+
+WRAPPED_BY_TRACING = "wrapped by perfbench/tracing.py"
+DOCUMENTED_API = "documented API"
+
+# public names no library code calls, each kept for its reason
+UNCALLED_PUBLIC = {
+    "bareiss_rank": WRAPPED_BY_TRACING,
+    "modp_rank": WRAPPED_BY_TRACING,
+    "modp_kernel_basis": WRAPPED_BY_TRACING,
+    "frac_matrix_inverse": WRAPPED_BY_TRACING,
+    "frac_solve": WRAPPED_BY_TRACING,
+    "frac_rank": WRAPPED_BY_TRACING,
+    "decompose_weight_multiset": WRAPPED_BY_TRACING,
+    "polytabloid": WRAPPED_BY_TRACING,
+    "generate_weyl": WRAPPED_BY_TRACING,
+    "generate_parabolic": WRAPPED_BY_TRACING,
+    "double_quotient_reps": WRAPPED_BY_TRACING,
+    "bruhat_leq": DOCUMENTED_API,
+    "dominance_leq": DOCUMENTED_API,
+    "highest_root": DOCUMENTED_API,
+    "coxeter_number": DOCUMENTED_API,
+    "long_simple_fundamental_group": DOCUMENTED_API,
+}
+
+
+def test_every_public_name_is_used():
+    # a public function or method no command reaches is dead code unless it
+    # is kept for a reason; an entry whose name gained a caller or went away
+    # is stale and fails here too
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES]
+    assert sorted(_unreferenced(trees, private=False)) == sorted(UNCALLED_PUBLIC)
+    tracing = (LIBRARY.parents[1] / "perfbench" / "tracing.py").read_text(encoding="utf-8")
+    for name, reason in UNCALLED_PUBLIC.items():
+        assert (f'"{name}":' in tracing) == (reason == WRAPPED_BY_TRACING), name
+
+
+def test_unused_public_function_is_found():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    helper = ast.parse("def helper(n):\n    return helper(n - 1) if n else 0\n"
+                       "class Cell:\n    def size(self):\n        return len(self.rays)\n"
+                       "    def volume(self):\n        return self.size()\n")
+    found = _unreferenced(trees + [helper], private=False)
+    assert sorted(found) == sorted([*UNCALLED_PUBLIC, "helper", "volume"])
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}

@@ -255,8 +255,8 @@ def _all_faces_recursive(rays, ambient_dim):
     todo = [tuple(sorted(rays))]
     faces = {tuple(sorted(rays)), ()}
     while todo:
-        current = todo.pop()
-        for facet in Cone(current, ambient_dim).facet_ray_sets():
+        cone = Cone(todo.pop(), ambient_dim)
+        for facet in (tuple(cone.rays[p] for p in f) for f in cone._hrep[1]):
             key = tuple(sorted(facet))
             if key not in faces:
                 faces.add(key)
@@ -302,7 +302,7 @@ def test_line_cone_contains_both_directions():
     assert not line.contains((0, 1))
     ray = Cone(((1, 2),), 2)
     assert ray.contains((2, 4)) and not ray.contains((-1, -2)) and not ray.contains((1, 0))
-    assert ray.facet_ray_sets() == ((),)
+    assert tuple(tuple(ray.rays[p] for p in f) for f in ray._hrep[1]) == ((),)
 
 
 def test_fan_tables_are_read_only_and_ignored_by_equality():
@@ -348,7 +348,7 @@ def test_redundant_generator_lies_on_the_facets_through_it():
     rays = (e[0], (1, 1, 0, 0), e[1], e[2], e[3])
     cone = Cone(rays, 4)
     assert cone.dim == 4
-    assert len(cone.facet_ray_sets()) == 4
+    assert len(cone._hrep[1]) == 4
     assert len(cone.faces()) == 16
     assert (e[0], (1, 1, 0, 0), e[1]) in cone.faces()
     assert all(type(x) is int for eq in Cone(rays[:3], 4)._equations for x in eq)

@@ -3,6 +3,7 @@ import itertools
 import pickle
 import re
 import tracemalloc
+from operator import mul
 
 import pytest
 
@@ -17,10 +18,7 @@ from liepar.weyl import (
     double_quotient_reps,
     generate_parabolic,
     generate_weyl,
-    identity,
-    iter_double_quotient_reps,
     iter_double_quotient_words,
-    multiply,
     orbit,
     stratum_poincare,
 )
@@ -75,7 +73,7 @@ def test_budget(monkeypatch):
 
 def test_bruhat_identity_is_minimum():
     a2 = build_root_system("A2")
-    e = identity(a2)
+    e = by_word(a2)[()]
     for w in generate_weyl(a2):
         assert bruhat_leq(e, w)
 
@@ -142,34 +140,46 @@ def test_double_quotient_a2():
     assert [w.length for w in reps] == [0, 1, 2]
 
 
+def act(rs, word, weight):
+    """The product of the simple reflections of `word` applied to `weight`."""
+    for i in reversed(word):
+        weight = rs.reflect(weight, i)
+    return weight
+
+
+def inversions(rs, key):
+    """l(x) for the x with x(rho) = key: the positive coroots beta-check with
+    <x(rho), beta-check> < 0, that is those x^-1 sends negative."""
+    return sum(1 for co in rs.positive_coroots if sum(map(mul, key, co)) < 0)
+
+
 def brute_force_double_cosets(rs, I, J):
-    W = generate_weyl(rs)
-    WI = generate_parabolic(rs, I)
-    WJ = generate_parabolic(rs, J)
+    """The double cosets W_I w W_J as sets of keys, each product u w v
+    written out as its word applied to rho."""
+    WI = [u.word for u in generate_parabolic(rs, I)]
+    WJ = [v.word for v in generate_parabolic(rs, J)]
     seen = set()
     cosets = []
-    for w in W:
+    for w in generate_weyl(rs):
         if w.key in seen:
             continue
-        coset = set()
-        for u in WI:
-            uw = multiply(u, w)
-            for v in WJ:
-                coset.add(multiply(uw, v).key)
+        coset = {act(rs, u + w.word + v, rs.rho) for u in WI for v in WJ}
         seen |= coset
         cosets.append(coset)
     return cosets
 
 
 def brute_force_stratum(rs, I, J, w):
-    """q^l(x) summed over x in W_I w W_J with no right descent in J, by products."""
+    """q^l(x) summed over x in W_I w W_J with no right descent in J, by
+    products: x s_j is shorter than x for a right descent j."""
     lengths = {}
     for u in generate_parabolic(rs, I):
-        uw = multiply(u, w)
         for v in generate_parabolic(rs, J):
-            x = multiply(uw, v)
-            if not (x.right_descents() & set(J)):
-                lengths[x.key] = x.length
+            word = u.word + w.word + v.word
+            key = act(rs, word, rs.rho)
+            length = inversions(rs, key)
+            if all(inversions(rs, act(rs, word + (j,), rs.rho)) > length for j in J):
+                lengths[key] = length
     return CellPolynomial.from_exponents(lengths.values())
 
 
@@ -209,7 +219,7 @@ def test_double_quotient_against_brute_force(label, I, J):
         lengths = sorted(by_key[p].length for p in coset)
         assert rep.length == lengths[0]
         assert lengths.count(rep.length) == 1
-        assert stratum_poincare(rs, I, J, rep) == brute_force_stratum(rs, I, J, rep)
+        assert stratum_poincare(rs, I, J, rep.word) == brute_force_stratum(rs, I, J, rep)
 
 
 @pytest.mark.parametrize("bad", [{3}, {-1}, {"a"}])
@@ -220,7 +230,7 @@ def test_simple_indices_are_validated(bad):
     with pytest.raises(LieparError):
         double_quotient_reps(a3, (), bad)
     with pytest.raises(LieparError):
-        stratum_poincare(a3, bad, (), identity(a3))
+        stratum_poincare(a3, bad, (), ())
 
 
 def test_coset_partition_identity():
@@ -236,24 +246,62 @@ def test_coset_partition_identity():
 def test_stratum_poincare_examples():
     a1 = build_root_system("A1")
     w = by_word(a1)[(0,)]
-    assert stratum_poincare(a1, (), (), w).coeffs == (0, 1)
+    assert stratum_poincare(a1, (), (), w.word).coeffs == (0, 1)
 
     a2 = build_root_system("A2")
     w0 = max(generate_weyl(a2), key=lambda w: w.length)
-    assert stratum_poincare(a2, (), (), w0).coeffs == (0, 0, 0, 1)
+    assert stratum_poincare(a2, (), (), w0.word).coeffs == (0, 0, 0, 1)
 
-    e = identity(a2)
-    assert stratum_poincare(a2, (), {1}, e).coeffs == (1,)
-    total = summed(stratum_poincare(a2, (), {1}, w) for w in double_quotient_reps(a2, (), {1}))
+    assert stratum_poincare(a2, (), {1}, ()).coeffs == (1,)
+    total = summed(stratum_poincare(a2, (), {1}, w.word) for w in double_quotient_reps(a2, (), {1}))
     assert total.coeffs == (1, 1, 1)
-    assert total.evaluate(1) == 3
 
 
 def test_stratum_poincare_rejects_nonminimal():
     a2 = build_root_system("A2")
     s1 = by_word(a2)[(0,)]
     with pytest.raises(NotMinimalError):
-        stratum_poincare(a2, {0}, (), s1)
+        stratum_poincare(a2, {0}, (), s1.word)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "A1xA2"])
+def test_stratum_poincare_takes_the_words_of_the_representatives(label):
+    # a reduced word is accepted for (I, J) exactly when its element is a
+    # minimal double-coset representative, as a tuple or as bytes
+    rs = build_root_system(label)
+    W = generate_weyl(rs)
+    for I in _subsets(rs.rank):
+        for J in _subsets(rs.rank):
+            reps = {w.key for w in double_quotient_reps(rs, I, J)}
+            for w in W:
+                if w.key in reps:
+                    p = stratum_poincare(rs, I, J, w.word)
+                    assert stratum_poincare(rs, I, J, bytes(w.word)) == p and len(p.coeffs) > w.length
+                else:
+                    with pytest.raises(NotMinimalError):
+                        stratum_poincare(rs, I, J, w.word)
+
+
+@pytest.mark.parametrize("word", [(0, 0), (0, 1, 0, 1), b"\x01\x00\x01\x00", (1, 0, 1, 0, 1, 0, 1)])
+def test_stratum_poincare_refuses_words_that_are_not_reduced(word):
+    a2 = build_root_system("A2")
+    with pytest.raises(NotMinimalError):
+        stratum_poincare(a2, (), (), word)
+
+
+def test_stratum_poincare_refuses_a_letter_before_the_first_reflection(monkeypatch):
+    rs = build_root_system("A3")
+    w0 = max(generate_weyl(rs), key=lambda w: w.length)
+
+    def refuse(*args):
+        raise AssertionError("reflected")
+
+    monkeypatch.setattr(type(rs), "reflect", refuse)
+    for word, letter in [((-1,), "-1"), ((3,), "3"), ((3, 0), "3"), (b"\x00\x07", "7"),
+                         (w0, re.escape(repr(w0.word)))]:  # an element: its first item is its word
+        with pytest.raises(LieparError, match=rf"^letter {letter} is not a simple index 0\.\.2$") as info:
+            stratum_poincare(rs, (), (), word)
+        assert type(info.value) is LieparError
 
 
 @pytest.mark.parametrize("label,I,J", [
@@ -266,29 +314,14 @@ def test_stratum_poincare_rejects_nonminimal():
 def test_stratum_polynomials_sum_to_quotient(label, I, J):
     # the I-stratum cells partition the J-quotient cells, for any parabolic I
     rs = build_root_system(label)
-    total = summed(stratum_poincare(rs, I, J, w) for w in double_quotient_reps(rs, I, J))
+    total = summed(stratum_poincare(rs, I, J, w.word) for w in double_quotient_reps(rs, I, J))
     quotient = CellPolynomial.from_exponents(x.length for x in double_quotient_reps(rs, (), J))
     assert total.coeffs == quotient.coeffs
-
-
-@pytest.mark.parametrize("label", ["A3", "B2", "G2"])
-def test_reduced_word_recovery_by_descent_following(label):
-    from liepar.weyl import identity, multiply_simple, reduced_word
-
-    rs = build_root_system(label)
-    for w in generate_weyl(rs):
-        word = reduced_word(rs, w.key)
-        assert len(word) == w.length
-        rebuilt = identity(rs)
-        for i in word:
-            rebuilt = multiply_simple(rebuilt, i)
-        assert rebuilt.key == w.key
 
 
 def test_cell_polynomial_invariants():
     p = CellPolynomial.from_exponents([0, 2, 2])
     assert p.coeffs == (1, 0, 2)
-    assert p.evaluate(1) == 3
     with pytest.raises(Exception):
         CellPolynomial((1, -1))
 
@@ -330,7 +363,7 @@ def test_weyl_element_is_an_immutable_value():
     other = WeylElement((1, 0, 1), (-1, -1), 3, rs)
     assert other == w0 and not other != w0 and hash(other) == hash(w0) and len({other, w0}) == 1
     assert other.word != w0.word
-    assert w0 != identity(rs) and w0 != tuple(w0) and w0 != w0.key
+    assert w0 != generate_weyl(rs)[0] and w0 != tuple(w0) and w0 != w0.key
     with pytest.raises(TypeError):
         w0 < other  # elements are not ordered, by word or otherwise
     for clone in (copy.copy(w0), pickle.loads(pickle.dumps(w0))):
@@ -468,7 +501,7 @@ def test_orbit_levels_respect_bound_and_budget(monkeypatch):
 
 def _a4_stratum():
     rs = build_root_system("A4")
-    return stratum_poincare(rs, range(4), (), identity(rs))
+    return stratum_poincare(rs, range(4), (), ())
 
 
 @pytest.mark.parametrize("walk, label", [
@@ -509,32 +542,21 @@ def test_orbit_walk_of_e6_stays_small():
     assert peak < 3 * 2**20
 
 
-def test_iter_double_quotient_reps_checks_before_the_first_rep(monkeypatch):
-    rs = build_root_system("E8")
-    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
-    with pytest.raises(BudgetError, match=r"^\|W/W_J\| = 696729600 exceeds budget 10000000; "
-                                          r"set LIEPAR_BUDGET to raise it$"):
-        iter_double_quotient_reps(rs, (), ())
-    with pytest.raises(LieparError, match="out of range"):
-        iter_double_quotient_reps(rs, (8,), ())
-    reps = iter_double_quotient_reps(rs, (), range(7))
-    first = next(reps)
-    assert first.length == 0 and first.key == rs.rho
-    assert 1 + sum(1 for _ in reps) == 240
-
-
 def test_iter_double_quotient_words_checks_before_the_first_level(monkeypatch):
     rs = build_root_system("E8")
     monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
-    with pytest.raises(BudgetError, match=r"^\|W/W_J\| = 696729600 exceeds budget 10000000; "
-                                          r"set LIEPAR_BUDGET to raise it$"):
-        iter_double_quotient_words(rs, (), ())
-    for I, J in [((8,), ()), ((), (8,))]:
-        with pytest.raises(LieparError, match="out of range"):
-            iter_double_quotient_words(rs, I, J)
+    for quotient in (iter_double_quotient_words, double_quotient_reps):
+        with pytest.raises(BudgetError, match=r"^\|W/W_J\| = 696729600 exceeds budget 10000000; "
+                                              r"set LIEPAR_BUDGET to raise it$"):
+            quotient(rs, (), ())
+        for I, J in [((8,), ()), ((), (8,))]:
+            with pytest.raises(LieparError, match="out of range"):
+                quotient(rs, I, J)
     levels = iter_double_quotient_words(rs, (), range(7))
     assert next(levels) == [b""]
     assert 1 + sum(map(len, levels)) == 240
+    reps = double_quotient_reps(rs, (), range(7))
+    assert len(reps) == 240 and reps[0].length == 0 and reps[0].key == rs.rho
 
 
 @pytest.mark.parametrize("label,I,J", ALL_PARABOLIC_PAIRS + [
@@ -547,7 +569,7 @@ def test_double_quotient_words_are_the_words_of_the_reps(label, I, J):
     assert all(len(word) == d for d, words in enumerate(levels) for word in words)
     assert levels[0] == [b""]
     assert [word for words in levels for word in words] == \
-        [bytes(w.word) for w in iter_double_quotient_reps(rs, I, J)]
+        [bytes(w.word) for w in double_quotient_reps(rs, I, J)]
 
 
 def test_double_quotient_words_keep_lengths_with_no_representative():
@@ -557,10 +579,8 @@ def test_double_quotient_words_keep_lengths_with_no_representative():
         assert [d for d, words in enumerate(levels) if not words] == empty
 
 
-def test_elements_of_two_root_systems_do_not_compose_or_compare():
+def test_elements_of_two_root_systems_do_not_compare():
     a2, b2 = build_root_system("A2"), build_root_system("B2")
     u, v = generate_weyl(a2)[1], generate_weyl(b2)[1]
-    with pytest.raises(LieparError, match="^elements belong to different root systems$"):
-        multiply(u, v)
     with pytest.raises(LieparError, match="^elements belong to different root systems$"):
         bruhat_leq(u, v)
