@@ -4,8 +4,11 @@ Every subcommand prints a deterministic document (JSON by default, TSV or
 text on request) whose header carries the seed in use, so reruns with fixed
 inputs are byte-identical.
 
-`weyl` writes its rows one at a time as the orbit walk finds them, and its
-index and |W/W_J| budget checks all run before the first byte.  Both emits
+Every document comes out of one generator, `_emit`, a chunk at a time: a
+subcommand computes its document, runs its checks and returns the
+generator, which `main` writes out.  `weyl` hands `_emit` its rows as the
+orbit walk finds them, so its index and |W/W_J| budget checks all run
+before the first byte and no list of rows is ever held.  Both emits
 read the words of the walk and build no `WeylElement`: `--emit reps` writes
 each row straight from a word, through one row template per length, and
 `--emit poincare` hands each word to the stratum polynomial.  `--format
@@ -106,18 +109,35 @@ def _parse_indices(text: str | None, rank: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _emit(document: dict, fmt: str, tsv_rows=None) -> str:
-    if fmt == "json":
-        return json.dumps(document, sort_keys=True, indent=2)
-    if fmt == "tsv":
-        lines = [f"# {k}={document[k]}" for k in sorted(document) if not isinstance(document[k], (list, dict))]
-        for row in tsv_rows or []:
-            lines.append("\t".join(str(x) for x in row))
-        return "\n".join(lines)
-    return "\n".join(f"{k}: {document[k]}" for k in sorted(document) if not isinstance(document[k], (list, dict)))
-
-
 _ROWS = "\x00rows"  # stands in for a streamed list while its document is dumped
+
+
+def _emit(document: dict, fmt: str, rows=(), key: str | None = None):
+    """The chunks of `document` in `fmt`.
+
+    JSON is the whole document or, with `key`, the document with
+    document[key] the list whose rows are `rows`, each row's text at indent
+    4.  TSV is the header, then one line per row: a tuple tab-joined, text
+    as it is.  Text is the header alone.  `rows` is consumed only as chunks
+    are taken, and not at all where they are not written.
+    """
+    if fmt == "json" and key is None:
+        yield json.dumps(document, sort_keys=True, indent=2)
+    elif fmt == "json":
+        head, _, tail = json.dumps({**document, key: _ROWS}, sort_keys=True, indent=2).partition(
+            json.dumps(_ROWS))
+        sep = "[\n    "
+        for row in rows:  # the head is never empty, so it is empty only after a row
+            yield head + sep + row
+            head, sep = "", ",\n    "
+        yield head + ("[]" if head else "\n  ]") + tail
+    else:
+        mark, sep = ("# ", "=") if fmt == "tsv" else ("", ": ")
+        # the header is never empty: every document has a subcommand
+        yield "\n".join(f"{mark}{k}{sep}{document[k]}" for k in sorted(document)
+                         if not isinstance(document[k], (list, dict)))
+        for row in rows if fmt == "tsv" else ():
+            yield "\n" + (row if isinstance(row, str) else "\t".join(map(str, row)))
 
 
 def _json_list(texts: list[str], pad: str) -> str:
@@ -155,39 +175,11 @@ def _poincare_row(labels: list[str], word, coeffs) -> str:
         _json_list([str(c) for c in coeffs], "      "), _json_list([labels[i] for i in word], "      "))
 
 
-def _emit_rows(document: dict, fmt: str, key: str, rows):
-    """The chunks of `_emit(document, fmt, tsv_rows)` with document[key] the
-    list whose rows are `rows`: for JSON each row's text at indent 4, for
-    TSV each row's line.
-
-    `rows` is consumed only as chunks are taken, and not at all for text,
-    which leaves lists out.
-    """
-    if fmt == "text":
-        yield _emit(document, fmt)
-        return
-    if fmt == "tsv":  # the header is never empty: every document has a subcommand
-        yield _emit(document, fmt)
-        for row in rows:
-            yield "\n" + row
-        return
-    head, _, tail = _emit({**document, key: _ROWS}, fmt).partition(json.dumps(_ROWS))
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        yield head + "[]" + tail
-        return
-    yield head + "[\n    " + first
-    for row in rows:
-        yield ",\n    " + row
-    yield "\n  ]" + tail
-
-
 def _document(subcommand: str, seed: int = 0, **payload) -> dict:
     return {"subcommand": subcommand, "seed": seed, **payload}
 
 
-def _cmd_rootsys(args) -> str:
+def _cmd_rootsys(args):
     rs = build_root_system(args.type)
     doc = _document("rootsys", type=rs.type_name())
     rows = []
@@ -218,14 +210,14 @@ def _cmd_weyl(args):
     # the walk checks the indices and the budget before any output
     levels = weyl.iter_double_quotient_words(rs, I, J)
     if args.emit == "reps":
-        return _emit_rows(doc, args.format, "representatives", _reps_rows(levels, labels, args.format))
+        return _emit(doc, args.format, _reps_rows(levels, labels, args.format), "representatives")
     strata = ((word, weyl.stratum_poincare(rs, I, J, word)) for words in levels for word in words)
     rows = ((_poincare_row(labels, word, p.coeffs) for word, p in strata) if args.format == "json"
             else ("%s\t%s" % ("-".join(map(labels.__getitem__, word)) or "e", p) for word, p in strata))
-    return _emit_rows(doc, args.format, "poincare", rows)
+    return _emit(doc, args.format, rows, "poincare")
 
 
-def _cmd_torsion(args) -> str:
+def _cmd_torsion(args):
     if args.emit == "certificates" and args.method == "fast":
         raise LieparError("--emit certificates requires --method oracle or both")
     rs = build_root_system(args.type)
@@ -259,7 +251,7 @@ def _cmd_torsion(args) -> str:
     return _emit(doc, args.format, rows)
 
 
-def _cmd_char(args) -> str:
+def _cmd_char(args):
     rs = build_root_system(args.type)
     doc = _document("char", type=rs.type_name())
     if args.certify_generation:
@@ -307,7 +299,7 @@ def _cmd_char(args) -> str:
     return _emit(doc, args.format, rows)
 
 
-def _cmd_intform(args) -> str:
+def _cmd_intform(args):
     forms = intform.load_forms(args.infile)
     doc = _document("intform", **intform.decomposition_report(forms, args.p))
     rows = [
@@ -317,7 +309,7 @@ def _cmd_intform(args) -> str:
     return _emit(doc, args.format, rows)
 
 
-def _cmd_schurweyl(args) -> str:
+def _cmd_schurweyl(args):
     if args.d < 1:
         raise LieparError(f"--d must be a positive integer, got {args.d}")
     intform.check_prime(args.p)
@@ -343,13 +335,13 @@ def _cmd_schurweyl(args) -> str:
     return _emit(doc, args.format, rows)
 
 
-def _cmd_nilpotent(args) -> str:
+def _cmd_nilpotent(args):
     lam = _parse_ints(args.partition, "partition")
     doc = _document("nilpotent", **schurweyl.nilpotent_orbit_data(lam, args.n))
     return _emit(doc, args.format, [(doc["dimension"], doc["centralizer"])])
 
 
-def _cmd_toric(args) -> str:
+def _cmd_toric(args):
     if args.emit and not args.paving:
         raise LieparError(f"--emit {args.emit} requires --paving")
     with open(args.fan, encoding="utf-8") as fh:
@@ -382,7 +374,7 @@ def _cmd_toric(args) -> str:
     return _emit(doc, args.format)
 
 
-def _cmd_golden(args) -> str:
+def _cmd_golden(args):
     report = golden.run_golden(fixtures_dir=args.fixtures)
     doc = _document("golden", **report.to_dict())
     if not report.passed:
@@ -466,9 +458,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         budget_override()
-        output = args.func(args)
-        # a streamed document is a generator of chunks; its checks ran before it was returned
-        for chunk in [output] if isinstance(output, str) else output:
+        # a document is a generator of chunks; its checks ran before it was returned
+        for chunk in args.func(args):
             sys.stdout.write(chunk)
         sys.stdout.write("\n")
         sys.stdout.flush()

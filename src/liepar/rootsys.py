@@ -38,6 +38,7 @@ import math
 import re
 
 from . import _linalg
+from .config import ROOT_BUDGET, check_budget
 from .errors import InvalidTypeError, InvariantError, LieparError, ReducibleError
 
 Weight = tuple[int, ...]
@@ -94,6 +95,13 @@ def _height_product(roots) -> int:
     return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
+def _root_count(family: str, rank: int) -> int:
+    """|Phi| = rank times the Coxeter number h (Bourbaki, Plates I-IX)."""
+    h = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2,
+         "E": {6: 12, 7: 18, 8: 30}.get(rank), "F": 12, "G": 6}[family]
+    return rank * h
+
+
 def _validate_factor(family: str, rank: int) -> None:
     ok = {
         "A": rank >= 1,
@@ -123,6 +131,12 @@ def parse_type_label(label) -> tuple[tuple[str, int], ...]:
         raise InvalidTypeError("empty type label")
     for family, rank in factors:
         _validate_factor(family, rank)
+    # a guard on the tables' size before any is built: LIEPAR_BUDGET may raise
+    # it, but an override set low, to cap an enumeration, refuses no smaller system
+    rank, roots = sum(r for _, r in factors), sum(_root_count(*f) for f in factors)
+    if roots * rank > ROOT_BUDGET:
+        name = "x".join(f"{family}{r}" for family, r in factors)
+        check_budget(ROOT_BUDGET, roots * rank, f"root table of {name} ({roots} roots x rank {rank})")
     return factors
 
 

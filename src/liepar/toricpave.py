@@ -1,13 +1,15 @@
 """Rational polyhedral fans and T-stable affine pavings of resolution fibers.
 
 A fan is a set of cones on a common ray list, closed under faces and
-intersections.  Given a refinement of a full-dimensional cone tau that is
-smooth and carries a strictly convex support function, the fiber over the
-torus-fixed point is paved by cells read off from positive walls: order the
-maximal cones by the value of their covector at a generic point, intersect
-each maximal cone with its positive walls to get gamma(sigma), and collect
-the cones sandwiched between gamma(sigma) and sigma.  The cell attached to
-sigma has complex dimension equal to the codimension of gamma(sigma).
+intersections; a fan read from a document (`Fan.from_dict`) is held to
+these axioms as it is read, so every operation on it can rely on them.
+Given a refinement of a full-dimensional cone tau that is smooth and
+carries a strictly convex support function, the fiber over the
+torus-fixed point is paved by cells read off from positive walls: order
+the maximal cones by the value of their covector at a generic point,
+intersect each maximal cone with its positive walls to get gamma(sigma),
+and collect the cones sandwiched between gamma(sigma) and sigma.  The cell attached to sigma has complex dimension
+equal to the codimension of gamma(sigma).
 
 All geometry is exact and runs over the integers: rays, span equations and
 facet normals are primitive integer vectors, the last two read off integer
@@ -202,6 +204,7 @@ class Fan(NamedTuple("Fan", [("rank", int), ("rays", tuple), ("cones", tuple)]))
         missing = set(cones) - set(fan.cones)
         if missing:
             raise LieparError(f"cone list is not closed under faces near {sorted(missing)}")
+        _check_axioms(fan)
         return fan
 
 
@@ -212,13 +215,9 @@ def _cone_is_smooth(fan: Fan, key: ConeKey) -> bool:
     return all(d == 1 for d in divisors)
 
 
-def validate_fan(fan: Fan, tau: "Fan | None" = None) -> dict:
-    """Structural report {simplicial, smooth, complete, refines_tau}, the
-    last None without tau.
-
-    Also checks the fan axioms (faces present, pairwise intersections are
-    common faces) and raises on malformed input.
-    """
+def _check_axioms(fan: Fan) -> None:
+    """Raise unless every cone is strongly convex with its facets in the fan
+    and every two maximal cones meet in the cone on their common rays."""
     cone_set = set(fan.cones)
     for key in fan.cones:
         cone = fan.cone(key)
@@ -229,14 +228,31 @@ def validate_fan(fan: Fan, tau: "Fan | None" = None) -> dict:
             if fk not in cone_set:
                 raise LieparError(f"face {fk} of cone {key} missing from fan")
     for a, b in itertools.combinations(fan.maximal_cones(), 2):
-        common = tuple(sorted(set(a) & set(b)))
-        if common not in cone_set:
-            raise LieparError(f"intersection of {a} and {b} is not a listed cone")
-        # the intersection must be exactly the cone on the common rays
-        ca, cb, inter = fan.cone(a), fan.cone(b), fan.cone(common)
-        for r in fan.rays:
-            if ca.contains(r) and cb.contains(r) and not inter.contains(r):
-                raise LieparError(f"cones {a} and {b} do not meet in a common face")
+        if not _separated(fan, a, b):
+            raise LieparError(f"cones {a} and {b} do not meet in a common face")
+
+
+def _separated(fan: Fan, a: ConeKey, b: ConeKey) -> bool:
+    """Whether some u has u.r = 0 on the rays common to a and b, u.r >= 1 on
+    a's other rays and u.r <= -1 on b's: exactly when a and b meet in the
+    cone on their common rays, a face of each (Cox-Little-Schenck, Toric
+    Varieties, Lemma 1.2.13).  One feasibility program, u split in two parts
+    and one surplus variable per inequality."""
+    common = set(a) & set(b)
+    beyond = ([fan.rays[i] for i in a if i not in common]
+              + [tuple(-x for x in fan.rays[i]) for i in b if i not in common])
+    width = 2 * fan.rank + len(beyond)
+    rows = [_split_row(width, (0, fan.rays[i])) for i in sorted(common)]
+    for k, r in enumerate(beyond):
+        rows.append(_split_row(width, (0, r)))
+        rows[-1][2 * fan.rank + k] = -1
+    return _phase_one(rows, [0] * len(common) + [1] * len(beyond), width) is not None
+
+
+def validate_fan(fan: Fan, tau: "Fan | None" = None) -> dict:
+    """Structural report {simplicial, smooth, complete, refines_tau}, the
+    last None without tau.  The fan axioms are checked when a fan is read
+    (`Fan.from_dict`); `Fan.from_max_cones` trusts its caller."""
     return {
         "simplicial": all(len(c) == fan.dim(c) for c in fan.maximal_cones()),
         "smooth": all(_cone_is_smooth(fan, c) for c in fan.maximal_cones()),
@@ -316,6 +332,17 @@ def _interior_walls(fan: Fan) -> list[tuple[ConeKey, ConeKey, ConeKey]]:
     return [(*owners, wall) for wall, owners in fan.walls.items() if len(owners) == 2]
 
 
+def _split_row(width: int, *terms) -> list[int]:
+    """The row of sum <u_c, v> over the terms (c, v), each unknown covector
+    u_c split into nonnegative parts: u_c[j] = x[c + 2j] - x[c + 2j + 1]."""
+    out = [0] * width
+    for c, v in terms:
+        for j, x in enumerate(v):
+            out[c + 2 * j] += x
+            out[c + 2 * j + 1] -= x
+    return out
+
+
 def _phase_one(rows, rhs, nvars: int) -> list[int] | None:
     """A point x >= 0 with rows @ x = rhs (rhs >= 0), scaled to integers, or None.
 
@@ -375,12 +402,8 @@ def strictly_convex_support(fan: Fan) -> PLFunction:
 
     def row(plus: ConeKey, minus: ConeKey, i: int) -> list[int]:
         """<m_plus - m_minus, ray i> over the split unknowns."""
-        out = [0] * width
-        for key, sign in ((plus, 1), (minus, -1)):
-            for j, x in enumerate(fan.rays[i]):
-                out[column[key] + 2 * j] += sign * x
-                out[column[key] + 2 * j + 1] -= sign * x
-        return out
+        return _split_row(width, (column[plus], fan.rays[i]),
+                          (column[minus], tuple(-x for x in fan.rays[i])))
 
     owner: dict[int, ConeKey] = {}  # the first cone on each ray; the others equal it there
     rows = [row(key, owner[i], i) for key in maxes for i in key

@@ -27,7 +27,10 @@ coordinate of w(mu) is <mu, beta-check> for a coroot beta-check, so the
 largest |<mu, beta-check>| over the positive coroots bounds every field of
 the orbit; b is the least of 8, 16, 32 and 64 that holds it, and an orbit
 past 64 bits is refused before its first level.  Callers get unpacked
-tuples: each level is unpacked once, by one `struct` call.
+tuples: each level is unpacked once, by one `struct` call.  Packed points
+reach only `iter_double_quotient_words`, which tests I by one mask; an
+element's key is a tuple, and off rho it is the reflection of its parent's
+key, x(rho) = s_i(x'(rho)) for the word i x' of x.
 
 * W is the orbit of rho, and W_I its orbit under the s_i with i in I.
 * Let rho_J be 1 off J and 0 on J.  Then x -> x(rho_J) maps the minimal
@@ -208,33 +211,17 @@ def _elements(rs: RootSystem, start: Weight, gens, I=frozenset(),
 
     From rho each point is x(rho).  From elsewhere, each word minus its first
     letter belongs to a point of the level before, so x(rho) is one
-    reflection away from a key of that level; keys are packed like points.
+    reflection of a key of that level.
     """
-    levels = _walk(rs, start, gens, length_bound)
     new = tuple.__new__  # WeylElement's own __new__ would cost a Python call per element
-    mask = _signs(_width(rs, start), I)
-    if start == rs.rho:  # each point is its own key
-        for packed, points, words in levels:
-            for nu, key, word in zip(packed, points, words):
-                if nu & mask == mask:
-                    yield new(WeylElement, (tuple(word), key, len(word), rs))
-        return
-    bits = _width(rs, rs.rho)
-    steps, flip, fmt = _layout(rs, tuple(range(rs.rank)), bits)
-    field, bias, size = (1 << bits) - 1, 1 << (bits - 1), fmt.size
-    keys: dict[bytes, int] = {}
-    for packed, _, words in levels:
-        parents, keys = keys, {}
-        for nu, word in zip(packed, words):
-            if word:
-                key, i = parents[word[1:]], word[0]
-                key -= (((key >> i * bits) & field) - bias) * steps[i][1]
-            else:
-                key = int.from_bytes(fmt.pack(*rs.rho), "little") ^ flip
-            keys[word] = key
-            if nu & mask == mask:
-                unpacked = fmt.unpack((key ^ flip).to_bytes(size, "little"))
-                yield new(WeylElement, (tuple(word), unpacked, len(word), rs))
+    rho, reflect, keys = rs.rho, rs.reflect, {}
+    for points, words in orbit(rs, start, gens, length_bound):
+        if start != rho:  # words come in the order of their points, as dicts keep them
+            parents = keys
+            keys = {word: reflect(parents[word[1:]], word[0]) if word else rho for word in words}
+        for mu, key, word in zip(points, points if start == rho else keys.values(), words):
+            if not I or min(map(mu.__getitem__, I)) >= 0:
+                yield new(WeylElement, (tuple(word), key, len(word), rs))
 
 
 def generate_weyl(rs: RootSystem, length_bound: int | None = None) -> list[WeylElement]:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -210,6 +211,14 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("toric", "--fan", "{rank_zero}"), "fan rank must be a positive integer, got 0"),
     (("toric", "--fan", "{rank_text}"), "fan rank must be a positive integer, got '2'"),
     (("toric", "--fan", "{overlapping}"), "cones (0, 1) and (1, 2) do not meet in a common face"),
+    (("toric", "--fan", "{star}"), "cones (0, 1, 2) and (3, 4, 5) do not meet in a common face"),
+    # every operation reads its fans through the same axiom check
+    (("toric", "--fan", "{half_plane}"), "cone (0, 1) is not strongly convex"),
+    (("toric", "--fan", "{half_plane}", "--subdivide", "0,1"), "cone (0, 1) is not strongly convex"),
+    (("toric", "--fan", "{half_plane}", "--tau", "{quadrant}", "--paving"),
+     "cone (0, 1) is not strongly convex"),
+    (("toric", "--fan", "{quadrant}", "--tau", "{half_plane}", "--paving"),
+     "cone (0, 1) is not strongly convex"),
     (("toric", "--fan", "{quadrant}", "--tau", "{two_cones}"),
      "tau must consist of a single full-dimensional cone"),
     (("toric", "--fan", "{quadrant}", "--tau", "{one_ray}", "--paving"),
@@ -247,6 +256,12 @@ def test_malformed_input_is_one_line_domain_error(capsys, tmp_path, argv, messag
         # the cone on (0, 1) and (1, 1) lies inside the quadrant
         "overlapping": _write(tmp_path / "overlap.json", {
             "rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "cones": [[0, 1], [1, 2]]}),
+        # two triangles at height 1 crossing as a star of David, no ray of one in the other
+        "star": _write(tmp_path / "star.json", {
+            "rank": 3, "rays": [[0, 0, 1], [4, 0, 1], [2, 3, 1], [0, 2, 1], [4, 2, 1], [2, -1, 1]],
+            "cones": [[0, 1, 2], [3, 4, 5]]}),
+        "half_plane": _write(tmp_path / "half_plane.json", {
+            "rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "cones": [[0, 1, 2]]}),
         "two_cones": _write(tmp_path / "two_cones.json", {
             "rank": 2, "rays": [[1, 0], [0, 1], [-1, 0]], "cones": [[0, 1], [1, 2]]}),
         "one_ray": _write(tmp_path / "one_ray.json", {"rank": 2, "rays": [[1, 0]], "cones": [[0]]}),
@@ -653,7 +668,7 @@ def _one_shot_weyl(label, I, J, emit, fmt):
         doc["poincare"] = [{"word": [i + 1 for i in w.word], "polynomial": list(p.coeffs)}
                            for w, p in polys]
         rows = [(word(w), str(p)) for w, p in polys]
-    return cli._emit(doc, fmt, rows) + "\n"
+    return "".join(cli._emit(doc, fmt, rows)) + "\n"
 
 
 def _index_sets(rank):
@@ -704,8 +719,8 @@ def test_weyl_row_templates_match_json_dumps(word, length, coeffs):
 def test_streamed_rows_empty_list_matches_one_shot():
     doc = cli._document("weyl", type="A1")
     for fmt in ("json", "tsv", "text"):
-        streamed = "".join(cli._emit_rows(doc, fmt, "representatives", []))
-        assert streamed == cli._emit({**doc, "representatives": []}, fmt, [])
+        streamed = "".join(cli._emit(doc, fmt, [], "representatives"))
+        assert streamed == "".join(cli._emit({**doc, "representatives": []}, fmt, []))
 
 
 def test_reps_rows_build_no_elements(capsys, monkeypatch):
@@ -742,6 +757,21 @@ def test_closed_pipe_mid_stream_ends_quietly():
     assert err == b""
     assert time.perf_counter() - start < 20
     assert head.startswith(b'{\n  "I": [],\n  "J": [],\n  "representatives": [\n')
+
+
+def test_huge_root_system_is_refused_before_any_table():
+    # the 100000 x 100000 Cartan matrix alone would not fit in a 1 GiB address space
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "liepar.cli", "rootsys", "--type", "A100000"],
+                          capture_output=True, text=True, env=_env_without_budget(),
+                          preexec_fn=limit_memory, timeout=60)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: root table of A100000 (10000100000 roots x rank 100000) "
+                           "exceeds budget 1000000; set LIEPAR_BUDGET to raise it\n")
 
 
 def test_bad_budget_override_is_a_usage_error(capsys, monkeypatch):

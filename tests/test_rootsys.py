@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from liepar._linalg import elementary_divisors
-from liepar.errors import InvalidTypeError, LieparError, ReducibleError
-from liepar.rootsys import build_root_system
+from liepar.errors import BudgetError, InvalidTypeError, LieparError, ReducibleError
+from liepar.rootsys import _root_count, build_root_system, parse_type_label
 from lattice_oracle import root_weight_coords
 
 ALL_TYPES = (
@@ -235,6 +235,29 @@ def test_fundamental_groups():
     assert build_root_system("E8").fundamental_group() == ()
     assert build_root_system("D4").fundamental_group() == (2, 2)
     assert build_root_system("D5").fundamental_group() == (4,)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES + CLASSICAL_TO_RANK_30 + ["A60", "A1xG2", "B3xC2"])
+def test_closed_form_root_count(label):
+    rs = build_root_system(label)
+    assert sum(_root_count(*f) for f in rs.factors) == len(rs.roots)
+
+
+def test_root_table_budget_is_checked_before_building(monkeypatch):
+    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
+    with pytest.raises(BudgetError, match=r"^root table of A100 \(10100 roots x rank 100\) exceeds budget "
+                                          r"1000000; set LIEPAR_BUDGET to raise it$"):
+        build_root_system("A100")
+    with pytest.raises(BudgetError, match=r"^root table of A70xA70 \(9940 roots x rank 140\)"):
+        parse_type_label("A70xA70")
+    assert parse_type_label("A99") == (("A", 99),)  # 9900 roots x rank 99
+    # the override raises the budget, and one set low refuses no smaller system
+    monkeypatch.setenv("LIEPAR_BUDGET", "1010000")
+    assert parse_type_label("A100") == (("A", 100),)
+    monkeypatch.setenv("LIEPAR_BUDGET", "10")
+    assert parse_type_label("E8") == (("E", 8),)
+    with pytest.raises(BudgetError, match="exceeds budget 10;"):
+        parse_type_label("A100")
 
 
 def test_label_parsing_accepts_lowercase_and_lists():

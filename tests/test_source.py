@@ -307,6 +307,38 @@ def test_invariant_checks_survive_python_O():
     assert proc.stdout.split() == ["raised"] * 5 + ["1"]
 
 
+def _callers(tree, callee: str) -> set[str | None]:
+    """The module-level definitions, or None for module level itself, that
+    call `callee`, a name such as "_layout" or a dotted "json.dumps"."""
+    return {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in tree.body for call in ast.walk(node)
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == callee}
+
+
+def test_callers_are_found():
+    snippet = ("import json\n"
+               "def f(x):\n"
+               "    return json.dumps(_layout(x))\n"
+               "class C:\n"
+               "    def g(self):\n"
+               "        return json.dumps, dumps(1)\n"
+               "Y = _layout(2)\n")
+    assert _callers(ast.parse(snippet), "json.dumps") == {"f"}
+    assert _callers(ast.parse(snippet), "_layout") == {"f", None}
+
+
+def test_only_the_walk_packs_points():
+    # an element's key is a tuple: packed points, and their layout, stay in the walk
+    tree = ast.parse((LIBRARY / "weyl.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "_layout") == {"_levels"}
+
+
+def test_one_document_writer():
+    # every document, streamed or whole, is written by cli._emit
+    tree = ast.parse((LIBRARY / "cli.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "json.dumps") == {"_emit"}
+
+
 def test_documents_are_built_once():
     # a result only the CLI prints is built as its document; a record class
     # copied field by field into one would be a second representation

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,9 +72,36 @@ def test_duplicate_rays_rejected():
 
 
 def test_non_strongly_convex_cone_rejected():
-    fan = Fan.from_max_cones(2, [(1, 0), (-1, 0), (0, 1)], [[0, 1, 2]])
-    with pytest.raises(LieparError):
-        validate_fan(fan)
+    with pytest.raises(LieparError, match=r"^cone \(0, 1\) is not strongly convex$"):
+        Fan.from_dict({"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "cones": [[0, 1, 2]]})
+
+
+@pytest.mark.parametrize("data, a, b", [
+    # two triangles at height 1 crossing as a star of David: no ray of either
+    # lies in the other, yet their interiors meet
+    ({"rank": 3, "rays": [[0, 0, 1], [4, 0, 1], [2, 3, 1], [0, 2, 1], [4, 2, 1], [2, -1, 1]],
+      "cones": [[0, 1, 2], [3, 4, 5]]}, (0, 1, 2), (3, 4, 5)),
+    # the quadrant cut at (1, 1) and, on top of it, at (1, 2)
+    ({"rank": 2, "rays": [[1, 0], [1, 1], [0, 1], [1, 2]], "cones": [[0, 1], [1, 2], [0, 3], [2, 3]]},
+     (0, 1), (0, 3)),
+])
+def test_overlapping_cones_rejected(data, a, b):
+    with pytest.raises(LieparError, match=rf"^cones {re.escape(str(a))} and {re.escape(str(b))} "
+                                          "do not meet in a common face$"):
+        Fan.from_dict(data)
+
+
+def test_separation_finds_common_faces():
+    # the cones of the three-cone fan of P^2 meet pairwise in a ray
+    fan = Fan.from_max_cones(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+    assert all(toricpave._separated(fan, a, b) and toricpave._separated(fan, b, a)
+               for a in fan.maximal_cones() for b in fan.maximal_cones() if a != b)
+    # two cones of one line's opposite rays meet only at the origin
+    line = Fan.from_max_cones(1, [(1,), (-1,)], [[0], [1]])
+    assert toricpave._separated(line, (0,), (1,))
+    # a ray inside the other cone: they meet in more than the origin
+    overlap = Fan.from_max_cones(2, [(1, 0), (0, 1), (1, 1), (2, 1)], [[0, 1], [2, 3]])
+    assert not toricpave._separated(overlap, (0, 1), (2, 3))
 
 
 def test_star_subdivision_resolves_a1():

@@ -568,8 +568,10 @@ def test_double_quotient_words_are_the_words_of_the_reps(label, I, J):
     levels = list(iter_double_quotient_words(rs, I, J))
     assert all(len(word) == d for d, words in enumerate(levels) for word in words)
     assert levels[0] == [b""]
-    assert [word for words in levels for word in words] == \
-        [bytes(w.word) for w in double_quotient_reps(rs, I, J)]
+    reps = double_quotient_reps(rs, I, J)
+    assert [word for words in levels for word in words] == [bytes(w.word) for w in reps]
+    # each key, a parent's key reflected once, is the word replayed on rho
+    assert all(w.key == act(rs, w.word, rs.rho) for w in reps)
 
 
 def test_double_quotient_words_keep_lengths_with_no_representative():
