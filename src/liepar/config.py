@@ -3,9 +3,11 @@
 This is the only module that reads the environment or words a budget
 refusal: LIEPAR_BUDGET overrides the enumeration budgets below, read through
 `effective_budget`, and every caller refuses through `check_budget`.  The
-root-table budget, checked before a root system is built, is one it can
-raise but not lower.  The generation certificate search has two fixed
-bounds, which its refusal names.
+torsion oracle's budget bounds the generator combinations its sweep may
+take, and is checked before the first lattice.  The root-table budget,
+checked before a root system is built, is one LIEPAR_BUDGET can raise but
+not lower.  The generation certificate search has two fixed bounds, which
+its refusal names.
 """
 
 import os
@@ -15,6 +17,7 @@ from .errors import BudgetError, ConfigError
 WEYL_BUDGET = 10**7      # maximum number of Weyl group elements to enumerate
 WEIGHT_BUDGET = 10**6    # maximum dimension for a full weight multiset
 ROOT_BUDGET = 10**6      # maximum root-table size, roots times rank
+ORACLE_BUDGET = 10**5    # maximum generator combinations the torsion oracle sweeps
 SPECHT_BUDGET = 8        # maximum |lambda| for Specht-module Gram matrices
 SUBSYSTEM_RANK_GUARD = 5 # maximum rank for exhaustive subsystem enumeration
 CERTIFICATE_WORD_LENGTH = 8   # longest tensor word the generation search expands

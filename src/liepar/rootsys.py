@@ -45,46 +45,52 @@ Weight = tuple[int, ...]
 RootCoords = tuple[int, ...]
 
 
-def _cartan_block(family: str, rank: int) -> list[list[int]]:
+def _cartan_block(family: str, rank: int) -> tuple[list[list[int]], list[int]]:
+    """The Cartan matrix of an irreducible type in Bourbaki numbering, and its
+    6 d_i, where d_i = (alpha_i, alpha_i)/2 and long roots have d_i = 1."""
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    d6 = [6] * rank
 
-    def chain(pairs):
-        for i, j in pairs:
+    def join(*edges):
+        for i, j in edges:
             a[i - 1][j - 1] = a[j - 1][i - 1] = -1
 
-    if family in ("A", "B", "C"):
-        chain((i, i + 1) for i in range(1, rank))
-        if family == "B":
-            a[rank - 2][rank - 1] = -2
-        elif family == "C":
-            a[rank - 1][rank - 2] = -2
-    elif family == "D":
-        chain((i, i + 1) for i in range(1, rank - 1))
-        a[rank - 2][rank - 1] = a[rank - 1][rank - 2] = 0
-        a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
+    chain = [(i, i + 1) for i in range(1, rank)]
+    if family == "D":
+        join(*chain[:-1], (rank - 2, rank))
     elif family == "E":
-        chain([(1, 3), (2, 4)] + [(i, i + 1) for i in range(3, rank)])
-    elif family == "F":
-        chain((i, i + 1) for i in range(1, rank))
-        a[1][2] = -2
-    elif family == "G":
-        a[0][1] = -1
-        a[1][0] = -3
-    return a
-
-
-def _root_lengths(family: str, rank: int) -> list[int]:
-    """6 d_i, where d_i = (alpha_i, alpha_i)/2 and long roots have d_i = 1."""
-    one, half, third = 6, 3, 2
+        join((1, 3), (2, 4), *chain[2:])
+    else:
+        join(*chain)
+    # a bond a[i][j] = -2 or -3 makes alpha_j, and the nodes joined to it by
+    # single bonds, short: d_j = 1/2 or 1/3
     if family == "B":
-        return [one] * (rank - 1) + [half]
-    if family == "C":
-        return [half] * (rank - 1) + [one]
-    if family == "F":
-        return [one, one, half, half]
-    if family == "G":
-        return [third, one]
-    return [one] * rank
+        a[rank - 2][rank - 1], d6[-1] = -2, 3
+    elif family == "C":
+        a[rank - 1][rank - 2], d6[:-1] = -2, [3] * (rank - 1)
+    elif family == "F":
+        a[1][2], d6[2:] = -2, [3, 3]
+    elif family == "G":
+        a[1][0], d6[0] = -3, 2
+    return a, d6
+
+
+def _coxeter_number(family: str, rank: int) -> int:
+    """The Coxeter number h, so that the type has rank * h roots (Bourbaki,
+    Plates I-IX); the one check that a type exists."""
+    if family == "A" and rank >= 1:
+        return rank + 1
+    if family in ("B", "C") and rank >= 2:
+        return 2 * rank
+    if family == "D" and rank >= 3:
+        return 2 * rank - 2
+    if family == "E" and rank in (6, 7, 8):
+        return {6: 12, 7: 18, 8: 30}[rank]
+    if family == "F" and rank == 4:
+        return 12
+    if family == "G" and rank == 2:
+        return 6
+    raise InvalidTypeError(f"invalid Cartan type {family}{rank}")
 
 
 def _height_product(roots) -> int:
@@ -93,27 +99,6 @@ def _height_product(roots) -> int:
     it is |W/W_J|, since the roots supported in J are those of W_J."""
     heights = [sum(r) for r in roots]
     return math.prod(h + 1 for h in heights) // math.prod(heights)
-
-
-def _root_count(family: str, rank: int) -> int:
-    """|Phi| = rank times the Coxeter number h (Bourbaki, Plates I-IX)."""
-    h = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2,
-         "E": {6: 12, 7: 18, 8: 30}.get(rank), "F": 12, "G": 6}[family]
-    return rank * h
-
-
-def _validate_factor(family: str, rank: int) -> None:
-    ok = {
-        "A": rank >= 1,
-        "B": rank >= 2,
-        "C": rank >= 2,
-        "D": rank >= 3,
-        "E": rank in (6, 7, 8),
-        "F": rank == 4,
-        "G": rank == 2,
-    }.get(family, False)
-    if not ok:
-        raise InvalidTypeError(f"invalid Cartan type {family}{rank}")
 
 
 def parse_type_label(label) -> tuple[tuple[str, int], ...]:
@@ -129,11 +114,11 @@ def parse_type_label(label) -> tuple[tuple[str, int], ...]:
             factors += ((m.group(1).upper(), int(m.group(2))),)
     if not factors:
         raise InvalidTypeError("empty type label")
-    for family, rank in factors:
-        _validate_factor(family, rank)
-    # a guard on the tables' size before any is built: LIEPAR_BUDGET may raise
-    # it, but an override set low, to cap an enumeration, refuses no smaller system
-    rank, roots = sum(r for _, r in factors), sum(_root_count(*f) for f in factors)
+    # each type is checked, then the tables' size, before any is built:
+    # LIEPAR_BUDGET may raise that guard, but an override set low, to cap an
+    # enumeration, refuses no smaller system
+    roots = sum(r * _coxeter_number(family, r) for family, r in factors)
+    rank = sum(r for _, r in factors)
     if roots * rank > ROOT_BUDGET:
         name = "x".join(f"{family}{r}" for family, r in factors)
         check_budget(ROOT_BUDGET, roots * rank, f"root table of {name} ({roots} roots x rank {rank})")
@@ -150,11 +135,10 @@ class RootSystem:
         lengths: list[int] = []
         offset = 0
         for family, rank in self.factors:
-            block = _cartan_block(family, rank)
-            for i in range(rank):
-                for j in range(rank):
-                    cartan[offset + i][offset + j] = block[i][j]
-            lengths.extend(_root_lengths(family, rank))
+            block, d6 = _cartan_block(family, rank)
+            for i, row in enumerate(block):
+                cartan[offset + i][offset:offset + rank] = row
+            lengths.extend(d6)
             offset += rank
         self.cartan: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in cartan)
         self._d6 = tuple(lengths)

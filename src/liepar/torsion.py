@@ -10,10 +10,11 @@ computable cross-checks.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from . import _linalg
-from .config import SUBSYSTEM_RANK_GUARD
+from .config import ORACLE_BUDGET, SUBSYSTEM_RANK_GUARD, check_budget
 from .errors import LieparError
 from .rootsys import RootSystem
 
@@ -106,7 +107,10 @@ def torsion_primes_subsystem_oracle(
     the generators are the simple roots and the lowest root of each factor
     (extended-base subsystems); every certificate is still a genuine
     Z-closed subsystem with a verified divisor, but completeness then rests
-    on the coroot-coefficient theorem.
+    on the coroot-coefficient theorem.  Before the first lattice, the
+    sweep's count of combinations, sum over k <= max size of
+    C(#generators, k), is held to the oracle budget of `config` (2^(n+1) - 1
+    for A_n, so A16 is refused).
 
     Lattices are met in the order of a sweep over all combinations by size,
     then lexicographically, each lattice where the sweep first spans it; its
@@ -133,6 +137,8 @@ def torsion_primes_subsystem_oracle(
     exhaustive = rs.rank <= SUBSYSTEM_RANK_GUARD
     generators = _oracle_generators(rs, exhaustive)
     max_size = rs.rank if exhaustive else len(generators)
+    sweep = sum(math.comb(len(generators), k) for k in range(1, max_size + 1))
+    check_budget(ORACLE_BUDGET, sweep, f"torsion oracle sweep of {rs.type_name()} ({sweep} combinations)")
     pos = sorted(rs.positive_roots)
     bit = {r: 1 << i for i, r in enumerate(pos)}
     # a generator is a positive root or the negative of one

@@ -14,11 +14,12 @@ a time and keeps only the level before, so a caller that consumes levels
 as they come holds two levels, never the whole orbit; after each level the
 points found so far are held to the Weyl budget of `config`.  A level is two
 parallel lists, its points and their words, a word as `bytes` with one
-byte per letter, so the walk serves simple indices 0..255; the word of a
-`WeylElement` is a tuple of ints.  The double quotient and its strata are
-read off the words alone: `iter_double_quotient_words` yields them, and
-`stratum_poincare` takes one; only `generate_weyl`, `generate_parabolic`
-and `double_quotient_reps` build elements.
+byte per letter, so the walk serves simple indices 0..255.  A `WeylElement`
+is a named tuple (word, key, length, system), its word a tuple of ints,
+equal to another element when their keys are.  The double quotient and its
+strata are read off the words alone: `iter_double_quotient_words` yields
+them, and `stratum_poincare` takes one; only `generate_weyl`,
+`generate_parabolic` and `double_quotient_reps` build elements.
 
 Inside the walk a point is one int of rank fields, each b bits wide and
 biased by 2^(b-1), so s_i mu is mu - c * (row i of the Cartan matrix packed
@@ -51,7 +52,7 @@ from __future__ import annotations
 import functools
 import struct
 from collections.abc import Iterator
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .config import WEYL_BUDGET, check_budget
@@ -59,24 +60,14 @@ from .errors import LieparError, NotMinimalError
 from .rootsys import RootSystem, Weight, _height_product
 
 
-class WeylElement(tuple):
+class WeylElement(NamedTuple("WeylElement", [("word", tuple), ("key", tuple), ("length", int),
+                                             ("system", RootSystem)])):
     """A Weyl group element w: the weight w(rho), its length and one word.
 
-    The tuple (word, key, length, system), immutable and unordered; two
-    elements are equal, and hash alike, when their keys are."""
+    Immutable and unordered; two elements are equal, and hash alike, when
+    their keys are."""
 
     __slots__ = ()
-
-    def __new__(cls, word: tuple[int, ...], key: Weight, length: int, system: RootSystem):
-        return tuple.__new__(cls, (word, key, length, system))
-
-    word = property(itemgetter(0))
-    key = property(itemgetter(1))
-    length = property(itemgetter(2))
-    system = property(itemgetter(3))
-
-    def __getnewargs__(self):
-        return tuple(self)
 
     def __eq__(self, other) -> bool:  # never NotImplemented: tuple's == would compare words
         return isinstance(other, WeylElement) and self[1] == other[1]

@@ -157,6 +157,17 @@ def test_schurweyl_over_budget_fails_before_enumerating(capsys, monkeypatch, emi
     assert err == "error: Specht |lambda| = 100 exceeds budget 8; set LIEPAR_BUDGET to raise it\n"
 
 
+def test_torsion_oracle_over_budget_fails_before_the_first_lattice(capsys, monkeypatch):
+    # the extended base of A16 has 17 roots, so the sweep has 2^17 - 1 combinations
+    monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "torsion", "--type", "A16", "--method", "oracle")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err == ("error: torsion oracle sweep of A16 (131071 combinations) exceeds budget 100000"
+                   "; set LIEPAR_BUDGET to raise it\n")
+
+
 def test_weyl_budget_counts_cosets_not_elements(capsys, monkeypatch):
     monkeypatch.delenv("LIEPAR_BUDGET", raising=False)
     code, out, _ = run(capsys, "weyl", "--type", "E8", "--J", "1,2,3,4,5,6,7")

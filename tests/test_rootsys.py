@@ -5,7 +5,7 @@ import pytest
 
 from liepar._linalg import elementary_divisors
 from liepar.errors import BudgetError, InvalidTypeError, LieparError, ReducibleError
-from liepar.rootsys import _root_count, build_root_system, parse_type_label
+from liepar.rootsys import _cartan_block, _coxeter_number, build_root_system, parse_type_label
 from lattice_oracle import root_weight_coords
 
 ALL_TYPES = (
@@ -130,7 +130,7 @@ def test_coroot_and_norm_of_a_non_root_raise(vector):
 
 
 def test_invalid_labels():
-    for bad in ("E9", "F5", "G3", "H4", "A0", "D2", ""):
+    for bad in ("E9", "F5", "G3", "H4", "A0", "D2", "B1", "C1", "E5", "F3", "G1", ""):
         with pytest.raises(InvalidTypeError):
             build_root_system(bad)
     for bad in ("A1x", "xA1", "A1xA1*"):  # a separator at either end
@@ -240,7 +240,37 @@ def test_fundamental_groups():
 @pytest.mark.parametrize("label", ALL_TYPES + CLASSICAL_TO_RANK_30 + ["A60", "A1xG2", "B3xC2"])
 def test_closed_form_root_count(label):
     rs = build_root_system(label)
-    assert sum(_root_count(*f) for f in rs.factors) == len(rs.roots)
+    assert sum(rank * _coxeter_number(family, rank) for family, rank in rs.factors) == len(rs.roots)
+
+
+# Bourbaki, Lie Groups and Lie Algebras, Plates I-IX: a[i][j] = <alpha_i, alpha_j-check>,
+# and 6 d_i = 3 (d_i = 1/2) or 2 (1/3) on a short simple root
+BOURBAKI = {
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [6, 6, 6]),
+    "B3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [6, 6, 3]),
+    "C3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [3, 3, 6]),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]], [6, 6, 6, 6]),
+    "E6": ([[2, 0, -1, 0, 0, 0],
+            [0, 2, 0, -1, 0, 0],
+            [-1, 0, 2, -1, 0, 0],
+            [0, -1, -1, 2, -1, 0],
+            [0, 0, 0, -1, 2, -1],
+            [0, 0, 0, 0, -1, 2]], [6] * 6),
+    "F4": ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], [6, 6, 3, 3]),
+    "G2": ([[2, -1], [-3, 2]], [2, 6]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(BOURBAKI))
+def test_cartan_block_is_bourbakis(label):
+    assert _cartan_block(label[0], int(label[1:])) == BOURBAKI[label]
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_root_lengths_symmetrize_the_cartan_matrix(label):
+    # a_ij d_j = (alpha_i, alpha_j) = a_ji d_i: the lengths agree with the multiple bonds
+    a, d6 = _cartan_block(label[0], int(label[1:]))
+    assert all(a[i][j] * d6[j] == a[j][i] * d6[i] for i in range(len(a)) for j in range(len(a)))
 
 
 def test_root_table_budget_is_checked_before_building(monkeypatch):

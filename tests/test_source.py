@@ -353,3 +353,56 @@ def test_documents_are_built_once():
                 to_dict_owners.add(node.name)
     assert importers == []
     assert to_dict_owners == {"RootSystem", "Fan", "GoldenReport"}
+
+
+def _letter_comparers(tree) -> set[str | None]:
+    """The module-level definitions, or None for module level itself, that
+    compare the name `family` with a string or a collection of strings."""
+    def text(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(text, node.elts))
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+    return {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in tree.body for cmp in ast.walk(node) if isinstance(cmp, ast.Compare)
+            and any(isinstance(x, ast.Name) and x.id == "family" for x in [cmp.left, *cmp.comparators])
+            and any(map(text, [cmp.left, *cmp.comparators]))}
+
+
+def test_letter_comparers_are_found():
+    snippet = ("def f(family):\n"
+               "    return family == 'B'\n"
+               "def g(family, rank):\n"
+               "    return family in ('B', 'C') or rank == 'x'\n"
+               "def h(family):\n"
+               "    return family == other\n"
+               "X = 'G' != family\n")
+    assert _letter_comparers(ast.parse(snippet)) == {"f", "g", None}
+
+
+def test_each_cartan_family_is_defined_once():
+    # the matrix with its root lengths, and the Coxeter number that checks the type
+    tree = ast.parse((LIBRARY / "rootsys.py").read_text(encoding="utf-8"))
+    assert _letter_comparers(tree) == {"_cartan_block", "_coxeter_number"}
+
+
+def _tuple_subclasses(tree) -> list[str]:
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "tuple" for base in node.bases)]
+
+
+def test_tuple_subclasses_are_found():
+    snippet = ("class P(tuple):\n"
+               "    pass\n"
+               "class Q(NamedTuple('Q', [('x', tuple)])):\n"
+               "    pass\n"
+               "def f():\n"
+               "    class R(int, tuple):\n"
+               "        pass\n")
+    assert _tuple_subclasses(ast.parse(snippet)) == ["P", "R"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(LIBRARY).as_posix())
+def test_records_are_named_tuples(path):
+    # a record subclasses typing.NamedTuple, never bare tuple
+    assert _tuple_subclasses(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -4,7 +4,8 @@ from math import comb
 import pytest
 
 from liepar import _linalg, torsion
-from liepar.errors import LieparError
+from liepar.config import ORACLE_BUDGET
+from liepar.errors import BudgetError, LieparError
 from liepar.rootsys import build_root_system
 from liepar.torsion import (
     long_simple_fundamental_group,
@@ -88,6 +89,20 @@ SWEEP_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3",
 def test_oracle_walk_equals_combination_sweep(label):
     rs = build_root_system(label)
     assert torsion_primes_subsystem_oracle(rs) == sweep_oracle(rs)
+
+
+@pytest.mark.parametrize("label,sweep", [
+    ("B5", sum(comb(25, k) for k in range(1, 6))),  # 25 positive roots, up to 5 at a time
+    ("E8", 2**9 - 1),  # the 9 roots of the extended base
+])
+def test_oracle_budget_counts_the_sweep(monkeypatch, label, sweep):
+    rs = build_root_system(label)
+    monkeypatch.setenv("LIEPAR_BUDGET", str(sweep - 1))
+    with pytest.raises(BudgetError, match=rf"^torsion oracle sweep of {label} \({sweep} combinations\)"):
+        torsion_primes_subsystem_oracle(rs)
+    monkeypatch.setenv("LIEPAR_BUDGET", str(sweep))
+    assert torsion_primes_subsystem_oracle(rs)[0] == torsion_primes_fast(rs)
+    assert sweep <= ORACLE_BUDGET  # the default admits both
 
 
 def _outside_smith_form(monkeypatch, row_hermite):
