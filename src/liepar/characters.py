@@ -279,8 +279,6 @@ def orbit_dimension(rs: RootSystem, weight) -> int:
 
 def generator_weights(rs: RootSystem) -> list[Weight]:
     """Minuscule fundamental weights plus the highest short root, deduplicated."""
-    if not rs.is_irreducible():
-        raise LieparError("generators are defined for irreducible types")
     gens = {tuple(int(j == i - 1) for j in range(rs.rank)) for i in rs.minuscule_weights()}
     gens.add(rs.highest_short_root())
     return sorted(gens, key=lambda w: (weyl_dimension(rs, w), w))

@@ -240,9 +240,11 @@ class RootSystem:
     def is_irreducible(self) -> bool:
         return len(self.factors) == 1
 
-    def _require_irreducible(self) -> None:
+    def irreducible_type(self) -> tuple[str, int]:
+        """(family, rank) of an irreducible system; a product raises ReducibleError."""
         if not self.is_irreducible():
             raise ReducibleError(f"operation requires an irreducible system, got {self.type_name()}")
+        return self.factors[0]
 
     def irreducible_factors(self) -> list["RootSystem"]:
         return [build_root_system([f]) for f in self.factors]
@@ -252,7 +254,7 @@ class RootSystem:
 
     def highest_root(self) -> Weight:
         """The highest root, in fundamental-weight coordinates."""
-        self._require_irreducible()
+        self.irreducible_type()
         theta = self.positive_roots[-1]
         if not all(all(a >= b for a, b in zip(theta, r)) for r in self.positive_roots):
             raise InvariantError("highest root must dominate every positive root")
@@ -260,7 +262,7 @@ class RootSystem:
 
     def highest_short_root(self) -> Weight:
         """The dominant short root (equals the highest root when simply laced)."""
-        self._require_irreducible()
+        self.irreducible_type()
         # positive_roots ascend in (height, coords), so the last short one is highest
         short = min(self._positive_norm6)
         top = max(i for i, n in enumerate(self._positive_norm6) if n == short)
@@ -274,7 +276,7 @@ class RootSystem:
 
         Returns (coefficients, max coefficient).
         """
-        self._require_irreducible()
+        self.irreducible_type()
         co = self.positive_coroots[-1]
         return co, max(co)
 
@@ -287,7 +289,7 @@ class RootSystem:
 
     def coxeter_number(self) -> int:
         """ht(theta) + 1, theta the highest root."""
-        self._require_irreducible()
+        self.irreducible_type()
         return sum(self.positive_roots[-1]) + 1
 
     def weyl_order(self) -> int:
@@ -300,7 +302,7 @@ class RootSystem:
 
     def minuscule_weights(self) -> tuple[int, ...]:
         """1-based indices i with <w_i, alpha-check> <= 1 for all positive roots."""
-        self._require_irreducible()
+        self.irreducible_type()
         return tuple(i + 1 for i, m in enumerate(self._coroot_maxima) if m == 1)
 
     def fundamental_group(self) -> tuple[int, ...]:

@@ -1,8 +1,8 @@
 """Rational polyhedral fans and T-stable affine pavings of resolution fibers.
 
 A fan is a set of cones on a common ray list, closed under faces and
-intersections; a fan read from a document (`Fan.from_dict`) is held to
-these axioms as it is read, so every operation on it can rely on them.
+intersections; every fan the library builds is held to these axioms by its
+one constructor, `Fan.from_max_cones`, so every operation can rely on them.
 Given a refinement of a full-dimensional cone tau that is smooth and
 carries a strictly convex support function, the fiber over the
 torus-fixed point is paved by cells read off from positive walls: order
@@ -130,6 +130,8 @@ class Fan(NamedTuple("Fan", [("rank", int), ("rays", tuple), ("cones", tuple)]))
 
     @classmethod
     def from_max_cones(cls, rank: int, rays, max_cones) -> "Fan":
+        """The fan of the cones on `max_cones` and all their faces, refused
+        unless it satisfies the fan axioms (`_check_axioms`)."""
         prim = tuple(_primitive(r) for r in rays)
         if len(set(prim)) != len(prim):
             raise LieparError("duplicate rays")
@@ -138,7 +140,9 @@ class Fan(NamedTuple("Fan", [("rank", int), ("rays", tuple), ("cones", tuple)]))
         for cone in max_cones:
             for face in Cone(tuple(prim[i] for i in cone), rank).faces():
                 cone_keys.add(tuple(sorted(index[r] for r in face)))
-        return cls(rank, prim, tuple(sorted(cone_keys, key=lambda c: (len(c), c))))
+        fan = cls(rank, prim, tuple(sorted(cone_keys, key=lambda c: (len(c), c))))
+        _check_axioms(fan)
+        return fan
 
     def cone_rays(self, key: ConeKey) -> tuple[Ray, ...]:
         return tuple(self.rays[i] for i in key)
@@ -204,7 +208,6 @@ class Fan(NamedTuple("Fan", [("rank", int), ("rays", tuple), ("cones", tuple)]))
         missing = set(cones) - set(fan.cones)
         if missing:
             raise LieparError(f"cone list is not closed under faces near {sorted(missing)}")
-        _check_axioms(fan)
         return fan
 
 
@@ -216,17 +219,14 @@ def _cone_is_smooth(fan: Fan, key: ConeKey) -> bool:
 
 
 def _check_axioms(fan: Fan) -> None:
-    """Raise unless every cone is strongly convex with its facets in the fan
-    and every two maximal cones meet in the cone on their common rays."""
-    cone_set = set(fan.cones)
-    for key in fan.cones:
+    """Raise unless every maximal cone is strongly convex and every two meet
+    in the cone on their common rays.  That is all of it: a face of a
+    strongly convex cone is strongly convex, and `Fan.from_max_cones` adds
+    every face itself."""
+    for key in fan.maximal_cones():
         cone = fan.cone(key)
-        for r in cone.rays:
-            if cone.contains(tuple(-x for x in r)):
-                raise LieparError(f"cone {key} is not strongly convex")
-        for fk in fan.facets(key):
-            if fk not in cone_set:
-                raise LieparError(f"face {fk} of cone {key} missing from fan")
+        if any(cone.contains(tuple(-x for x in r)) for r in cone.rays):
+            raise LieparError(f"cone {key} is not strongly convex")
     for a, b in itertools.combinations(fan.maximal_cones(), 2):
         if not _separated(fan, a, b):
             raise LieparError(f"cones {a} and {b} do not meet in a common face")
@@ -251,8 +251,8 @@ def _separated(fan: Fan, a: ConeKey, b: ConeKey) -> bool:
 
 def validate_fan(fan: Fan, tau: "Fan | None" = None) -> dict:
     """Structural report {simplicial, smooth, complete, refines_tau}, the
-    last None without tau.  The fan axioms are checked when a fan is read
-    (`Fan.from_dict`); `Fan.from_max_cones` trusts its caller."""
+    last None without tau.  Every fan the library builds is already checked
+    against the fan axioms (`Fan.from_max_cones`)."""
     return {
         "simplicial": all(len(c) == fan.dim(c) for c in fan.maximal_cones()),
         "smooth": all(_cone_is_smooth(fan, c) for c in fan.maximal_cones()),

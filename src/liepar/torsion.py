@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from . import _linalg
 from .config import ORACLE_BUDGET, SUBSYSTEM_RANK_GUARD, check_budget
-from .errors import LieparError
 from .rootsys import RootSystem
 
 PrimeSet = tuple[int, ...]
@@ -192,9 +191,7 @@ _MINIMAL_ORBIT_TABLE = {
 
 def minimal_orbit_parity_primes(rs: RootSystem) -> PrimeSet:
     """The bad-prime list for the minimal nilpotent orbit of the type."""
-    if not rs.is_irreducible():
-        raise LieparError("minimal orbit table requires an irreducible type")
-    family, rank = rs.factors[0]
+    family, rank = rs.irreducible_type()
     if family == "E":
         return _MINIMAL_ORBIT_TABLE[f"E{rank}"]
     return _MINIMAL_ORBIT_TABLE[family]
@@ -208,8 +205,7 @@ def long_simple_fundamental_group(rs: RootSystem) -> tuple[int, ...]:
     itself (Bourbaki, Lie groups VI §1.7), so the Cartan matrix of the
     subsystem is the submatrix of `rs.cartan` on the long simple indices.
     """
-    if not rs.is_irreducible():
-        raise LieparError("requires an irreducible type")
+    rs.irreducible_type()
     norms = [rs.root_norm6(tuple(int(j == i) for j in range(rs.rank))) for i in range(rs.rank)]
     long = [i for i, n in enumerate(norms) if n == max(norms)]
     cartan = [[rs.cartan[i][j] for j in long] for i in long]
@@ -219,9 +215,7 @@ def long_simple_fundamental_group(rs: RootSystem) -> tuple[int, ...]:
 def tilting_generation_bound(rs: RootSystem, improved: bool = False) -> int:
     """The threshold t of the generation bound "p > t" of the type; `improved`
     lowers B and D to t = 2 (off by default)."""
-    if not rs.is_irreducible():
-        raise LieparError("generation bounds require an irreducible type")
-    family, rank = rs.factors[0]
+    family, rank = rs.irreducible_type()
     if family == "A":
         return 1
     if family == "B":

@@ -105,18 +105,19 @@ def orbit(rs: RootSystem, weight, gens,
     `bytes` with one byte per letter (0-based simple indices).  The words of
     a level have one length, the depth, and come in increasing order, so
     the levels run through the orbit in (length, word) order.  Levels stop
-    after depth `length_bound`.  When the walk starts, `weight` must have
-    one coordinate per simple root, and its coordinates must fit 64-bit
-    packed fields (see the module docstring); each is refused with
-    LieparError.  Every level is held to the Weyl budget of `config`: past
-    it, BudgetError names the depth and the points found.
+    after depth `length_bound`.  A repeated index in `gens` counts once.
+    When the walk starts, `weight` must have one coordinate per simple root,
+    its coordinates must fit 64-bit packed fields (see the module
+    docstring) and every index in `gens` must lie in 0..rank-1; each is
+    refused with LieparError.  Every level is held to the Weyl budget of
+    `config`: past it, BudgetError names the depth and the points found.
     """
     return (level[1:] for level in _walk(rs, weight, gens, length_bound))
 
 
 def _walk(rs: RootSystem, weight, gens, length_bound):
     """`orbit`'s checks, then its levels as triples (packed points, points, words)."""
-    gens = tuple(sorted(gens))
+    gens = tuple(sorted(set(gens)))
     start = tuple(weight)
     if gens and gens[-1] > 255:
         raise LieparError(f"simple index {gens[-1]} does not fit in a one-byte orbit word (0..255)")
@@ -170,6 +171,7 @@ def _levels(rs: RootSystem, start: Weight, gens: tuple[int, ...], length_bound):
     level with no comparison.  A packed point XOR the biases is the point in
     two's complement, which `struct` unpacks."""
     start = rs.check_weight(start)
+    _simple_indices(rs, gens)
     steps, flip, fmt = _layout(rs, gens, _width(rs, start))
     size = fmt.size
     packed, points, words = [int.from_bytes(fmt.pack(*start), "little") ^ flip], [start], [b""]

@@ -12,7 +12,7 @@ import pytest
 
 from liepar import characters as ch
 from liepar.cli import _parse_weight
-from liepar.errors import BudgetError, LieparError
+from liepar.errors import BudgetError, LieparError, ReducibleError
 from liepar.golden import load_table
 from liepar.rootsys import build_root_system
 from liepar.weyl import orbit
@@ -426,7 +426,7 @@ def test_reducible_systems():
     assert t.dominant_mults == {(2, 0): 1, (0, 0): 1}
     e = ch.exterior_power_decompose(rs, (1, 1), 2)
     assert e.dimension() == 6
-    with pytest.raises(LieparError):
+    with pytest.raises(ReducibleError, match="^operation requires an irreducible system, got A1xA1$"):
         ch.generator_weights(rs)
 
 

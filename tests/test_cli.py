@@ -224,12 +224,12 @@ QUADRANT = {"rank": 2, "rays": [[1, 0], [0, 1]], "cones": [[0, 1]]}
     (("toric", "--fan", "{overlapping}"), "cones (0, 1) and (1, 2) do not meet in a common face"),
     (("toric", "--fan", "{star}"), "cones (0, 1, 2) and (3, 4, 5) do not meet in a common face"),
     # every operation reads its fans through the same axiom check
-    (("toric", "--fan", "{half_plane}"), "cone (0, 1) is not strongly convex"),
-    (("toric", "--fan", "{half_plane}", "--subdivide", "0,1"), "cone (0, 1) is not strongly convex"),
+    (("toric", "--fan", "{half_plane}"), "cone (0, 1, 2) is not strongly convex"),
+    (("toric", "--fan", "{half_plane}", "--subdivide", "0,1"), "cone (0, 1, 2) is not strongly convex"),
     (("toric", "--fan", "{half_plane}", "--tau", "{quadrant}", "--paving"),
-     "cone (0, 1) is not strongly convex"),
+     "cone (0, 1, 2) is not strongly convex"),
     (("toric", "--fan", "{quadrant}", "--tau", "{half_plane}", "--paving"),
-     "cone (0, 1) is not strongly convex"),
+     "cone (0, 1, 2) is not strongly convex"),
     (("toric", "--fan", "{quadrant}", "--tau", "{two_cones}"),
      "tau must consist of a single full-dimensional cone"),
     (("toric", "--fan", "{quadrant}", "--tau", "{one_ray}", "--paving"),

@@ -309,10 +309,15 @@ def test_invariant_checks_survive_python_O():
 
 def _callers(tree, callee: str) -> set[str | None]:
     """The module-level definitions, or None for module level itself, that
-    call `callee`, a name such as "_layout" or a dotted "json.dumps"."""
+    call `callee`, a name such as "_layout", a dotted "json.dumps", or a
+    method on any object, such as ".is_irreducible"."""
+    def calls(func) -> bool:
+        name = ast.unparse(func)
+        return name == callee or callee.startswith(".") and name.endswith(callee)
+
     return {node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
             for node in tree.body for call in ast.walk(node)
-            if isinstance(call, ast.Call) and ast.unparse(call.func) == callee}
+            if isinstance(call, ast.Call) and calls(call.func)}
 
 
 def test_callers_are_found():
@@ -322,9 +327,36 @@ def test_callers_are_found():
                "class C:\n"
                "    def g(self):\n"
                "        return json.dumps, dumps(1)\n"
-               "Y = _layout(2)\n")
+               "Y = _layout(2)\n"
+               "def h(rs):\n"
+               "    return (rs.is_irreducible(), build(rs).is_irreducible(),\n"
+               "            is_irreducible(rs), rs.is_irreducible)\n")
     assert _callers(ast.parse(snippet), "json.dumps") == {"f"}
     assert _callers(ast.parse(snippet), "_layout") == {"f", None}
+    assert _callers(ast.parse(snippet), ".is_irreducible") == {"h"}
+    assert _callers(ast.parse(snippet), ".dumps") == {"f"}
+    # a class body lists its methods as a module lists its definitions
+    assert _callers(ast.parse(snippet).body[2], "dumps") == {"g"}
+
+
+def _class(tree, name: str) -> ast.ClassDef:
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def test_every_fan_is_checked_by_its_one_constructor():
+    # `from_dict` and `star_subdivision` build through `from_max_cones`,
+    # so the fan axioms are checked on every fan the library builds
+    tree = ast.parse((LIBRARY / "toricpave.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "_check_axioms") == {"Fan"}
+    assert _callers(_class(tree, "Fan"), "_check_axioms") == {"from_max_cones"}
+
+
+def test_one_refusal_for_a_reducible_system():
+    # the library refuses a product through `RootSystem.irreducible_type`;
+    # only the CLI asks whether a system is irreducible, to choose what to print
+    askers = [path.name for path in SOURCES if path.name != "rootsys.py"
+              and _callers(ast.parse(path.read_text(encoding="utf-8")), ".is_irreducible")]
+    assert askers == ["cli.py"]
 
 
 def test_only_the_walk_packs_points():

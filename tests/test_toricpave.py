@@ -72,8 +72,11 @@ def test_duplicate_rays_rejected():
 
 
 def test_non_strongly_convex_cone_rejected():
-    with pytest.raises(LieparError, match=r"^cone \(0, 1\) is not strongly convex$"):
+    # a half-plane, refused by name of its maximal cone however the fan is built
+    with pytest.raises(LieparError, match=r"^cone \(0, 1, 2\) is not strongly convex$"):
         Fan.from_dict({"rank": 2, "rays": [[1, 0], [-1, 0], [0, 1]], "cones": [[0, 1, 2]]})
+    with pytest.raises(LieparError, match=r"^cone \(0, 1, 2\) is not strongly convex$"):
+        Fan.from_max_cones(2, [(1, 0), (-1, 0), (0, 1)], [[0, 1, 2]])
 
 
 @pytest.mark.parametrize("data, a, b", [
@@ -99,8 +102,9 @@ def test_separation_finds_common_faces():
     # two cones of one line's opposite rays meet only at the origin
     line = Fan.from_max_cones(1, [(1,), (-1,)], [[0], [1]])
     assert toricpave._separated(line, (0,), (1,))
-    # a ray inside the other cone: they meet in more than the origin
-    overlap = Fan.from_max_cones(2, [(1, 0), (0, 1), (1, 1), (2, 1)], [[0, 1], [2, 3]])
+    # a ray inside the other cone: they meet in more than the origin, so
+    # this is no fan, and only the bare tuple, never a constructor, makes it
+    overlap = Fan(2, ((1, 0), (0, 1), (1, 1), (2, 1)), ((), (0,), (1,), (2,), (3,), (0, 1), (2, 3)))
     assert not toricpave._separated(overlap, (0, 1), (2, 3))
 
 
@@ -450,6 +454,10 @@ def test_integer_simplex_matches_the_rational_one_on_random_programs():
 def test_integer_simplex_is_a_positive_multiple_of_the_rational_one(monkeypatch):
     # every linear program the support search poses, solved again over Q
     # by the rational simplex it replaced
+    # the fixtures are built first: building a fan poses its separation programs
+    fans = ([quadrant(), square_cone()] + [a_n_fixture(n)[0] for n in range(1, 9)]
+            + [square_subdivision(depth) for depth in range(6)] + [stellar_subdivision(s) for s in range(3)])
+    irregular = mother_of_all_examples()[0]
     programs = []
     integer_phase_one = toricpave._phase_one
 
@@ -459,12 +467,10 @@ def test_integer_simplex_is_a_positive_multiple_of_the_rational_one(monkeypatch)
         return x
 
     monkeypatch.setattr(toricpave, "_phase_one", recorded)
-    fans = ([quadrant(), square_cone()] + [a_n_fixture(n)[0] for n in range(1, 9)]
-            + [square_subdivision(depth) for depth in range(6)] + [stellar_subdivision(s) for s in range(3)])
     for fan in fans:
         strictly_convex_support(fan)
     with pytest.raises(InfeasibleError):
-        strictly_convex_support(mother_of_all_examples()[0])
+        strictly_convex_support(irregular)
     assert len(programs) == len(fans) + 1
     scales = {assert_positive_multiple(*program) for program in programs}
     assert scales - {1, None}  # some programs end on pivots other than 1

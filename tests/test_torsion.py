@@ -5,7 +5,7 @@ import pytest
 
 from liepar import _linalg, torsion
 from liepar.config import ORACLE_BUDGET
-from liepar.errors import BudgetError, LieparError
+from liepar.errors import BudgetError, LieparError, ReducibleError
 from liepar.rootsys import build_root_system
 from liepar.torsion import (
     long_simple_fundamental_group,
@@ -204,10 +204,9 @@ def test_minimal_orbit_rejects_products():
 
 def test_type_tables_reject_products():
     product = build_root_system("A1xA1")
-    with pytest.raises(LieparError, match="^requires an irreducible type$"):
-        long_simple_fundamental_group(product)
-    with pytest.raises(LieparError, match="^generation bounds require an irreducible type$"):
-        tilting_generation_bound(product)
+    for table in (minimal_orbit_parity_primes, long_simple_fundamental_group, tilting_generation_bound):
+        with pytest.raises(ReducibleError, match="^operation requires an irreducible system, got A1xA1$"):
+            table(product)
 
 
 LONG_SIMPLE = {

@@ -530,6 +530,19 @@ def test_orbit_refuses_letters_above_one_byte():
     orbit(None, (0,) * 256, range(256))  # letter 255 fits; the walk starts only when iterated
 
 
+@pytest.mark.parametrize("gens, index", [([5], 5), ([-1], -1), ([0, 2], 2)])
+def test_orbit_refuses_a_generator_outside_the_simple_indices(gens, index):
+    rs = build_root_system("A2")
+    with pytest.raises(LieparError, match=rf"^simple index {index} out of range 0\.\.1$"):
+        list(orbit(rs, (1, 1), gens))
+
+
+def test_orbit_counts_a_repeated_generator_once():
+    rs = build_root_system("A2")
+    assert [points for points, _ in orbit(rs, (1, 1), [0, 0])] == [[(1, 1)], [(-1, 2)]]
+    assert list(orbit(rs, (1, 1), [1, 0, 1])) == list(orbit(rs, (1, 1), range(2)))
+
+
 def test_orbit_walk_of_e6_stays_small():
     # two levels of W(E6) are live at once, at most 3,611 + 3,662 points with their words
     rs = build_root_system("E6")
