@@ -114,7 +114,12 @@ def local_smith_valuations(matrix, p: int, k: int) -> list[int]:
 
 
 def modp_echelon(matrix, p: int) -> tuple[IntMatrix, list[int]]:
-    """Reduced row echelon form mod p; returns (rref, pivot column list)."""
+    """Row echelon form mod p with unit pivots; returns (echelon form, pivot column list).
+
+    Each pivot clears only the rows below it, and only from its own column
+    on: to its left those rows are already zero.  Entries above a pivot
+    are left as they fall; `echelon_kernel` back-substitutes through them.
+    """
     m = [[x % p for x in row] for row in matrix]
     if not m or not m[0]:
         return m, []
@@ -122,16 +127,17 @@ def modp_echelon(matrix, p: int) -> tuple[IntMatrix, list[int]]:
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] % p != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] % p != 0:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        tail = [x * inv % p for x in m[r][c:]]
+        m[r][c:] = tail
+        for i in range(r + 1, rows):
+            f = m[i][c]
+            if f:
+                m[i][c:] = [(a - f * b) % p for a, b in zip(m[i][c:], tail)]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -150,19 +156,24 @@ def modp_kernel_basis(matrix, p: int) -> list[list[int]]:
     return echelon_kernel(*modp_echelon(matrix, p), len(matrix[0]), p)
 
 
-def echelon_kernel(rref, pivots: list[int], cols: int, p: int) -> list[list[int]]:
-    """Right kernel over F_p read off a reduced row echelon form mod p.
+def echelon_kernel(echelon, pivots: list[int], cols: int, p: int) -> list[list[int]]:
+    """Right kernel over F_p read off a row echelon form mod p with unit pivots.
 
-    One vector per non-pivot column, so the basis is itself echelonized.
+    One vector per non-pivot column: 1 there, 0 at the other non-pivot
+    columns, and its pivot entries solved by back-substitution from the
+    last pivot row up.  These are the vectors a reduced form gives, so the
+    basis is itself echelonized.
     """
+    rows = list(zip(echelon, pivots))[::-1]
     basis = []
     for fc in range(cols):
         if fc in pivots:
             continue
         v = [0] * cols
         v[fc] = 1
-        for row, pc in zip(rref, pivots):
-            v[pc] = (-row[fc]) % p
+        for row, pc in rows:
+            if pc < fc:
+                v[pc] = -sum(a * b for a, b in zip(row[pc + 1:fc + 1], v[pc + 1:fc + 1])) % p
         basis.append(v)
     return basis
 

@@ -94,18 +94,27 @@ class IntegerSymmetricForm(NamedTuple("IntegerSymmetricForm", [("matrix", tuple)
 
 
 def rank_mod_p(matrix, p: int, rank: int, k: int) -> tuple[list[int], _linalg.IntMatrix, list[int]]:
-    """Checked F_p rank of an integer matrix: (p-local valuations, rref mod p, pivots).
+    """Checked F_p rank of an integer matrix: (p-local valuations, echelon form mod p, pivots).
 
     `rank` is the rank over Q and k the p-adic valuation of a nonzero
-    rank x rank minor, so no Smith divisor has valuation above k.  The
-    p-local Smith form runs mod p**min(e, k+1) for e = 2, 4, 8, ... until
-    it finds `rank` divisors; mod p**(k+1) it must.  Their valuations sum
-    to that of the gcd of the rank x rank minors: at most k, and exactly k
-    when the matrix is square and nonsingular, the minor then being the
-    determinant.  One elimination mod p must find as many pivots as there
-    are divisors prime to p.  A failed check raises InvariantError.
+    rank x rank minor, so no Smith divisor has valuation above k.  Their
+    valuations sum to that of the gcd of the rank x rank minors: at most
+    k, and exactly k when the matrix is square and nonsingular, the minor
+    then being the determinant.  One elimination mod p runs first.  Where
+    the sum is exactly k, the rank - r0 divisors not prime to p, r0 the
+    pivot count, share it, so the largest valuation is at least
+    c = ceil(k / (rank - r0)) and the p-local Smith form starts mod
+    p**(c+1); elsewhere it starts mod p**2.  It doubles the
+    exponent, up to k + 1, until it finds `rank` divisors; mod p**(k+1) it
+    must.  A pass that finds `rank` divisors has exact valuations whatever
+    the pivot count, so the two kernels stay independent checks: the
+    elimination must find as many pivots as there are divisors prime to p.
+    A failed check raises InvariantError.
     """
-    e = 2
+    echelon, pivots = _linalg.modp_echelon(matrix, p)
+    exact = rank == len(matrix) and all(len(row) == rank for row in matrix)
+    nonunits = rank - len(pivots)
+    e = 1 - (-k // nonunits) if exact and nonunits > 0 else 2
     while True:
         precision = min(e, k + 1)
         valuations = _linalg.local_smith_valuations(matrix, p, precision - 1)
@@ -115,15 +124,13 @@ def rank_mod_p(matrix, p: int, rank: int, k: int) -> tuple[list[int], _linalg.In
             raise InvariantError(f"p-local Smith form mod {p}**{k + 1} finds "
                                  f"{len(valuations)} divisors, not {rank}")
         e *= 2
-    exact = rank == len(matrix) and all(len(row) == rank for row in matrix)
     if sum(valuations) > k or (exact and sum(valuations) != k):
         raise InvariantError(f"p-local Smith valuations sum to {sum(valuations)}, not to "
                              f"{'' if exact else 'at most '}{k}, the valuation of a "
                              f"nonzero {rank} x {rank} minor")
-    rref, pivots = _linalg.modp_echelon(matrix, p)
     if len(pivots) != valuations.count(0):
         raise InvariantError("elimination rank mod p disagrees with p-local Smith form")
-    return valuations, rref, pivots
+    return valuations, echelon, pivots
 
 
 class RankResult(NamedTuple):
@@ -151,9 +158,9 @@ def rank_and_radical(form: IntegerSymmetricForm, p: int) -> RankResult:
     check_prime(p)
     rows = [list(r) for r in form.matrix]
     rank_q, minor = _linalg._bareiss(rows)
-    valuations, rref, pivots = rank_mod_p(rows, p, rank_q, _linalg.p_valuation(minor, p))
+    valuations, echelon, pivots = rank_mod_p(rows, p, rank_q, _linalg.p_valuation(minor, p))
     rank_fp = len(pivots)
-    radical = tuple(tuple(v) for v in _linalg.echelon_kernel(rref, pivots, form.size, p))
+    radical = tuple(tuple(v) for v in _linalg.echelon_kernel(echelon, pivots, form.size, p))
     for v in radical:
         if any(sum(g * x for g, x in zip(row, v)) % p for row in form.matrix):
             raise InvariantError(f"radical vector {v} is not in the kernel of the form mod {p}")

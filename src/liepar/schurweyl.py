@@ -6,14 +6,15 @@ simple-module dimensions as ranks of the modular reduction, and the
 Jordan-type combinatorics of GL_n nilpotent orbits, returned as the
 document that `liepar nilpotent` prints.
 
-A Gram matrix comes from polytabloids stored as sets of integer-coded
+A Gram matrix pairs polytabloids stored as bitmasks over integer-coded
 tabloids, signed by one table of column permutations per column height.
-Its rank over Q is f^lambda and the p-adic valuation of its
+Its rank over Q is f^lambda and the p-adic valuation k of its
 determinant has a closed form (James and Murphy), so a simple dimension
-needs no elimination over Z: both go to `intform.rank_mod_p`, the checked
-F_p rank that intersection forms read from files use too.  `polytabloid`
-is the readable tuple-keyed expansion the tests check the Gram matrices
-against, with its own column signs.
+needs no elimination over Z, and none at all where k <= 1; otherwise
+both go to `intform.rank_mod_p`, the checked F_p rank that intersection
+forms read from files use too.  `polytabloid` is the readable tuple-keyed
+expansion the tests check the Gram matrices against, with its own column
+signs.
 """
 
 from __future__ import annotations
@@ -177,15 +178,15 @@ def check_specht_budget(d: int) -> None:
     check_budget(SPECHT_BUDGET, d, f"Specht |lambda| = {d}")
 
 
-def _signed_tabloids(tableau, per_column, width: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The polytabloid of `tableau` as its sets of positive and negative tabloids.
+def _signed_tabloids(tableau, per_column, width: int) -> tuple[list[int], list[int]]:
+    """The polytabloid of `tableau` as its lists of positive and negative tabloids.
 
     A tabloid is one int: the row of entry v sits in the `width` bits from
     bit width*(v-1) up.  A permutation of one column fixes the rows of that
     column's entries, so each column contributes a code and a sign of its
     own, and a tabloid of the polytabloid is a sum of one code per column.
     The tabloids {sigma t} for sigma in the column group are distinct, so
-    every coefficient is +1 or -1.
+    every coefficient is +1 or -1 and neither list repeats a tabloid.
     """
     positive, negative = [0], []
     for j, column in enumerate(per_column):
@@ -198,7 +199,7 @@ def _signed_tabloids(tableau, per_column, width: int) -> tuple[frozenset[int], f
             [a + b for a in positive for b in even] + [a + b for a in negative for b in odd],
             [a + b for a in positive for b in odd] + [a + b for a in negative for b in even],
         )
-    return frozenset(positive), frozenset(negative)
+    return positive, negative
 
 
 def specht_gram(lam: Partition) -> GramMatrix:
@@ -206,22 +207,29 @@ def specht_gram(lam: Partition) -> GramMatrix:
 
     With e_t = P_t - N_t as sets of tabloids (see `_signed_tabloids`),
     <e_s, e_t> = |P_s & P_t| + |N_s & N_t| - |P_s & N_t| - |N_s & P_t|.
-    Columns of equal height share one `_signed_permutations` table.
-    `polytabloid` is the readable expansion that the tests pair against.
+    Each tabloid met gets one bit, so each set is an int mask and each
+    count a popcount.  Columns of equal height share one
+    `_signed_permutations` table.  `polytabloid` is the readable expansion
+    that the tests pair against.
     """
     lam = check_partition(lam)
     check_specht_budget(sum(lam))
     basis = standard_tableaux(lam)
     per_column = [_signed_permutations(height) for height in conjugate(lam)]
     width = max(1, (len(lam) - 1).bit_length())
-    vectors = [_signed_tabloids(t, per_column, width) for t in basis]
+    bit: dict[int, int] = {}
+    masks = []
+    for t in basis:
+        positive, negative = _signed_tabloids(t, per_column, width)
+        masks.append(tuple(sum(1 << bit.setdefault(code, len(bit)) for code in codes)
+                           for codes in (positive, negative)))
     size = len(basis)
     matrix = [[0] * size for _ in range(size)]
-    for i, (pi, ni) in enumerate(vectors):
+    for i, (pi, ni) in enumerate(masks):
         for j in range(i, size):
-            pj, nj = vectors[j]
-            matrix[i][j] = matrix[j][i] = (len(pi & pj) + len(ni & nj)
-                                           - len(pi & nj) - len(ni & pj))
+            pj, nj = masks[j]
+            matrix[i][j] = matrix[j][i] = ((pi & pj).bit_count() + (ni & nj).bit_count()
+                                           - (pi & nj).bit_count() - (ni & pj).bit_count())
     form = IntegerSymmetricForm(tuple(tuple(r) for r in matrix),
                                 label="S^(" + ",".join(map(str, lam)) + ")")
     return GramMatrix(form, tuple(basis))
@@ -258,32 +266,37 @@ def _gram_determinant_factors(lam: Partition, basis) -> tuple[list[int], list[in
 def simple_dimension(lam: Partition, p: int) -> int:
     """dim of the simple head of the Specht module in characteristic p.
 
-    Computed as the rank of the Gram matrix over F_p; defined only for
-    p-regular partitions.  Its rank over Q is f^lambda and the p-adic
-    valuation of its determinant comes from the closed form, so no
-    elimination over Z is needed: `intform.rank_mod_p` checks the F_p rank
-    against them.
+    The rank of the Gram matrix over F_p; defined only for p-regular
+    partitions.  Its rank over Q is f^lambda and the p-adic valuation k of
+    its determinant comes from the closed form, so no elimination over Z
+    is needed.  The f^lambda p-local Smith valuations of the nonsingular
+    Gram matrix sum to k, so k = 0 gives rank f^lambda and k = 1 gives
+    f^lambda - 1 with no Gram matrix built.  For k >= 2,
+    `intform.rank_mod_p` checks the F_p rank against f^lambda and k.
     """
     lam = check_partition(lam)
     check_prime(p)
     if not is_p_regular(lam, p):
         raise LieparError(f"{lam} is not {p}-regular: it indexes no simple module")
-    gram = specht_gram(lam)
+    check_specht_budget(sum(lam))
+    basis = standard_tableaux(lam)
     f = hook_length_count(lam)
-    if gram.size != f:
-        raise InvariantError(f"{gram.size} standard tableaux of shape {lam}, "
+    if len(basis) != f:
+        raise InvariantError(f"{len(basis)} standard tableaux of shape {lam}, "
                              f"but the hook length formula gives {f}")
-    numerator, denominator = _gram_determinant_factors(lam, gram.basis)
+    numerator, denominator = _gram_determinant_factors(lam, basis)
     k = (sum(_linalg.p_valuation(a, p) for a in numerator)
          - sum(_linalg.p_valuation(b, p) for b in denominator))
-    return len(rank_mod_p(gram.form.matrix, p, f, k)[2])
+    if k <= 1:
+        return f - k
+    return len(rank_mod_p(specht_gram(lam).form.matrix, p, f, k)[2])
 
 
 def simple_dimensions(d: int, p: int) -> dict[Partition, int]:
     """dim of the simple head D^lambda in characteristic p, per p-regular lambda of d.
 
-    Keys are in the order of `partitions(d)`; each Gram matrix is built and
-    ranked once.
+    Keys are in the order of `partitions(d)`; a Gram matrix is built and
+    ranked once, and only where `simple_dimension` needs it.
     """
     check_prime(p)
     check_specht_budget(d)

@@ -88,11 +88,12 @@ class WeylElement(NamedTuple("WeylElement", [("word", tuple), ("key", tuple), ("
 
 
 def _simple_indices(rs: RootSystem, indices) -> frozenset[int]:
-    out = frozenset(indices)
-    for i in out:
+    """The indices as a set, refusing the first one, in their order, outside 0..rank-1."""
+    indices = tuple(indices)
+    for i in indices:
         if i not in range(rs.rank):
             raise LieparError(f"simple index {i!r} out of range 0..{rs.rank - 1}")
-    return out
+    return frozenset(indices)
 
 
 def orbit(rs: RootSystem, weight, gens,
@@ -333,9 +334,7 @@ def stratum_poincare(rs: RootSystem, I, J, word) -> CellPolynomial:
     coordinate, and w(rho_J) has no negative coordinate in I.
     """
     I, J = _simple_indices(rs, I), _simple_indices(rs, J)
-    for i in word:
-        if i not in range(rs.rank):
-            raise LieparError(f"letter {i!r} is not a simple index 0..{rs.rank - 1}")
+    _simple_indices(rs, word)
     point = _rho_off(rs, J)
     for i in reversed(word):
         if point[i] <= 0:

@@ -1,7 +1,8 @@
 """Gauss-Jordan over Q (`rref_q` and the functions read off it) on seeded
 random integer matrices, with fraction-free Bareiss as the rank oracle; the
 integer kernel; the Smith form against gcds of minors computed here; the
-p-local Smith form against the global one."""
+p-local Smith form against the global one; the kernel mod p against the one
+read off Gauss-Jordan mod p."""
 
 import itertools
 import math
@@ -213,6 +214,32 @@ def test_local_smith_of_specht_grams(d):
             _check_local_smith(matrix, divisors, p)
 
 
+def _gauss_jordan_kernel_mod_p(matrix, p, cols):
+    """Right kernel mod p read off the reduced row echelon form by Gauss-Jordan."""
+    m = [[x % p for x in row] for row in matrix]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [(a - m[i][c] * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[fc] = 1
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[fc] % p
+        basis.append(v)
+    return basis
+
+
 def test_echelon_kernel_is_the_kernel_mod_p():
     for p in (2, 3, 5, 7):
         for matrix in _matrices(p):
@@ -223,6 +250,10 @@ def test_echelon_kernel_is_the_kernel_mod_p():
             assert _linalg.modp_rank(basis, p) == len(basis)
             for v in basis:
                 assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in matrix)
+            # back-substitution through the one-sided form gives, vector for
+            # vector, the basis a reduced form gives: 1 at its free column, 0
+            # at the others
+            assert basis == _gauss_jordan_kernel_mod_p(matrix, p, cols)
 
 
 def _pivots(hnf):

@@ -127,6 +127,9 @@ def test_elementary_divisors_are_basis_convention_free():
 def test_specht_budget():
     with pytest.raises(BudgetError):
         specht_gram((5, 4))  # |lambda| = 9 over the default budget
+    # (9,) has k = 0, so its dimension needs no Gram matrix, but the budget holds
+    with pytest.raises(BudgetError, match=r"^Specht \|lambda\| = 9 exceeds budget 8"):
+        simple_dimension((9,), 2)
 
 
 def test_nilpotent_orbit_data():
@@ -215,6 +218,27 @@ def test_simple_dimension_is_the_rank_of_rank_and_radical(p, monkeypatch):
             if is_p_regular(lam, p):
                 expected = rank_and_radical(_gram(lam).form, p).rank_fp
                 assert simple_dimension(lam, p) == expected, lam
+
+
+def test_simple_dimensions_build_and_rank_only_where_k_exceeds_one(monkeypatch):
+    # for d = 8 and p = 3, eight of the thirteen p-regular partitions have
+    # v_3(det G) >= 2; each of those is built, eliminated and Smith-reduced
+    # once, the Smith form starting at a precision where it finishes
+    calls = {"specht_gram": 0, "local_smith_valuations": 0, "modp_echelon": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, call)
+
+    counted(schurweyl, "specht_gram")
+    counted(_linalg, "local_smith_valuations")
+    counted(_linalg, "modp_echelon")
+    assert len(schurweyl.simple_dimensions(8, 3)) == 13
+    assert calls == {"specht_gram": 8, "local_smith_valuations": 8, "modp_echelon": 8}
 
 
 def test_specht_ranks_need_no_elimination_over_z(monkeypatch):

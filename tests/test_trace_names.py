@@ -45,7 +45,7 @@ TRACED_JOBS = [
     (("torsion", "--type", "A2"), "torsion.fast"),
     (("char", "--type", "A2", "--tensor", "w1,w2"), "characters.klimyk"),
     (("intform", "--in", "forms.json", "--p", "2"), "intform.rank"),
-    (("schurweyl", "--d", "3", "--p", "2"), "schurweyl.gram"),
+    (("schurweyl", "--d", "3", "--p", "2", "--emit", "gram"), "schurweyl.gram"),
     (("nilpotent", "--partition", "2,1", "--n", "3"), "schurweyl.nilpotent"),
     (("toric", "--fan", "fan.json", "--tau", "tau.json", "--paving"), "toricpave.paving"),
     (("golden",), "golden.replay"),

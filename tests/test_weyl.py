@@ -299,7 +299,7 @@ def test_stratum_poincare_refuses_a_letter_before_the_first_reflection(monkeypat
     monkeypatch.setattr(type(rs), "reflect", refuse)
     for word, letter in [((-1,), "-1"), ((3,), "3"), ((3, 0), "3"), (b"\x00\x07", "7"),
                          (w0, re.escape(repr(w0.word)))]:  # an element: its first item is its word
-        with pytest.raises(LieparError, match=rf"^letter {letter} is not a simple index 0\.\.2$") as info:
+        with pytest.raises(LieparError, match=rf"^simple index {letter} out of range 0\.\.2$") as info:
             stratum_poincare(rs, (), (), word)
         assert type(info.value) is LieparError
 
