@@ -131,7 +131,19 @@ class Fan(NamedTuple("Fan", [("rank", int), ("rays", tuple), ("cones", tuple)]))
     @classmethod
     def from_max_cones(cls, rank: int, rays, max_cones) -> "Fan":
         """The fan of the cones on `max_cones` and all their faces, refused
-        unless it satisfies the fan axioms (`_check_axioms`)."""
+        unless the rank is a positive integer, every ray has that many
+        coordinates, every cone names distinct rays among `rays`, and the fan
+        satisfies the fan axioms (`_check_axioms`)."""
+        if type(rank) is not int or rank < 1:
+            raise LieparError(f"fan rank must be a positive integer, got {rank!r}")
+        for ray in rays:
+            if len(ray) != rank:
+                raise LieparError(f"ray {list(ray)} does not have {rank} coordinates")
+        for cone in max_cones:
+            if any(not 0 <= i < len(rays) for i in cone):
+                raise LieparError(f"cone {list(cone)} names a ray outside 0..{len(rays) - 1}")
+            if len(set(cone)) != len(cone):
+                raise LieparError(f"cone {list(cone)} names a ray twice")
         prim = tuple(_primitive(r) for r in rays)
         if len(set(prim)) != len(prim):
             raise LieparError("duplicate rays")
@@ -191,20 +203,9 @@ class Fan(NamedTuple("Fan", [("rank", int), ("rays", tuple), ("cones", tuple)]))
     def from_dict(cls, data: dict) -> "Fan":
         if not isinstance(data, dict) or not {"rank", "rays", "cones"} <= data.keys():
             raise LieparError('a fan is a JSON object with "rank", "rays" and "cones"')
-        rank = data["rank"]
-        if type(rank) is not int or rank < 1:
-            raise LieparError(f"fan rank must be a positive integer, got {rank!r}")
         rays = _linalg.integer_rows(data["rays"], "rays")
-        for ray in rays:
-            if len(ray) != rank:
-                raise LieparError(f"ray {list(ray)} does not have {rank} coordinates")
         cones = [tuple(sorted(c)) for c in _linalg.integer_rows(data["cones"], "cones")]
-        for cone in cones:
-            if any(not 0 <= i < len(rays) for i in cone):
-                raise LieparError(f"cone {list(cone)} names a ray outside 0..{len(rays) - 1}")
-            if len(set(cone)) != len(cone):
-                raise LieparError(f"cone {list(cone)} names a ray twice")
-        fan = cls.from_max_cones(rank, rays, _maximal(cones))
+        fan = cls.from_max_cones(data["rank"], rays, _maximal(cones))
         missing = set(cones) - set(fan.cones)
         if missing:
             raise LieparError(f"cone list is not closed under faces near {sorted(missing)}")

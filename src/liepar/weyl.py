@@ -29,9 +29,9 @@ largest |<mu, beta-check>| over the positive coroots bounds every field of
 the orbit; b is the least of 8, 16, 32 and 64 that holds it, and an orbit
 past 64 bits is refused before its first level.  Callers get unpacked
 tuples: each level is unpacked once, by one `struct` call.  Packed points
-reach only `iter_double_quotient_words`, which tests I by one mask; an
-element's key is a tuple, and off rho it is the reflection of its parent's
-key, x(rho) = s_i(x'(rho)) for the word i x' of x.
+reach only `iter_double_quotient_words`, which tests I by one mask.  An
+element's key is a tuple: a point of the walk from rho, or for a double-coset
+representative its word replayed on rho (`_replay`).
 
 * W is the orbit of rho, and W_I its orbit under the s_i with i in I.
 * Let rho_J be 1 off J and 0 on J.  Then x -> x(rho_J) maps the minimal
@@ -96,8 +96,7 @@ def _simple_indices(rs: RootSystem, indices) -> frozenset[int]:
     return frozenset(indices)
 
 
-def orbit(rs: RootSystem, weight, gens,
-          length_bound: int | None = None) -> Iterator[tuple[list[Weight], list[bytes]]]:
+def orbit(rs: RootSystem, weight, gens) -> Iterator[tuple[list[Weight], list[bytes]]]:
     """The orbit of `weight` under the s_i, i in `gens`, one depth level at a time.
 
     `weight` must be dominant for `gens`, and every index in `gens` at most
@@ -105,18 +104,19 @@ def orbit(rs: RootSystem, weight, gens,
     pair (points, words) of parallel lists, a point as a tuple and a word as
     `bytes` with one byte per letter (0-based simple indices).  The words of
     a level have one length, the depth, and come in increasing order, so
-    the levels run through the orbit in (length, word) order.  Levels stop
-    after depth `length_bound`.  A repeated index in `gens` counts once.
+    the levels run through the orbit in (length, word) order.  A level is
+    walked only when it is asked for, so `itertools.islice(orbit(...), L + 1)`
+    gives the levels up to length L.  A repeated index in `gens` counts once.
     When the walk starts, `weight` must have one coordinate per simple root,
     its coordinates must fit 64-bit packed fields (see the module
     docstring) and every index in `gens` must lie in 0..rank-1; each is
     refused with LieparError.  Every level is held to the Weyl budget of
     `config`: past it, BudgetError names the depth and the points found.
     """
-    return (level[1:] for level in _walk(rs, weight, gens, length_bound))
+    return (level[1:] for level in _walk(rs, weight, gens))
 
 
-def _walk(rs: RootSystem, weight, gens, length_bound):
+def _walk(rs: RootSystem, weight, gens):
     """`orbit`'s checks, then its levels as triples (packed points, points, words)."""
     gens = tuple(sorted(set(gens)))
     start = tuple(weight)
@@ -124,7 +124,7 @@ def _walk(rs: RootSystem, weight, gens, length_bound):
         raise LieparError(f"simple index {gens[-1]} does not fit in a one-byte orbit word (0..255)")
     if any(c < 0 for i, c in enumerate(start) if i in gens):  # its length is checked in _levels
         raise LieparError(f"weight {start} is not dominant for the generators")
-    return _levels(rs, start, gens, length_bound)
+    return _levels(rs, start, gens)
 
 
 _FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}  # field bits -> signed struct code
@@ -163,7 +163,7 @@ def _layout(rs: RootSystem, gens: tuple[int, ...], bits: int):
     return steps, _signs(bits, range(rs.rank)), struct.Struct(f"<{rs.rank}{_FORMATS[bits]}")
 
 
-def _levels(rs: RootSystem, start: Weight, gens: tuple[int, ...], length_bound):
+def _levels(rs: RootSystem, start: Weight, gens: tuple[int, ...]):
     """The levels of `orbit`, each with its points packed, the points found
     so far held to the Weyl budget after each level.  A point's word
     minus its first letter is the word of its parent, one level up, so only
@@ -179,8 +179,6 @@ def _levels(rs: RootSystem, start: Weight, gens: tuple[int, ...], length_bound):
     found, depth = 1, 0
     while packed:
         yield packed, points, words
-        if length_bound is not None and depth >= length_bound:
-            return
         new_packed: list[int] = []
         new_words: list[bytes] = []
         add_point, add_word = new_packed.append, new_words.append
@@ -198,40 +196,26 @@ def _levels(rs: RootSystem, start: Weight, gens: tuple[int, ...], length_bound):
         points = list(fmt.iter_unpack(b"".join([(nu ^ flip).to_bytes(size, "little") for nu in packed])))
 
 
-def _elements(rs: RootSystem, start: Weight, gens, I=frozenset(),
-              length_bound: int | None = None) -> Iterator[WeylElement]:
-    """The elements x of the walk down the orbit of `start` whose point has no
-    negative coordinate in I, in (length, word) order.
-
-    From rho each point is x(rho).  From elsewhere, each word minus its first
-    letter belongs to a point of the level before, so x(rho) is one
-    reflection of a key of that level.
-    """
-    new = tuple.__new__  # WeylElement's own __new__ would cost a Python call per element
-    rho, reflect, keys = rs.rho, rs.reflect, {}
-    for points, words in orbit(rs, start, gens, length_bound):
-        if start != rho:  # words come in the order of their points, as dicts keep them
-            parents = keys
-            keys = {word: reflect(parents[word[1:]], word[0]) if word else rho for word in words}
-        for mu, key, word in zip(points, points if start == rho else keys.values(), words):
-            if not I or min(map(mu.__getitem__, I)) >= 0:
-                yield new(WeylElement, (tuple(word), key, len(word), rs))
+_new = tuple.__new__  # WeylElement's own __new__ would cost a Python call per element
 
 
-def generate_weyl(rs: RootSystem, length_bound: int | None = None) -> list[WeylElement]:
-    """All Weyl elements (up to `length_bound`), each with a reduced word.
+def _elements(rs: RootSystem, gens) -> list[WeylElement]:
+    """The elements of the group generated by the s_i, i in `gens`, in
+    (length, word) order: each point x(rho) of the walk from rho is its key."""
+    return [_new(WeylElement, (tuple(word), key, len(word), rs))
+            for points, words in orbit(rs, rs.rho, gens) for key, word in zip(points, words)]
 
-    With no length bound, |W| is held to the Weyl budget before the walk;
-    E7/E8 need an explicit length bound.
-    """
-    if length_bound is None:
-        check_budget(WEYL_BUDGET, rs.weyl_order(), f"|W| = {rs.weyl_order()} with no length bound")
-    return list(_elements(rs, rs.rho, range(rs.rank), length_bound=length_bound))
+
+def generate_weyl(rs: RootSystem) -> list[WeylElement]:
+    """All Weyl elements, each with a reduced word; |W| is held to the Weyl
+    budget before the walk."""
+    check_budget(WEYL_BUDGET, rs.weyl_order(), f"|W| = {rs.weyl_order()}")
+    return _elements(rs, range(rs.rank))
 
 
 def generate_parabolic(rs: RootSystem, indices) -> list[WeylElement]:
     """The standard parabolic subgroup W_I, I a set of 0-based simple indices."""
-    return list(_elements(rs, rs.rho, _simple_indices(rs, indices)))
+    return _elements(rs, _simple_indices(rs, indices))
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -256,15 +240,14 @@ def _rho_off(rs: RootSystem, J: frozenset[int]) -> Weight:
     return tuple(0 if k in J else 1 for k in range(rs.rank))
 
 
-def _quotient_start(rs: RootSystem, I, J) -> tuple[frozenset[int], Weight]:
-    """I as a set of simple indices and rho_J, the start of the walk of the
-    double quotient, once the indices and the |W/W_J| points of that walk
-    are checked, the points against the Weyl budget."""
-    I, J = _simple_indices(rs, I), _simple_indices(rs, J)
-    cosets = _height_product(r for r in rs.positive_roots
-                             if any(c for k, c in enumerate(r) if k not in J))
-    check_budget(WEYL_BUDGET, cosets, f"|W/W_J| = {cosets}")
-    return I, _rho_off(rs, J)
+def _replay(rs: RootSystem, word, point: Weight) -> Weight:
+    """`point` with the letters of `word` applied right to left, each letter
+    required to meet a positive coordinate: one step down the walk."""
+    for i in reversed(word):
+        if point[i] <= 0:
+            raise NotMinimalError("w is not a minimal double-coset representative")
+        point = rs.reflect(point, i)
+    return point
 
 
 def iter_double_quotient_words(rs: RootSystem, I, J) -> Iterator[list[bytes]]:
@@ -279,17 +262,22 @@ def iter_double_quotient_words(rs: RootSystem, I, J) -> Iterator[list[bytes]]:
     points of the walk, held to the Weyl budget, are checked here, before
     the first list; no `WeylElement` is built.
     """
-    I, start = _quotient_start(rs, I, J)
+    I, J = _simple_indices(rs, I), _simple_indices(rs, J)
+    cosets = _height_product(r for r in rs.positive_roots
+                             if any(c for k, c in enumerate(r) if k not in J))
+    check_budget(WEYL_BUDGET, cosets, f"|W/W_J| = {cosets}")
+    start = _rho_off(rs, J)
     mask = _signs(_width(rs, start), I)
     return ([word for nu, word in zip(packed, words) if nu & mask == mask]
-            for packed, _, words in _walk(rs, start, range(rs.rank), None))
+            for packed, _, words in _walk(rs, start, range(rs.rank)))
 
 
 def double_quotient_reps(rs: RootSystem, I, J) -> list[WeylElement]:
     """The representatives of `iter_double_quotient_words` as elements, in
-    (length, word) order."""
-    I, start = _quotient_start(rs, I, J)
-    return list(_elements(rs, start, range(rs.rank), I))
+    (length, word) order, each key the word replayed on rho."""
+    rho = rs.rho
+    return [_new(WeylElement, (tuple(word), _replay(rs, word, rho), len(word), rs))
+            for words in iter_double_quotient_words(rs, I, J) for word in words]
 
 
 class CellPolynomial(NamedTuple("CellPolynomial", [("coeffs", tuple)])):
@@ -335,11 +323,7 @@ def stratum_poincare(rs: RootSystem, I, J, word) -> CellPolynomial:
     """
     I, J = _simple_indices(rs, I), _simple_indices(rs, J)
     _simple_indices(rs, word)
-    point = _rho_off(rs, J)
-    for i in reversed(word):
-        if point[i] <= 0:
-            raise NotMinimalError("w is not a minimal double-coset representative")
-        point = rs.reflect(point, i)
+    point = _replay(rs, word, _rho_off(rs, J))
     if any(point[i] < 0 for i in I):
         raise NotMinimalError("w is not a minimal double-coset representative")
     levels = orbit(rs, point, I)

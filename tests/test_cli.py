@@ -745,7 +745,7 @@ def test_reps_rows_build_no_elements(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("WeylElement built")
 
-    monkeypatch.setattr(weyl, "_elements", refuse)
+    monkeypatch.setattr(weyl, "_new", refuse)  # every element is built through it
     for (emit, fmt), out in expected.items():
         assert run(capsys, *argv, "--emit", emit, "--format", fmt) == (0, out, ""), (emit, fmt)
 

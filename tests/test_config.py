@@ -34,7 +34,7 @@ def test_check_budget_refuses_over_the_effective_budget(monkeypatch):
 
 def test_env_budget_limits_weyl_enumeration(monkeypatch):
     monkeypatch.setenv("LIEPAR_BUDGET", "10")
-    with pytest.raises(BudgetError, match=r"^\|W\| = 48 with no length bound exceeds budget 10; "
+    with pytest.raises(BudgetError, match=r"^\|W\| = 48 exceeds budget 10; "
                                           r"set LIEPAR_BUDGET to raise it$"):
         generate_weyl(build_root_system("B3"))
     monkeypatch.delenv("LIEPAR_BUDGET")

@@ -365,6 +365,40 @@ def test_only_the_walk_packs_points():
     assert _callers(tree, "_layout") == {"_levels"}
 
 
+def test_one_word_replay():
+    # a word is replayed on a point in one place: for the keys of the
+    # representatives and for the point a stratum walks from
+    tree = ast.parse((LIBRARY / "weyl.py").read_text(encoding="utf-8"))
+    assert _callers(tree, "_replay") == {"double_quotient_reps", "stratum_poincare"}
+
+
+def _parameters(tree) -> set[str]:
+    """The names of every parameter of every function and lambda in `tree`."""
+    return {arg.arg for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))
+            for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                        *filter(None, [node.args.vararg, node.args.kwarg])]}
+
+
+def test_parameters_are_found():
+    snippet = ("def f(a, /, b, *c, d=1, **e):\n"
+               "    return lambda g, *, h: g\n"
+               "class C:\n"
+               "    def m(self, length_bound=None):\n"
+               "        pass\n")
+    assert _parameters(ast.parse(snippet)) == {"a", "b", "c", "d", "e", "g", "h", "self", "length_bound"}
+
+
+def test_the_walk_takes_no_stop_parameter():
+    # the levels come lazily, so a caller stops the walk by taking no more of them
+    assert "length_bound" not in _parameters(ast.parse((LIBRARY / "weyl.py").read_text(encoding="utf-8")))
+
+
+def test_macdonald_oracle_walks_no_orbit():
+    # the closed forms share the positive roots and the Cartan matrix with the walk, not its code
+    tree = ast.parse((LIBRARY.parents[1] / "tests" / "macdonald_oracle.py").read_text(encoding="utf-8"))
+    assert {"orbit", "_walk", "_levels", "_layout", "weyl"}.isdisjoint(_references(tree))
+
+
 def test_one_document_writer():
     # every document, streamed or whole, is written by cli._emit
     tree = ast.parse((LIBRARY / "cli.py").read_text(encoding="utf-8"))

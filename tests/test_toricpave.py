@@ -66,6 +66,19 @@ def test_malformed_cone_list_rejected():
                        "cones": [[0, 1, 2, 3], [0, 3]]})  # diagonal is not a face
 
 
+@pytest.mark.parametrize("rays, cones, message", [
+    ([(1, 0), (0, 1)], [[0, 0, 1]], "cone [0, 0, 1] names a ray twice"),
+    ([(1, 0), (0, 1)], [[0, -1]], "cone [0, -1] names a ray outside 0..1"),
+    ([(1, 0), (0, 1)], [[0, 5]], "cone [0, 5] names a ray outside 0..1"),
+    ([(1, 0, 0), (0, 1)], [[0, 1]], "ray [1, 0, 0] does not have 2 coordinates"),
+], ids=["repeated_index", "negative_index", "index_past_rays", "long_ray"])
+def test_constructor_refuses_malformed_rays_and_cones(rays, cones, message):
+    # the checks of a fan document hold for every fan, however it is built
+    with pytest.raises(LieparError, match=f"^{re.escape(message)}$") as info:
+        Fan.from_max_cones(2, rays, cones)
+    assert type(info.value) is LieparError
+
+
 def test_duplicate_rays_rejected():
     with pytest.raises(LieparError):
         Fan.from_max_cones(2, [(1, 0), (2, 0)], [[0, 1]])

@@ -23,6 +23,7 @@ from liepar.weyl import (
     stratum_poincare,
 )
 from lattice_oracle import root_weight_coords
+from macdonald_oracle import quotient_poincare, stratum_poincare_closed
 
 
 def summed(polynomials):
@@ -65,10 +66,11 @@ def test_budget(monkeypatch):
     monkeypatch.setenv("LIEPAR_BUDGET", "1000")
     with pytest.raises(BudgetError):
         generate_weyl(e7)
-    sliced = generate_weyl(e7, length_bound=3)
-    # 1 + 7 + lengths 2 and 3
-    assert max(w.length for w in sliced) == 3
-    assert len({w.key for w in sliced}) == len(sliced)
+    # the walk is lazy: the levels of lengths 0-3 pass a budget the whole group breaks
+    sliced = list(itertools.islice(orbit(e7, e7.rho, range(7)), 4))
+    assert [len(words[0]) for _, words in sliced] == [0, 1, 2, 3]
+    points = [nu for level, _ in sliced for nu in level]
+    assert len(set(points)) == len(points) == 112
 
 
 def test_bruhat_identity_is_minimum():
@@ -450,6 +452,30 @@ def test_orbit_matches_tuple_walk_from_rho_j(label, gens, J):
     assert_same_levels(rs, _rho_off(rs, J), gens)
 
 
+MACDONALD_TYPES = ([f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(2, 6)]
+                   + [f"C{n}" for n in range(3, 6)] + ["D4", "D5", "G2", "F4"])
+
+
+@pytest.mark.parametrize("label", MACDONALD_TYPES)
+def test_quotient_levels_are_macdonalds_product(label):
+    # the level sizes of the walk from rho_J are the coefficients of W(q)/W_J(q)
+    rs = build_root_system(label)
+    for J in _subsets(rs.rank):
+        sizes = [len(words) for words in iter_double_quotient_words(rs, (), J)]
+        assert sizes == quotient_poincare(rs, J), J
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA1", "A1xA2",
+                                   "A4", "D4", "A1xA3", "A2xG2"])
+def test_stratum_polynomials_are_macdonalds_quotients(label):
+    # every stratum of every pair of parabolics: q^l(w) W_I(q)/W_K(q), W_K the stabilizer
+    rs = build_root_system(label)
+    for I in _subsets(rs.rank):
+        for J in _subsets(rs.rank):
+            for word in itertools.chain.from_iterable(iter_double_quotient_words(rs, I, J)):
+                assert list(stratum_poincare(rs, I, J, word).coeffs) == stratum_poincare_closed(rs, I, J, word)
+
+
 @pytest.mark.parametrize("label,weight,bits", [
     ("A2", (100, 0), 8), ("A2", (127, 0), 8), ("A2", (128, 0), 16), ("A2", (1000, 0), 16),
     ("A2", (10**6, 0), 32), ("A2", (2**31 - 1, 0), 32), ("A2", (2**31, 0), 64),
@@ -485,18 +511,18 @@ def test_orbit_budget_error_says_how_far_the_walk_got(monkeypatch):
         list(orbit(rs, rs.rho, range(7)))
     monkeypatch.setenv("LIEPAR_BUDGET", "40")
     with pytest.raises(BudgetError, match=r"^enumeration at depth 3 \(112 points\) exceeds budget 40"):
-        generate_weyl(rs, length_bound=5)
+        generate_parabolic(rs, range(7))
 
 
 def test_orbit_levels_respect_bound_and_budget(monkeypatch):
     rs = build_root_system("E7")
-    assert [len(points) for points, _ in orbit(rs, rs.rho, range(7), length_bound=2)] == [1, 7, 27]
+    assert [len(points) for points, _ in itertools.islice(orbit(rs, rs.rho, range(7)), 3)] == [1, 7, 27]
     monkeypatch.setenv("LIEPAR_BUDGET", "100")
     with pytest.raises(BudgetError, match="LIEPAR_BUDGET"):
         list(orbit(rs, rs.rho, range(7)))
-    # the budget counts points found, so a bounded walk under it passes
+    # the budget counts points found, so a sliced walk under it passes
     monkeypatch.setenv("LIEPAR_BUDGET", "35")
-    assert sum(len(points) for points, _ in orbit(rs, rs.rho, range(7), length_bound=2)) == 35
+    assert sum(len(points) for points, _ in itertools.islice(orbit(rs, rs.rho, range(7)), 3)) == 35
 
 
 def _a4_stratum():
@@ -583,7 +609,7 @@ def test_double_quotient_words_are_the_words_of_the_reps(label, I, J):
     assert levels[0] == [b""]
     reps = double_quotient_reps(rs, I, J)
     assert [word for words in levels for word in words] == [bytes(w.word) for w in reps]
-    # each key, a parent's key reflected once, is the word replayed on rho
+    # each key is the word replayed on rho
     assert all(w.key == act(rs, w.word, rs.rho) for w in reps)
 
 
