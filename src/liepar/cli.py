@@ -10,9 +10,9 @@ generator, which `main` writes out.  `weyl` hands `_emit` its rows as the
 orbit walk finds them, so its index and |W/W_J| budget checks all run
 before the first byte and no list of rows is ever held.  Both emits
 read the words of the walk and build no `WeylElement`: `--emit reps` writes
-each row straight from a word, through one row template per length, and
-`--emit poincare` hands each word to the stratum polynomial.  `--format
-text` prints the header alone and walks nothing.
+the rows of a batch of words of one length as one chunk, in a few C-level
+calls per batch, and `--emit poincare` hands each word to the stratum
+polynomial.  `--format text` prints the header alone and walks nothing.
 
 Exit codes: 0 success, 1 domain error, 2 usage error (a bad option, two
 operations at once or a bad LIEPAR_BUDGET), 3 a failed invariant check,
@@ -30,6 +30,7 @@ import importlib.util
 import json
 import os
 import sys
+from itertools import chain, islice
 
 from .config import budget_override
 from .errors import ConfigError, InvariantError, LieparError
@@ -118,8 +119,11 @@ def _emit(document: dict, fmt: str, rows=(), key: str | None = None):
     JSON is the whole document or, with `key`, the document with
     document[key] the list whose rows are `rows`, each row's text at indent
     4.  TSV is the header, then one line per row: a tuple tab-joined, text
-    as it is.  Text is the header alone.  `rows` is consumed only as chunks
-    are taken, and not at all where they are not written.
+    as it is.  Text is the header alone.  A text row can carry several rows
+    joined by the separator put between rows (a comma, a newline and four
+    spaces in JSON, a newline in TSV): `_reps_rows` sends the rows of a batch
+    of words of one length so, as one chunk.  `rows` is consumed only as
+    chunks are taken, and not at all where they are not written.
     """
     if fmt == "json" and key is None:
         yield json.dumps(document, sort_keys=True, indent=2)
@@ -148,14 +152,36 @@ def _json_list(texts: list[str], pad: str) -> str:
     return "[\n  " + pad + (",\n  " + pad).join(texts) + "\n" + pad + "]"
 
 
+_BATCH = 256  # words per chunk of `_reps_rows`; larger batches gain no time and cost memory
+_MARK = "|"  # stands in for a word boundary while a batch is joined; in no label
+
+
 def _reps_rows(levels, labels: list[str], fmt: str):
     """The `representatives` rows of `fmt` for the words of `levels`, the
     d-th level holding the words of length d and labels[i] being the text of
     letter i: in JSON the text of {"length": d, "word": word} as
     json.dumps(row, sort_keys=True, indent=2) lays it out at indentation 4,
     in TSV the letters joined by "-" ("e" for the empty word), a tab and d.
-    Each level writes its rows from one template."""
-    join = ("-" if fmt == "tsv" else ",\n        ").join
+
+    Each chunk carries the rows of up to _BATCH words of one length, joined
+    by the separator `_emit` puts between rows.  It is built by a fixed
+    number of C-level calls: the batch's letters, _MARK between words, are
+    joined by the letter separator, and each separator-_MARK-separator
+    becomes a row's tail, the row separator and the next row's head.
+    Labels of one ASCII character each come from one `bytes.translate` of
+    the whole batch, byte len(labels) standing for _MARK; longer labels are
+    looked up letter by letter."""
+    sep, row_sep = ("-", "\n") if fmt == "tsv" else (",\n        ", ",\n    ")
+    chars = "".join(labels)
+    if len(chars) == len(labels) < 256 and chars.isascii():
+        mark = bytes([len(labels)])
+        table = bytes.maketrans(bytes(range(len(labels) + 1)), (chars + _MARK).encode())
+        letters = lambda batch: mark.join(batch).translate(table).decode()
+    else:  # _MARK and each word's labels in turn, with the first _MARK dropped
+        label = labels.__getitem__
+        letters = lambda batch: islice(chain.from_iterable(
+            chain(_MARK, map(label, word)) for word in batch), 1, None)
+    boundary = sep + _MARK + sep
     for d, words in enumerate(levels):
         if fmt == "tsv":
             head, tail = "" if d else "e", "\t%d" % d
@@ -163,8 +189,9 @@ def _reps_rows(levels, labels: list[str], fmt: str):
             head, tail = '{\n      "length": %d,\n      "word": [\n        ' % d, "\n      ]\n    }"
         else:  # the identity, whose word is the empty list
             head, tail = '{\n      "length": 0,\n      "word": [', "]\n    }"
-        for word in words:
-            yield head + join(map(labels.__getitem__, word)) + tail
+        between = tail + row_sep + head
+        for start in range(0, len(words), _BATCH):
+            yield head + sep.join(letters(words[start:start + _BATCH])).replace(boundary, between) + tail
 
 
 def _poincare_row(labels: list[str], word, coeffs) -> str:

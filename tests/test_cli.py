@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -698,6 +699,8 @@ def _index_sets(rank):
     ("E6", (), tuple(range(5))), ("E8", (), tuple(range(7))), ("D6", tuple(range(5)), (0, 5)),
     # 11 rows whose words use the two-digit letter 10
     ("A10", (), tuple(range(9))),
+    # 132 rows, several words per level, using the two-digit letters 10 and 11
+    ("A11", (), tuple(range(1, 10))),
     # levels with no representative: lengths 0-3 and 5-6, and no length 1
     ("B3", (0, 1), (0,)), ("A4", (0, 1, 2), (3,)),
 ])
@@ -711,22 +714,56 @@ def test_streamed_weyl_equals_one_shot_emit(capsys, label, I, J):
             assert out == _one_shot_weyl(label, I, J, emit, fmt), (emit, fmt)
 
 
-@pytest.mark.parametrize("word,length,coeffs", [
-    ((), 0, (1,)), ((0,), 1, (0, 1)), ((7,), 1, (0, 1, 7)),
-    ((7, 6, 4, 3, 1, 0), 6, (0,) * 6 + (1, 7, 27, 106)),
+def _alone(word, length):
+    """The levels of `word` alone at its level, after `length` levels with no
+    representative."""
+    return [[] for _ in range(length)] + [[bytes(word)]]
+
+
+def _words(seed, count, length, letters):
+    """`count` seeded words of `length` letters drawn from `letters`."""
+    rng = random.Random(seed)
+    return [bytes(rng.choice(letters) for _ in range(length)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("rank,levels,coeffs", [
+    pytest.param(8, _alone((), 0), (1,), id="identity"),
+    pytest.param(8, _alone((0,), 1), (0, 1), id="letter-1"),
+    pytest.param(8, _alone((7,), 1), (0, 1, 7), id="letter-8"),
+    pytest.param(8, _alone((7, 6, 4, 3, 1, 0), 6), (0,) * 6 + (1, 7, 27, 106), id="length-6"),
+    # 600 words of one length span more than two batches, after the identity
+    # and five levels with no representative
+    pytest.param(8, [[b""]] + [[]] * 5 + [_words(0, 600, 6, range(8))], (0, 1, 7), id="600-words"),
+    # nine one-digit labels: every byte below nine is a letter
+    pytest.param(9, _alone(range(9), 9) + [_words(1, 300, 10, range(9))], (0, 1), id="rank-9"),
+    # labels up to "256": letters 9, 99, 124 ("|" as a byte) and 255, alone
+    # and in a level of 600 words
+    pytest.param(256, _alone((9, 99, 124, 255), 4) + [_words(2, 600, 5, (0, 8, 9, 98, 99, 124, 254, 255))],
+                 (0, 0, 1), id="rank-256"),
 ])
-def test_weyl_row_templates_match_json_dumps(word, length, coeffs):
-    labels = [str(i + 1) for i in range(8)]
-    letters = [i + 1 for i in word]
-    # the word alone at its level, after `length` levels with no representative
-    levels = [[] for _ in range(length)] + [[bytes(word)]]
-    for text, row in [
-        (list(cli._reps_rows(levels, labels, "json")), {"word": letters, "length": length}),
-        ([cli._poincare_row(labels, word, coeffs)], {"word": letters, "polynomial": list(coeffs)}),
-    ]:
-        assert text == [json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")]
-    assert list(cli._reps_rows(levels, labels, "tsv")) == \
-        ["%s\t%d" % ("-".join(map(str, letters)) or "e", length)]
+def test_weyl_row_templates_match_json_dumps(rank, levels, coeffs):
+    labels = [str(i + 1) for i in range(rank)]
+    dumps = lambda row: json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+    formats = {"json": (",\n    ", lambda d, letters: dumps({"word": letters, "length": d})),
+               "tsv": ("\n", lambda d, letters: "%s\t%d" % ("-".join(map(str, letters)) or "e", d))}
+    for fmt, (row_sep, row) in formats.items():
+        # each chunk: the rows of up to _BATCH words of one length, joined as `_emit` joins rows
+        chunks = [row_sep.join(row(d, [i + 1 for i in word]) for word in words[start:start + cli._BATCH])
+                  for d, words in enumerate(levels) for start in range(0, len(words), cli._BATCH)]
+        assert list(cli._reps_rows(levels, labels, fmt)) == chunks, fmt
+    for d, words in enumerate(levels):
+        for word in words:
+            assert cli._poincare_row(labels, word, coeffs) == \
+                dumps({"word": [i + 1 for i in word], "polynomial": list(coeffs)})
+
+
+def test_reps_chunks_hold_at_most_a_batch():
+    # the memory of `weyl` does not grow with its output: every chunk of the
+    # 51,840 rows of W(E6) carries at most _BATCH rows, and some carry that many
+    args = cli.build_parser().parse_args(["weyl", "--type", "E6", "--emit", "reps"])
+    counts = [chunk.count('"length":') for chunk in args.func(args)]
+    assert sum(counts) == 51840
+    assert max(counts) == cli._BATCH
 
 
 def test_streamed_rows_empty_list_matches_one_shot():

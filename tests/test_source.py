@@ -399,6 +399,13 @@ def test_macdonald_oracle_walks_no_orbit():
     assert {"orbit", "_walk", "_levels", "_layout", "weyl"}.isdisjoint(_references(tree))
 
 
+def test_orbit_sum_oracle_paves_nothing():
+    # the orbit sums share the fan's rays and cones with the paving, not its code
+    tree = ast.parse((LIBRARY.parents[1] / "tests" / "orbit_sum_oracle.py").read_text(encoding="utf-8"))
+    assert {"paving", "_generic_point", "_layout", "_levels", "toricpave", "strictly_convex_support",
+            "_interior_walls", "_on_tau_wall", "_hrep", "walls"}.isdisjoint(_references(tree))
+
+
 def test_one_document_writer():
     # every document, streamed or whole, is written by cli._emit
     tree = ast.parse((LIBRARY / "cli.py").read_text(encoding="utf-8"))

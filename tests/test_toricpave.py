@@ -1,7 +1,11 @@
+import importlib.util
+import json
 import math
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from liepar.toricpave import (
     validate_fan,
     verify_support_function,
 )
+from orbit_sum_oracle import orbit_sum
 from simplex_oracle import phase_one
 
 
@@ -506,3 +511,54 @@ def test_generic_point_falls_back_when_every_draw_ties(monkeypatch):
         assert len(set(values)) == len(values)
         result = paving(fan, tau)
         assert result.is_even() and sum(result.polynomial.coeffs) == len(fan.maximal_cones())
+
+
+def _catalog_pavings():
+    """The distinct (fan, tau) pairs of the benchmark catalog's `toric --paving` jobs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("liepar_perfbench_jobs", path)
+    jobs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    pairs = {tuple(text for _, text in job.inputs) for job in jobs.catalog() if "--paving" in job.argv}
+    return [tuple(Fan.from_dict(json.loads(text)) for text in pair) for pair in sorted(pairs)]
+
+
+CATALOG_PAVINGS = _catalog_pavings()
+
+
+def test_catalog_has_eight_pavings():
+    # chains of 1, 4, 5, 6 and 7 P^1s and three subdivisions of the square cone
+    assert len(CATALOG_PAVINGS) == 8
+
+
+@pytest.mark.parametrize("k", range(len(CATALOG_PAVINGS)))
+def test_catalog_pavings_are_orbit_sums(k):
+    fan, tau = CATALOG_PAVINGS[k]
+    assert list(paving(fan, tau, seed=0).polynomial.coeffs) == orbit_sum(fan, tau)
+
+
+def simplicial_cone(n):
+    """The cone on e_1, ..., e_(n-1) and (1, ..., 1, 2): simplicial, not smooth."""
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n - 1)] + [(1,) * (n - 1) + (2,)]
+    return Fan.from_max_cones(n, rays, [list(range(n))])
+
+
+def seeded_subdivision(tau, seed, steps):
+    """`tau` star-subdivided `steps` times, each time at a random positive
+    combination of the rays of a random cone of dimension at least 2, so
+    that new rays fall inside tau and on its faces."""
+    rng = random.Random(seed)
+    fan = tau
+    for _ in range(steps):
+        rays = fan.cone_rays(rng.choice([c for c in fan.cones if len(c) >= 2]))
+        coeffs = [rng.randint(1, 3) for _ in rays]
+        fan = star_subdivision(fan, [sum(c * r[j] for c, r in zip(coeffs, rays)) for j in range(fan.rank)])
+    return fan
+
+
+@pytest.mark.parametrize("kind,seed", [(n, seed) for n in (2, 3) for seed in range(10)]
+                         + [(4, seed) for seed in range(5)] + [("square", seed) for seed in range(10)])
+def test_seeded_pavings_are_orbit_sums(kind, seed):
+    tau = square_cone() if kind == "square" else simplicial_cone(kind)
+    fan = seeded_subdivision(tau, seed, 1 + seed % (3 if kind == 4 else 5))
+    assert list(paving(fan, tau, seed=seed).polynomial.coeffs) == orbit_sum(fan, tau)
